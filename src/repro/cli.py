@@ -12,8 +12,6 @@ Usage (installed as ``repro-sim`` or via ``python -m repro.cli``)::
     repro-sim table2
     repro-sim table3
     repro-sim table4
-    repro-sim bench --output BENCH_datapath.json
-    repro-sim bench-engine --output BENCH_engine.json
     repro-sim serve-metrics --port 8123
     repro-sim serve --port 8200 --workers 4
     repro-sim soak --clients 8
@@ -140,83 +138,6 @@ def _seed_tuple(args: argparse.Namespace, first: int = 11) -> tuple[int, ...] | 
     if n < 1:
         raise SystemExit("--seeds must be >= 1")
     return tuple(range(first, first + n))
-
-
-def _add_bench(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "bench",
-        help="datapath benchmark: reference vs fast, JSON artifact",
-        description=(
-            "Times packet stamp/verify, serialization, MAC tagging, and an "
-            "end-to-end fig1-style DoS run under the reference and fast "
-            "datapaths (which are bit-identical), and writes the results as "
-            "JSON (schema repro.bench_datapath/1)."
-        ),
-    )
-    p.add_argument("--iterations", type=int, default=20000, help="fast-leg iterations per microbenchmark")
-    p.add_argument("--e2e-time-us", type=float, default=600.0, help="simulated horizon of the end-to-end leg")
-    p.add_argument("--attackers", type=int, default=1, help="DoS attackers in the end-to-end leg")
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="1 iteration + tiny horizon: validates the harness, not perf",
-    )
-    p.add_argument(
-        "--output", default="BENCH_datapath.json", metavar="PATH",
-        help="JSON artifact path ('-' = skip writing)",
-    )
-
-
-def _add_bench_engine(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "bench-engine",
-        help="engine-core benchmark: wheel vs heap scheduler, JSON artifact",
-        description=(
-            "Times fat-tree DoS runs (16-1024 HCAs) and a hold-model event "
-            "churn stage under the calendar-queue scale core and the binary "
-            "heap oracle (which are bit-identical), each leg in its own "
-            "subprocess, and writes the results as JSON (schema "
-            "repro.bench_engine/1)."
-        ),
-    )
-    p.add_argument(
-        "--sim-time-us", type=float, default=100.0,
-        help="simulated horizon of each fabric leg",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="tiny fabric + small churn: validates the harness, not perf",
-    )
-    p.add_argument(
-        "--output", default="BENCH_engine.json", metavar="PATH",
-        help="JSON artifact path ('-' = skip writing)",
-    )
-
-
-def _add_bench_shard(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "bench-shard",
-        help="sharded-engine scaling benchmark: k=16 DoS at 1/2/4/8 shards",
-        description=(
-            "Times the k=16 fat-tree (1024 HCAs) SIF DoS run single-process "
-            "and space-partitioned across 2/4/8 shards (conservative-"
-            "lookahead synchronization), reporting critical-path speedup "
-            "(T1_run / max per-shard busy) plus a process-transport "
-            "bit-exactness validation row, and writes the results as JSON "
-            "(schema repro.bench_shard/1)."
-        ),
-    )
-    p.add_argument(
-        "--sim-time-us", type=float, default=200.0,
-        help="simulated horizon of the DoS leg",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="k=4 at 1/2 shards on a short horizon: validates the harness, not perf",
-    )
-    p.add_argument(
-        "--output", default="BENCH_shard.json", metavar="PATH",
-        help="JSON artifact path ('-' = skip writing)",
-    )
 
 
 def _add_serve_metrics(sub: argparse._SubParsersAction) -> None:
@@ -381,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table3", help="Table 3: executable threat matrix")
     table4 = sub.add_parser("table4", help="Table 4: MAC time & forgery complexity")
     table4.add_argument("--no-measure", action="store_true", help="skip Python timing")
-    _add_bench(sub)
-    _add_bench_engine(sub)
-    _add_bench_shard(sub)
     _add_serve_metrics(sub)
     _add_serve(sub)
     _add_soak(sub)
@@ -623,68 +541,6 @@ def _cmd_table4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_datapath import (
-        format_bench,
-        run_bench,
-        validate_bench_doc,
-        write_bench_json,
-    )
-
-    doc = run_bench(
-        iterations=args.iterations,
-        e2e_sim_time_us=args.e2e_time_us,
-        e2e_attackers=args.attackers,
-        smoke=args.smoke,
-    )
-    problems = validate_bench_doc(doc)
-    if args.output != "-":
-        write_bench_json(doc, args.output)
-        print(f"wrote {args.output}")
-    print(format_bench(doc))
-    for problem in problems:
-        print(f"PROBLEM: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_engine import (
-        format_bench_engine,
-        run_bench_engine,
-        validate_bench_engine_doc,
-        write_bench_engine_json,
-    )
-
-    doc = run_bench_engine(smoke=args.smoke, sim_time_us=args.sim_time_us)
-    problems = validate_bench_engine_doc(doc)
-    if args.output != "-":
-        write_bench_engine_json(doc, args.output)
-        print(f"wrote {args.output}")
-    print(format_bench_engine(doc))
-    for problem in problems:
-        print(f"PROBLEM: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _cmd_bench_shard(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_shard import (
-        format_bench_shard,
-        run_bench_shard,
-        validate_bench_shard_doc,
-        write_bench_shard_json,
-    )
-
-    doc = run_bench_shard(smoke=args.smoke, sim_time_us=args.sim_time_us)
-    problems = validate_bench_shard_doc(doc)
-    if args.output != "-":
-        write_bench_shard_json(doc, args.output)
-        print(f"wrote {args.output}")
-    print(format_bench_shard(doc))
-    for problem in problems:
-        print(f"PROBLEM: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 def _install_stop_signals(message: str, *signals_to_trap: int):
     """Route SIGTERM/SIGINT to KeyboardInterrupt so ``with server:`` blocks
     unwind through their normal stop path.  Returns an undo callable; a
@@ -864,9 +720,6 @@ _COMMANDS = {
     "table2": _cmd_table2,
     "table3": _cmd_table3,
     "table4": _cmd_table4,
-    "bench": _cmd_bench,
-    "bench-engine": _cmd_bench_engine,
-    "bench-shard": _cmd_bench_shard,
     "serve-metrics": _cmd_serve_metrics,
     "serve": _cmd_serve,
     "soak": _cmd_soak,

@@ -142,6 +142,13 @@ class Scenario:
     tampers: tuple[PacketTamper, ...] = ()
     injections: tuple[ForgedInject, ...] = ()
 
+    @property
+    def schedule_free(self) -> bool:
+        """True when the scenario is just its config: no fault, crash,
+        tamper, or injection schedule to install at run time."""
+        return not (self.link_faults or self.switch_crashes or self.tampers
+                    or self.injections)
+
     def build_config(self) -> SimConfig:
         """Materialize the stored config dict into a validated SimConfig."""
         d = dict(self.config)

@@ -676,8 +676,7 @@ def execute_sharded(
     """
     from dataclasses import replace
 
-    if scenario.link_faults or scenario.switch_crashes or scenario.tampers \
-            or scenario.injections:
+    if not scenario.schedule_free:
         raise ValueError(
             "sharded differential scenarios must not carry faults, tampers, "
             "or injections — those install through the single-process setup "

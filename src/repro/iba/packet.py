@@ -32,8 +32,8 @@ near-free on re-verify.  The definitional ``pack()``/``pack_invariant()``
 serializers are unchanged and remain the oracle; the cached accessors are
 ``packed()``/``packed_invariant()``.  ``tools/check_hot_path.py`` enforces
 that hot-path code only reaches ``pack()`` through this caching layer, and
-:func:`set_serialization_cache` disables every cache for reference-mode
-(before/after) benchmarking — see ``tools/bench_datapath.py``.
+:func:`set_serialization_cache` disables every cache for the reference
+datapath (``repro.datapath.set_datapath("reference")``).
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The cache is the service's scale story: results land in the *same*
 ``.sweep_cache/`` directory the sweep layer uses, keyed by the same
-machinery (:func:`repro.sim.sweep.config_key` — cache version + datapath
-mode + scheduler mode + fully-resolved config), so a scenario anyone has
-ever run — through a figure sweep or through the API — answers instantly
-for every later client.  Two entry shapes coexist:
+machinery (:func:`repro.sim.sweep.run_key` — cache version, run modes
+and fully-resolved config), so a scenario anyone has ever run — through a
+figure sweep or through the API — answers instantly for every later
+client.  Two entry shapes coexist:
 
 * ``<key>.pkl`` — a plain :class:`~repro.sim.runner.SimReport`, the sweep
   layer's native entry.  The service *writes* one for schedule-free
@@ -16,17 +16,15 @@ for every later client.  Two entry shapes coexist:
 
 Scenarios that carry fault/tamper/injection schedules are not expressible
 as a bare :class:`SimConfig`, so their key hashes the whole canonical
-scenario dict (still folding cache version, datapath, scheduler, and
-observability modes); they never collide with sweep entries.
+scenario dict (through the same :func:`~repro.sim.sweep.run_key`); they
+never collide with sweep entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import itertools
-import json
 import os
 import pickle
 import threading
@@ -35,17 +33,15 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.datapath import get_datapath
 from repro.fuzz.generators import Scenario
-from repro.observability import get_observability
 from repro.sim.runner import SimReport
-from repro.sim.scheduler import get_scheduler
 from repro.sim.sweep import (
-    CACHE_VERSION,
     DEFAULT_CACHE_DIR,
     RunCache,
     _canonical,
+    atomic_pickle,
     config_key,
+    run_key,
 )
 
 REPORT_SCHEMA = "repro.service_report/1"
@@ -120,23 +116,10 @@ def scenario_key(scenario: Scenario) -> str:
     table is shared in both directions.  A scenario with fault/tamper/
     injection schedules hashes its whole canonical dict instead.
     """
-    config = scenario.build_config()
-    if not (
-        scenario.link_faults
-        or scenario.switch_crashes
-        or scenario.tampers
-        or scenario.injections
-    ):
+    config = scenario.build_config()  # validates either way
+    if scenario.schedule_free:
         return config_key(config)
-    payload = {
-        "cache_version": CACHE_VERSION,
-        "datapath": get_datapath(),
-        "scheduler": get_scheduler(),
-        "observability": get_observability(),
-        "scenario": _canonical(scenario.to_dict()),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return run_key(scenario=scenario.to_dict())
 
 
 def report_payload(report: SimReport) -> dict:
@@ -178,9 +161,9 @@ def report_payload(report: SimReport) -> dict:
 class ResultCache:
     """Content-addressed :class:`JobResult` store over ``.sweep_cache/``.
 
-    Writes are tmp-file + ``os.replace`` (the same atomicity contract as
-    :class:`~repro.sim.sweep.RunCache` — concurrent writers of one key
-    both succeed, readers never see a torn file).
+    Writes go through :func:`~repro.sim.sweep.atomic_pickle`, the same
+    writer :class:`~repro.sim.sweep.RunCache` uses (concurrent writers of
+    one key both succeed, readers never see a torn file).
     """
 
     def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
@@ -222,30 +205,10 @@ class ResultCache:
         return None
 
     def put(self, key: str, result: JobResult, scenario: Scenario) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        target = self._job_path(key)
-        # pid+thread staging suffix: worker threads racing one key must
-        # not truncate each other's half-written file before the rename
-        tmp = target.with_name(
-            f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            with open(tmp, "wb") as f:
-                pickle.dump(result, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, target)
-        except (OSError, pickle.PicklingError, TypeError, AttributeError):
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        atomic_pickle(self._job_path(key), result)
         # Schedule-free scenarios also feed the sweep layer's memo table
         # (its key is this key by construction — see scenario_key).
-        if not (
-            scenario.link_faults
-            or scenario.switch_crashes
-            or scenario.tampers
-            or scenario.injections
-        ):
+        if scenario.schedule_free:
             self.run_cache.put(result.report.config, result.report)
 
 

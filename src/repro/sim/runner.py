@@ -65,12 +65,6 @@ class SimReport:
     drops: dict[str, int]
     delivered: int
     attack_windows: list[tuple[int, int]]
-    switch_filtered: int = 0
-    switch_lookups: int = 0
-    sif_activations: int = 0
-    sif_deactivations: int = 0
-    traps_received: int = 0
-    traps_processed: int = 0
     key_exchanges: int = 0
     events_processed: int = 0
     wall_seconds: float = 0.0
@@ -97,6 +91,33 @@ class SimReport:
         return sum(
             v for k, v in self.counters.items() if fnmatchcase(k, pattern)
         )
+
+    # The enforcement/SM headline numbers, read from the counter snapshot
+    # (0 when observability was off and the snapshot is empty).
+
+    @property
+    def switch_filtered(self) -> int:
+        return int(self.counter_total("switch.*.filtered_drops"))
+
+    @property
+    def switch_lookups(self) -> int:
+        return int(self.counter_total("filter.*.lookups"))
+
+    @property
+    def sif_activations(self) -> int:
+        return int(self.counter_total("filter.*.activations"))
+
+    @property
+    def sif_deactivations(self) -> int:
+        return int(self.counter_total("filter.*.deactivations"))
+
+    @property
+    def traps_received(self) -> int:
+        return int(self.counter("sm.traps_received"))
+
+    @property
+    def traps_processed(self) -> int:
+        return int(self.counter("sm.traps_processed"))
 
     def cls(self, name: str) -> ClassStats:
         return self.stats.get(
@@ -427,23 +448,16 @@ def run_simulation(
             senders["best_effort"] += 1
         elif isinstance(src, RealtimeSource):
             senders["realtime"] += 1
-    registry = fabric.registry
     return SimReport(
         config=config,
         stats=stats,
         drops=dict(metrics.dropped),
         delivered=metrics.delivered,
         attack_windows=windows,
-        switch_filtered=int(registry.total("switch.*.filtered_drops")),
-        switch_lookups=int(registry.total("filter.*.lookups")),
-        sif_activations=int(registry.total("filter.*.activations")),
-        sif_deactivations=int(registry.total("filter.*.deactivations")),
-        traps_received=int(registry.get("sm.traps_received")),
-        traps_processed=int(registry.get("sm.traps_processed")),
         key_exchanges=int(getattr(key_manager, "exchanges", 0)),
         events_processed=engine.events_processed,
         wall_seconds=wall,
         senders=senders,
         metrics=metrics.summary() if config.keep_samples else None,
-        counters=registry.snapshot(),
+        counters=fabric.registry.snapshot(),
     )

@@ -511,13 +511,6 @@ def _merge_results(
         for cls in sorted(set(queuing) | set(network))
     }
 
-    switch_filtered = int(merged.total("switch.*.filtered_drops"))
-    switch_lookups = int(merged.total("filter.*.lookups"))
-    sif_activations = int(merged.total("filter.*.activations"))
-    sif_deactivations = int(merged.total("filter.*.deactivations"))
-    traps_received = int(merged.get("sm.traps_received"))
-    traps_processed = int(merged.get("sm.traps_processed"))
-
     counters = merged.snapshot()
     counters["shard.count"] = config.shards
     counters["shard.rounds"] = rounds
@@ -531,12 +524,6 @@ def _merge_results(
         drops=drops,
         delivered=sum(r.delivered for r in results),
         attack_windows=results[0].attack_windows,
-        switch_filtered=switch_filtered,
-        switch_lookups=switch_lookups,
-        sif_activations=sif_activations,
-        sif_deactivations=sif_deactivations,
-        traps_received=traps_received,
-        traps_processed=traps_processed,
         key_exchanges=0,  # sharded runs require keymgmt == NONE
         events_processed=sum(r.events_processed for r in results),
         wall_seconds=wall,

@@ -61,6 +61,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from repro.datapath import get_datapath
+from repro.observability import get_observability
 from repro.sim.config import SimConfig
 from repro.sim.scheduler import get_scheduler
 from repro.sim.runner import SimReport, run_simulation
@@ -83,8 +84,12 @@ from repro.sim.runner import SimReport, run_simulation
 #: (``attack_start_us``/``attack_ramp_us``) to SimConfig — pre-v6 entries
 #: were hashed over a config shape that could only express plain Poisson
 #: sources and step-on attackers, so a default-model run must never be
-#: served a pickle from before those axes existed.
-CACHE_VERSION = 6
+#: served a pickle from before those axes existed;
+#: v7 folded in the observability mode (an observability-off run leaves
+#: ``SimReport.counters`` empty, so its entry must never answer an
+#: observability-on run) and turned SimReport's scalar counter fields
+#: into properties over ``counters``.
+CACHE_VERSION = 7
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -111,26 +116,62 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def config_key(config: SimConfig) -> str:
-    """Stable content hash of a fully-resolved :class:`SimConfig`.
+def run_key(**body: Any) -> str:
+    """Stable content hash of *body* under the current run modes.
 
-    Two configs hash equal iff every field (including the seed) is equal
-    *and* the runs would execute under the same datapath and scheduler
-    modes; the JSON canonicalisation makes the key independent of field
-    order, enum identity, and tuple-vs-list spelling.  The mode axes are
-    part of the payload because a report cached under ``fast``/``wheel``
-    must not satisfy a ``reference``- or ``heap``-mode debugging sweep
-    (the modes are bit-identical by design, but proving that is exactly
-    what an oracle-mode sweep is for).
+    The payload folds the cache version and every process-global run mode
+    (datapath, scheduler, observability) in beside the canonicalised
+    *body*, so a result cached under one mode never answers a run under
+    another: the modes are meant to be bit-identical, but proving that is
+    exactly what an oracle-mode run is for, and observability-off runs
+    carry no counter snapshot.  This is the one place the modes enter a
+    cache key.
     """
     payload = {
         "cache_version": CACHE_VERSION,
         "datapath": get_datapath(),
         "scheduler": get_scheduler(),
-        "config": _canonical(asdict(config)),
+        "observability": get_observability(),
+        **{name: _canonical(value) for name, value in body.items()},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def config_key(config: SimConfig) -> str:
+    """Stable content hash of a fully-resolved :class:`SimConfig`.
+
+    Two configs hash equal iff every field (including the seed) is equal
+    *and* the runs would execute under the same run modes
+    (:func:`run_key`); the JSON canonicalisation makes the key
+    independent of field order, enum identity, and tuple-vs-list spelling.
+    """
+    return run_key(config=asdict(config))
+
+
+def atomic_pickle(target: Path, obj: Any) -> None:
+    """Pickle *obj* to *target* via a staging file and ``os.replace``.
+
+    A concurrent reader never sees a torn file, and the pid+thread staging
+    suffix keeps same-key writers (processes OR threads) from clobbering
+    each other's half-written file.  An unwritable directory or an
+    unpicklable object (pickle raises PicklingError, TypeError, or
+    AttributeError — local objects raise the latter — depending on the
+    payload) is a non-fatal cache skip, and the staging file is removed.
+    """
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(
+        f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(tmp, "wb") as f:
+            pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, target)
+    except (OSError, pickle.PicklingError, TypeError, AttributeError):
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 @dataclass
@@ -169,29 +210,7 @@ class RunCache:
         return report
 
     def put(self, config: SimConfig, report: SimReport) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        target = self.path_for(config)
-        # write-then-rename so a concurrent reader never sees a torn file;
-        # pid+thread in the tmp name so same-key writers (processes OR
-        # threads) never clobber each other's half-written staging file
-        tmp = target.with_name(
-            f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            with open(tmp, "wb") as f:
-                pickle.dump(report, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, target)
-        except (OSError, pickle.PicklingError, TypeError, AttributeError):
-            # An unwritable cache directory OR an unpicklable report (a
-            # runner can attach arbitrary extras; pickle raises
-            # PicklingError, TypeError, or AttributeError — local objects
-            # raise the latter — depending on the payload) is a non-fatal
-            # cache skip: the run's in-memory result is intact.  The
-            # partially-written tmp must not leak into the cache dir.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        atomic_pickle(self.path_for(config), report)
 
 
 def _resolve_cache(

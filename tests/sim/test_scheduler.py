@@ -79,6 +79,37 @@ def test_wheel_matches_heap_chaos(seed):
     assert wheel_eng.now == heap_eng.now
 
 
+def fat_tree_outcome(mode):
+    """A k=4 fat-tree DoS (2 flooders, 80 % best-effort load, 32-packet VL
+    buffers) run under *mode*: everything the run observably produced.
+
+    The wheel mode also switches on the scale core's switch ready-head
+    index and link credit coalescing, so this is the end-to-end check that
+    neither changes fabric behaviour against the heap oracle.
+    """
+    from repro.sim.config import SimConfig
+    from repro.sim.runner import run_simulation
+
+    cfg = SimConfig(topology="fat_tree", fat_tree_k=4, num_attackers=2,
+                    best_effort_load=0.8, vl_buffer_packets=32,
+                    sim_time_us=100.0, warmup_us=5.0, keep_samples=False)
+    prev = get_scheduler()
+    try:
+        set_scheduler(mode)
+        report = run_simulation(cfg)
+    finally:
+        set_scheduler(prev)
+    return (report.counters, report.drops, report.delivered,
+            report.events_processed)
+
+
+def test_wheel_matches_heap_on_fat_tree():
+    wheel = fat_tree_outcome("wheel")
+    assert wheel == fat_tree_outcome("heap")
+    _, drops, delivered, _ = wheel
+    assert delivered and drops, "workload must deliver and drop packets"
+
+
 @pytest.mark.parametrize("seed", [3, 99])
 def test_wheel_matches_heap_under_chunked_runs(seed):
     """Alternating run(until=...) and run(max_events=...) slices must not

@@ -138,6 +138,26 @@ class TestRunCache:
             set_scheduler(prev)
         assert wheel_key != heap_key
 
+    def test_cache_key_tracks_observability_mode(self, base, tmp_path):
+        """Regression: an observability-off run caches a report with an
+        empty counter snapshot, so a later observability-on sweep of the
+        same config must re-simulate rather than be served that entry."""
+        from repro.observability import get_observability, set_observability
+
+        prev = get_observability()
+        try:
+            set_observability("off")
+            off = Sweep(base, {})
+            off.run(workers=1, cache=tmp_path)
+            set_observability("on")
+            on = Sweep(base, {})
+            points = on.run(workers=1, cache=tmp_path)
+        finally:
+            set_observability(prev)
+        assert off.stats.cache_misses == 1
+        assert on.stats.cache_misses == 1
+        assert points[0].reports[0].counters
+
     def test_cache_version_bump_invalidates(self, base, monkeypatch):
         """Regression: the v3->v4 bump must change every key, so stale v3
         pickles (which never encoded the scheduler axis) can never hit."""
