@@ -19,6 +19,9 @@ Single-run oracles (:data:`ORACLES`):
   Invalid_P_Key_Table never exceeds the whitelist bound.
 * ``auth_soundness`` — no tampered or forged packet is ever delivered as
   authentic.
+* ``ready_index`` — every switch's maintained ready-head arbitration index
+  equals a recount of its input FIFO heads (faults, reroutes and tampers
+  included).
 * ``bloom_dominance`` — on a shadow leg (``bloom_shadow=True``), a
   :class:`BloomPortFilter` fed the *identical* packet and registration
   stream as the live SIF filter may over-filter (false positives, counted
@@ -29,7 +32,7 @@ Single-run oracles (:data:`ORACLES`):
 stats, and traces (packet ids compared relative to each run's base, since
 ids are process-globally monotonic).  The same check runs across the
 scheduler axis (``wheel`` calendar queue vs the ``heap`` oracle — the
-scale core must not change one observable bit), and
+queue structure must not change one observable bit), and
 :func:`check_observability_differential` proves a disabled observability
 layer changes nothing but the bookkeeping itself.
 """
@@ -501,6 +504,20 @@ def check_auth_soundness(run: FuzzRun) -> list[Violation]:
     return out
 
 
+def check_ready_index(run: FuzzRun) -> list[Violation]:
+    """Each switch's maintained ready-head index equals a fresh recount."""
+    out: list[Violation] = []
+    for sw in run.fabric.all_switches():
+        maintained = (sw._head_ready, sw._head_ready_total)
+        recount = sw.count_head_ready()
+        if maintained != recount:
+            out.append(Violation(
+                "ready_index", run.mode,
+                f"{sw.name}: maintained {maintained} != recount {recount}",
+            ))
+    return out
+
+
 def check_bloom_vs_sif(run: FuzzRun) -> list[Violation]:
     """The Bloom contract on a shadow leg: over-filtering allowed (and
     counted), under-filtering relative to SIF never.
@@ -541,6 +558,7 @@ ORACLES: dict[str, Callable[[FuzzRun], list[Violation]]] = {
     "counter_trace": check_counter_trace,
     "sif_legality": check_sif_legality,
     "auth_soundness": check_auth_soundness,
+    "ready_index": check_ready_index,
 }
 
 
@@ -775,8 +793,8 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario across all four legs and run every oracle.
 
-    Legs: reference datapath, fast datapath (both on the ``wheel``
-    scheduler — the scale core is what ships), fast datapath on the
+    Legs: reference datapath, fast datapath (both on the default
+    ``wheel`` scheduler), fast datapath on the
     ``heap`` oracle scheduler, and fast datapath with observability
     disabled.  The differential oracles require the first three to be
     bit-identical in counters/stats/drops/trace, and the obs-off leg to be

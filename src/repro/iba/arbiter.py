@@ -13,7 +13,7 @@ starves (the fairness a real iterative allocator provides).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.iba.buffers import InputBuffer, ReadyEntry
 from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME
@@ -63,20 +63,18 @@ class VLArbiter:
         self,
         out_port: int,
         inputs: Sequence[InputBuffer],
-        credit_ok: Callable[[int], bool] | None,
+        credits: Sequence[int],
         head_counts: Sequence[int] | None = None,
-        credits: Sequence[int] | None = None,
     ) -> tuple[int, ReadyEntry] | None:
         """Choose the next packet to cross to *out_port*.
 
         Only FIFO heads are eligible (per-VL order is preserved;
         head-of-line blocking across output ports is real and intended).
-        ``credit_ok(vl)`` reports downstream credit; callers on the hot
-        path may instead pass the per-VL *credits* list directly (and
-        ``credit_ok=None``) to skip a closure call per VL.  *head_counts*,
-        when given, is the switch's ready-head index for *out_port* (entry
-        per VL); a zero count proves :meth:`_scan` would find nothing, so
-        the scan is skipped — the picked packet is identical either way.
+        *credits* is the output link's per-VL downstream credit count.
+        *head_counts*, when given, is the switch's ready-head index for
+        *out_port* (entry per VL); a zero count proves :meth:`_scan` would
+        find nothing, so the scan is skipped — the picked packet is
+        identical either way.
 
         Returns (input_port, entry) or None; does not mutate buffers.
         """
@@ -88,10 +86,7 @@ class VLArbiter:
         for vl in order:
             if head_counts is not None and not head_counts[vl]:
                 continue
-            if credits is not None:
-                if credits[vl] <= 0:
-                    continue
-            elif not credit_ok(vl):
+            if credits[vl] <= 0:
                 continue
             choice = self._scan(vl, out_port, inputs)
             if choice is None:

@@ -75,14 +75,11 @@ class Switch:
         self.filters: list[PortFilter | None] = [None] * num_ports
         self.route_table: dict[int, int] = {}  #: dest LID -> output port
         self.arbiter = VLArbiter(num_vls, high_limit=arbiter_high_limit)
-        # Scale-core arbitration index: _head_ready[out_port][vl] counts the
-        # input FIFOs whose current *head* is ready for that (port, VL).
-        # Most pump wakeups on a big switch find nothing to grant; the index
-        # lets the scale core skip those O(ports) scans outright.  The
-        # counts are maintained unconditionally (a few list ops per grant)
-        # but only *consulted* when the engine runs the scale core, so the
-        # "heap" oracle keeps the pre-scale-up arbitration path verbatim.
-        self._fast_arb = engine.scale_core
+        # Arbitration index: _head_ready[out_port][vl] counts the input
+        # FIFOs whose current *head* is ready for that (port, VL).  Most
+        # pump wakeups on a big switch find nothing to grant; the index
+        # lets _pump skip those O(ports) scans outright.  It must always
+        # equal count_head_ready() (the fuzz ``ready_index`` oracle).
         self._head_ready = [[0] * num_vls for _ in range(num_ports)]
         self._head_ready_total = [0] * num_ports
         #: packets received but still in the routing/enforcement pipeline
@@ -209,9 +206,10 @@ class Switch:
             self._pump(port)
         return dropped
 
-    def _rebuild_head_ready(self) -> None:
-        """Recount the ready-head index from scratch (after reroute edits
-        the FIFOs in place)."""
+    def count_head_ready(self) -> tuple[list[list[int]], list[int]]:
+        """The ready-head index recounted from the input FIFOs, without
+        touching the maintained one: ``(per-port per-VL counts, per-port
+        totals)``."""
         head_ready = [[0] * self.num_vls for _ in range(self.num_ports)]
         head_total = [0] * self.num_ports
         for buf in self.inputs:
@@ -220,8 +218,12 @@ class Switch:
                     port = fifo.ready[0].out_port
                     head_ready[port][vl] += 1
                     head_total[port] += 1
-        self._head_ready = head_ready
-        self._head_ready_total = head_total
+        return head_ready, head_total
+
+    def _rebuild_head_ready(self) -> None:
+        """Recount the ready-head index from scratch (after reroute edits
+        the FIFOs in place)."""
+        self._head_ready, self._head_ready_total = self.count_head_ready()
 
     def _release_slot(self, in_port: int, vl: int, processing: bool = True) -> None:
         """Free an input slot and send the credit back upstream."""
@@ -241,28 +243,19 @@ class Switch:
         (the event loop's hottest path, per profiling).
         """
         work = {out_port}
-        fast = self._fast_arb
         head_ready = self._head_ready
         head_total = self._head_ready_total
         while work:
             port = work.pop()
-            if fast and not head_total[port]:
+            if not head_total[port]:
                 continue  # no FIFO head wants this port — nothing to grant
             link = self.out_links[port]
             if link is None:
                 continue
-            # scale core hands the arbiter the raw credit list (no closure
-            # call per VL); the oracle keeps the pre-scale-up closure —
-            # this loop fires on every link-free/credit wakeup of a loaded
-            # switch
             credits = link.credits
-            if fast:
-                has_credit, counts, creds = None, head_ready[port], credits
-            else:
-                has_credit = lambda vl: credits[vl] > 0
-                counts, creds = None, None
+            counts = head_ready[port]
             while not link.busy and not link.failed:
-                choice = self.arbiter.pick(port, self.inputs, has_credit, counts, creds)
+                choice = self.arbiter.pick(port, self.inputs, credits, counts)
                 if choice is None:
                     break
                 in_port, entry = choice

@@ -13,10 +13,10 @@ queue internals.
 The queue structure itself is pluggable (:mod:`repro.sim.scheduler`): a
 binary heap kept as the oracle, or a calendar queue for fat-tree-scale runs.
 Both produce the identical (time, priority, seq) pop order; an engine
-samples the module-level mode at construction.  Under the ``wheel`` scale
-core the engine additionally recycles fire-and-forget events through a
-free list (:meth:`Engine.schedule_pooled`) so the steady-state hot path
-allocates nothing per event.
+samples the module-level mode at construction.  Under either queue the
+engine recycles fire-and-forget events through a free list
+(:meth:`Engine.schedule_pooled`) so the steady-state hot path allocates
+nothing per event.
 """
 
 from __future__ import annotations
@@ -74,15 +74,11 @@ class Engine:
     """
 
     __slots__ = ("_sched", "_push", "_now", "_seq", "_processed", "_pool",
-                 "scheduler_mode", "scale_core")
+                 "scheduler_mode")
 
     def __init__(self, scheduler: str | None = None) -> None:
         #: which queue family this engine runs on (fixed at construction).
         self.scheduler_mode = scheduler if scheduler is not None else get_scheduler()
-        #: True when the scale core is active: calendar queue, event
-        #: pooling, and link credit coalescing.  False = the pre-scale-up
-        #: oracle behavior.
-        self.scale_core = self.scheduler_mode == "wheel"
         self._sched = make_scheduler(self.scheduler_mode)
         self._push = self._sched.push  # bound once; schedule paths are hot
         self._now = 0
@@ -110,14 +106,6 @@ class Engine:
         """Entries currently queued (live + not-yet-discarded cancelled)."""
         return len(self._sched)
 
-    @property
-    def seq_mark(self) -> int:
-        """Opaque marker that changes on every schedule call.  Two reads
-        returning the same value prove no event was scheduled in between —
-        the link layer uses this to coalesce credit returns only when doing
-        so cannot reorder anything."""
-        return self._seq
-
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any, priority: int = 0) -> Event:
         """Schedule *fn(*args)* to run *delay* picoseconds from now."""
         if delay < 0:
@@ -143,15 +131,11 @@ class Engine:
     def schedule_pooled(self, delay: int, fn: Callable[..., None], *args: Any,
                         priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so the
-        event can never be cancelled and the engine may recycle the record
-        through its free list.  Under the ``heap`` oracle this degrades to a
-        plain allocation, keeping that mode's behavior pre-scale-up.
+        event can never be cancelled and the engine recycles the record
+        through its free list.
 
-        Ordering is identical to :meth:`schedule` either way — the event
-        still consumes one sequence number at schedule time."""
-        if not self.scale_core:
-            self.schedule(delay, fn, *args, priority=priority)
-            return
+        Ordering is identical to :meth:`schedule` — the event still
+        consumes one sequence number at schedule time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self._now + int(delay)
@@ -205,11 +189,11 @@ class Engine:
         skipping over the unprocessed events' timestamps.
         """
         # The loop itself lives on the scheduler (``drain``) so each queue
-        # family runs its own fused peek/pop hot path — the heap keeps the
-        # pre-scale-up inline loop verbatim, the wheel walks its current
-        # bucket with a local cursor.  Cancelled entries are discarded as
-        # they surface and never count against *max_events*; pooled events
-        # go back on the engine's free list after firing.
+        # family runs its own fused peek/pop hot path — the heap pops
+        # inline, the wheel walks its current bucket with a local cursor.
+        # Cancelled entries are discarded as they surface and never count
+        # against *max_events*; pooled events go back on the engine's free
+        # list after firing.
         budget_hit = self._sched.drain(self, until, max_events)
         if until is not None and self._now < until:
             if budget_hit:

@@ -7,9 +7,9 @@ order is observable through counters and traces.  This module provides
 two interchangeable implementations of that total order:
 
 ``heap``
-    The pre-scale-up binary heap (``heapq``), kept verbatim as the
-    *oracle*.  O(log n) per operation, n = pending events — at
-    fat-tree scale the heap itself dominates the event loop.
+    A binary heap (``heapq``), kept as the queue-ordering *oracle*.
+    O(log n) per operation, n = pending events — at fat-tree scale the
+    heap itself dominates the event loop.
 
 ``wheel``
     A calendar queue (single-level time wheel over absolute slot
@@ -28,12 +28,10 @@ switches the family used by newly built engines, :func:`get_scheduler`
 reports it, and the ``REPRO_SCHEDULER`` environment variable
 (``wheel`` | ``heap``) picks the initial mode at import; the default is
 ``wheel``.  An :class:`~repro.sim.engine.Engine` samples the mode at
-construction, so a mode flip never mutates a live run.
-
-The ``wheel`` mode is also the flag for the rest of the scale core:
-the engine enables its event free-list pool and links coalesce
-same-instant credit returns only under ``wheel``, keeping ``heap`` a
-faithful pre-scale-up oracle for the differential fuzz harness.
+construction, so a mode flip never mutates a live run.  The mode picks
+the queue and nothing else: event pooling and the rest of the engine
+run identically under both, so the ``heap`` leg of the differential
+fuzz harness and CI checks queue ordering alone.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ SLOT_BITS = 13
 
 
 class HeapScheduler:
-    """The oracle: one binary heap of entries (the pre-scale-up queue)."""
+    """The oracle: one binary heap of entries."""
 
     __slots__ = ("_q",)
 
@@ -91,13 +89,12 @@ class HeapScheduler:
         *max_events* have run.  Returns True when the budget cut the drain
         short with a live entry still queued.
 
-        This is the pre-scale-up event loop verbatim — one inline heap pop
-        per event, no pooling (heap-mode engines never create pooled
-        events) — so the oracle leg of a benchmark pays exactly the costs
-        the original engine did.
+        One inline heap pop per event; pooled events go back on the
+        engine's free list after firing, as under the wheel.
         """
         q = self._q
         heappop = heapq.heappop
+        pool = engine._pool
         count = 0
         budget = -1 if max_events is None else max_events
         while q:
@@ -116,6 +113,10 @@ class HeapScheduler:
             ev.fn(*ev.args)
             engine._processed += 1
             count += 1
+            if ev.pooled:
+                ev.fn = None
+                ev.args = ()
+                pool.append(ev)
         return False
 
 
@@ -129,8 +130,11 @@ class WheelScheduler:
     * ``_slots`` maps every *future* active slot number to its unsorted
       entry list; ``_slot_heap`` is a min-heap of exactly those keys.
     * Pushes never land before ``now`` (the engine validates), so a push
-      either targets ``_cur`` — inserted in sorted position past the
-      drain point — or a future slot's unsorted list.
+      targets ``_cur`` — inserted in sorted position past the drain
+      point — or a future slot's unsorted list, except after a drain or
+      :meth:`peek` stopped short: both open the next bucket before
+      checking it, so ``_cur`` may lie past ``now``.  A push into a slot
+      before ``_cur`` then reopens the wheel there (:meth:`_reopen`).
     """
 
     __slots__ = ("_slots", "_slot_heap", "_head", "_hi", "_cur", "_size")
@@ -157,11 +161,29 @@ class WheelScheduler:
         else:
             bucket = self._slots.get(slot)
             if bucket is None:
-                self._slots[slot] = [entry]
-                heapq.heappush(self._slot_heap, slot)
+                if slot < self._cur:
+                    self._reopen(slot, entry)
+                else:
+                    self._slots[slot] = [entry]
+                    heapq.heappush(self._slot_heap, slot)
             else:
                 bucket.append(entry)
         self._size += 1
+
+    def _reopen(self, slot: int, entry: Entry) -> None:
+        """Make *slot*, earlier than the open bucket, the current one.
+
+        Only reached after the clock stopped short of the open bucket: its
+        unconsumed tail goes back to ``_slots`` (every key there is past
+        ``_cur``, so none can hold *slot*) and *entry* opens the new bucket.
+        """
+        tail = self._head[self._hi:]
+        if tail:
+            self._slots[self._cur] = tail
+            heapq.heappush(self._slot_heap, self._cur)
+        self._head = [entry]
+        self._hi = 0
+        self._cur = slot
 
     def peek(self) -> Entry | None:
         hi = self._hi
@@ -263,10 +285,9 @@ _mode = "wheel"
 def set_scheduler(mode: str) -> None:
     """Select the scheduler family for engines built from now on.
 
-    ``"wheel"`` — calendar queue plus the rest of the scale core (event
-    pooling, link credit coalescing).  ``"heap"`` — the pre-scale-up
-    binary heap with per-event allocation (the oracle).  Simulation
-    results are identical in both modes; only wall-clock changes.
+    ``"wheel"`` — the calendar queue.  ``"heap"`` — the binary heap
+    (the queue-ordering oracle).  Simulation results are identical in
+    both modes; only wall-clock changes.
     """
     global _mode
     if mode not in MODES:

@@ -88,8 +88,10 @@ from repro.sim.runner import SimReport, run_simulation
 #: v7 folded in the observability mode (an observability-off run leaves
 #: ``SimReport.counters`` empty, so its entry must never answer an
 #: observability-on run) and turned SimReport's scalar counter fields
-#: into properties over ``counters``.
-CACHE_VERSION = 7
+#: into properties over ``counters``;
+#: v8 fixed the wheel scheduler's out-of-order pops after a stopped run,
+#: which changes ``shard.rounds`` in cached sharded reports.
+CACHE_VERSION = 8
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 

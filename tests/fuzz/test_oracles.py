@@ -7,6 +7,7 @@ from repro.fuzz.oracles import (
     check_conservation,
     check_counter_trace,
     check_differential,
+    check_ready_index,
     check_run,
     check_sif_legality,
     execute_scenario,
@@ -32,6 +33,7 @@ class TestCleanRuns:
     def test_oracle_catalogue_is_complete(self):
         assert set(ORACLES) == {
             "conservation", "counter_trace", "sif_legality", "auth_soundness",
+            "ready_index",
         }
 
 
@@ -77,6 +79,15 @@ class TestSeededViolations:
         )
         violations = check_sif_legality(run)
         assert any("no prior trap" in v.message for v in violations)
+
+    def test_ready_index_catches_corrupted_count(self):
+        run = execute_scenario(small_scenario(), "reference")
+        assert check_ready_index(run) == []
+        sw = run.fabric.all_switches()[0]
+        sw._head_ready[1][0] += 1
+        (violation,) = check_ready_index(run)
+        assert violation.oracle == "ready_index"
+        assert sw.name in violation.message
 
     def test_auth_soundness_catches_tampered_delivery(self):
         run = execute_scenario(small_scenario(), "reference")

@@ -66,6 +66,10 @@ def _buffer_with(packets):
     return buf
 
 
+#: One downstream credit on each of the two VLs.
+FULL_CREDITS = [1, 1]
+
+
 class TestArbiter:
     def test_priority_order_constant(self):
         assert PRIORITY_VLS == (VL_REALTIME, VL_BEST_EFFORT)
@@ -75,14 +79,14 @@ class TestArbiter:
         be = make_packet(vl=VL_BEST_EFFORT)
         inputs = [_buffer_with([(be, 0)]), _buffer_with([(rt, 0)])]
         arb = VLArbiter(num_vls=2)
-        port, entry = arb.pick(0, inputs, lambda vl: True)
+        port, entry = arb.pick(0, inputs, FULL_CREDITS)
         assert entry.packet is rt and port == 1
 
     def test_best_effort_when_no_realtime(self):
         be = make_packet(vl=VL_BEST_EFFORT)
         inputs = [_buffer_with([(be, 0)]), _buffer_with([])]
         arb = VLArbiter(num_vls=2)
-        port, entry = arb.pick(0, inputs, lambda vl: True)
+        port, entry = arb.pick(0, inputs, FULL_CREDITS)
         assert entry.packet is be
 
     def test_credit_gate(self):
@@ -91,27 +95,29 @@ class TestArbiter:
         inputs = [_buffer_with([(rt, 0), (be, 0)])]
         arb = VLArbiter(num_vls=2)
         # no realtime credit: best-effort goes instead
-        port, entry = arb.pick(0, inputs, lambda vl: vl == VL_BEST_EFFORT)
+        credits = [0, 0]
+        credits[VL_BEST_EFFORT] = 1
+        port, entry = arb.pick(0, inputs, credits)
         assert entry.packet is be
 
     def test_wrong_out_port_ignored(self):
         p = make_packet(vl=0)
         inputs = [_buffer_with([(p, 3)])]
         arb = VLArbiter(num_vls=2)
-        assert arb.pick(0, inputs, lambda vl: True) is None
+        assert arb.pick(0, inputs, FULL_CREDITS) is None
 
     def test_none_when_empty(self):
         arb = VLArbiter(num_vls=2)
-        assert arb.pick(0, [_buffer_with([])], lambda vl: True) is None
+        assert arb.pick(0, [_buffer_with([])], FULL_CREDITS) is None
 
     def test_round_robin_across_inputs(self):
         a = make_packet(vl=0)
         b = make_packet(vl=0)
         inputs = [_buffer_with([(a, 0)]), _buffer_with([(b, 0)])]
         arb = VLArbiter(num_vls=2)
-        first_port, first = arb.pick(0, inputs, lambda vl: True)
+        first_port, first = arb.pick(0, inputs, FULL_CREDITS)
         inputs[first_port].pop_head(0)
-        second_port, second = arb.pick(0, inputs, lambda vl: True)
+        second_port, second = arb.pick(0, inputs, FULL_CREDITS)
         assert {first.packet, second.packet} == {a, b}
         assert first_port != second_port
 
@@ -124,7 +130,7 @@ class TestArbiter:
         ]
         order = []
         for _ in range(6):
-            port, entry = arb.pick(0, inputs, lambda vl: True)
+            port, entry = arb.pick(0, inputs, FULL_CREDITS)
             inputs[port].pop_head(0)
             order.append(port)
         assert order[:4] in ([0, 1, 0, 1], [1, 0, 1, 0])

@@ -162,17 +162,13 @@ class TestPumpProgress:
 
 
 class TestReadyHeadIndex:
-    """The scale-core arbitration index: _head_ready[port][vl] must always
-    equal a from-scratch recount of the input FIFO heads, in both modes
-    (the counts are maintained unconditionally; only consultation is
-    wheel-gated)."""
+    """The arbitration index: _head_ready[port][vl] must always equal a
+    from-scratch recount of the input FIFO heads, under both queues."""
 
     @staticmethod
     def assert_index_consistent(sw):
-        maintained = ([row[:] for row in sw._head_ready],
-                      sw._head_ready_total[:])
-        sw._rebuild_head_ready()
-        assert maintained == (sw._head_ready, sw._head_ready_total), sw.name
+        maintained = (sw._head_ready, sw._head_ready_total)
+        assert maintained == sw.count_head_ready(), sw.name
 
     @pytest.mark.parametrize("mode", ["wheel", "heap"])
     def test_index_matches_recount_through_congested_run(self, mode):

@@ -83,9 +83,8 @@ def fat_tree_outcome(mode):
     """A k=4 fat-tree DoS (2 flooders, 80 % best-effort load, 32-packet VL
     buffers) run under *mode*: everything the run observably produced.
 
-    The wheel mode also switches on the scale core's switch ready-head
-    index and link credit coalescing, so this is the end-to-end check that
-    neither changes fabric behaviour against the heap oracle.
+    The end-to-end check that the calendar queue pops a loaded fabric's
+    events in the heap oracle's order.
     """
     from repro.sim.config import SimConfig
     from repro.sim.runner import run_simulation
@@ -112,8 +111,10 @@ def test_wheel_matches_heap_on_fat_tree():
 
 @pytest.mark.parametrize("seed", [3, 99])
 def test_wheel_matches_heap_under_chunked_runs(seed):
-    """Alternating run(until=...) and run(max_events=...) slices must not
-    perturb ordering relative to one uninterrupted drain."""
+    """Alternating run(until=...) and run(max_events=...) slices, with
+    events scheduled from outside between them at any time from now on
+    (as the sharded engine delivers cross-shard messages), must fire the
+    same log under both queues."""
     def chunked(mode):
         rng = random.Random(seed)
         eng = Engine(scheduler=mode)
@@ -131,6 +132,8 @@ def test_wheel_matches_heap_under_chunked_runs(seed):
             if rng.random() < 0.5:
                 horizon = max(horizon, eng.now) + rng.choice(DELAYS) + 1
                 eng.run(until=horizon)
+                if len(log) < 400:
+                    eng.schedule_at(eng.now + rng.choice(DELAYS), fire, f"x{len(log)}")
             else:
                 eng.run(max_events=rng.randrange(1, 17))
         return log, eng.events_processed
@@ -270,6 +273,36 @@ class TestDrainEdges:
         assert eng.now == 100
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_push_before_bucket_opened_by_stopped_run(self, mode):
+        """run(until=...) stopping short of a far event leaves the wheel's
+        bucket for that event open; an event scheduled after that into an
+        earlier slot must still fire first (the wheel used to file it
+        behind the open bucket and run the clock backwards)."""
+        eng = Engine(scheduler=mode)
+        log = []
+        eng.schedule_at(100_000, log.append, 100_000)
+        eng.run(until=10)
+        eng.schedule_at(50, log.append, 50)
+        assert eng.peek_time() == 50
+        eng.run()
+        assert log == [50, 100_000]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_push_before_bucket_opened_by_peek(self, mode):
+        """The same after peek_time() opened the far bucket; the events
+        left in it must still fire after the early one, in order."""
+        eng = Engine(scheduler=mode)
+        log = []
+        for tag in ("a", "b"):
+            eng.schedule_at(9 * SLOT_PS, log.append, tag)
+        assert eng.peek_time() == 9 * SLOT_PS
+        eng.schedule_at(2 * SLOT_PS, log.append, "early")
+        eng.schedule_at(9 * SLOT_PS, log.append, "c")
+        assert eng.peek_time() == 2 * SLOT_PS
+        eng.run()
+        assert log == ["early", "a", "b", "c"]
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_run_on_empty_queue_advances_to_until(self, mode):
         eng = Engine(scheduler=mode)
         eng.run(until=500)
@@ -278,8 +311,9 @@ class TestDrainEdges:
 
 
 class TestEventPooling:
-    def test_wheel_recycles_pooled_events(self):
-        eng = Engine(scheduler="wheel")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_recycles_pooled_events(self, mode):
+        eng = Engine(scheduler=mode)
         eng.schedule_pooled(10, lambda: None)
         eng.run()
         assert len(eng._pool) == 1
@@ -289,13 +323,6 @@ class TestEventPooling:
         assert not eng._pool, "free list entry must be reused"
         eng.run()
         assert eng._pool[0] is recycled
-
-    def test_heap_never_pools(self):
-        eng = Engine(scheduler="heap")
-        eng.schedule_pooled(10, lambda: None)
-        eng.run()
-        assert eng._pool == []
-        assert eng.events_processed == 1
 
     def test_pooled_ordering_matches_schedule(self):
         """schedule_pooled consumes a seq like schedule — interleaving the
@@ -310,8 +337,9 @@ class TestEventPooling:
             eng.run()
             assert log == [0, 1, 2, 3], mode
 
-    def test_step_recycles_pooled_events_too(self):
-        eng = Engine(scheduler="wheel")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_recycles_pooled_events_too(self, mode):
+        eng = Engine(scheduler=mode)
         eng.schedule_pooled(10, lambda: None)
         assert eng.step() is True
         assert len(eng._pool) == 1
@@ -336,10 +364,6 @@ class TestModeSelection:
             assert Engine().scheduler_mode == "heap"
         finally:
             set_scheduler(prev)
-
-    def test_scale_core_tracks_mode(self):
-        assert Engine(scheduler="wheel").scale_core is True
-        assert Engine(scheduler="heap").scale_core is False
 
     def test_explicit_mode_overrides_global(self):
         prev = get_scheduler()

@@ -189,3 +189,36 @@ class TestRunSimulationDispatch:
             run_simulation(cfg, tracer=Tracer())
         with pytest.raises(ValueError, match="do not support"):
             run_simulation(cfg, setup=lambda engine, fabric: None)
+
+
+class TestSchedulerIndependence:
+    def test_wheel_and_heap_run_the_same_rounds(self):
+        """Each round schedules cross-shard messages after ``run(until=...)``
+        stopped short, then peeks the next event time for the shard's
+        lookahead bound.  The wheel once filed such a message behind the
+        bucket the stopped run had opened, so its peek read too late and
+        ``shard.rounds`` came out lower than under the heap."""
+        from repro.sim.runner import run_simulation
+        from repro.sim.scheduler import get_scheduler, set_scheduler
+
+        cfg = SimConfig(
+            topology="fat_tree", fat_tree_k=4, shards=2,
+            shard_transport="inline", partition_layout="pod",
+            enforcement=EnforcementMode.SIF, num_attackers=1,
+            sim_time_us=150.0,
+        )
+
+        def counters(mode):
+            prev = get_scheduler()
+            try:
+                set_scheduler(mode)
+                report = run_simulation(cfg)
+            finally:
+                set_scheduler(prev)
+            # busy_seconds is host wall-clock time, not a simulation result
+            return {k: v for k, v in report.counters.items()
+                    if not k.endswith(".busy_seconds")}
+
+        wheel = counters("wheel")
+        assert wheel["shard.rounds"] > 0
+        assert wheel == counters("heap")
