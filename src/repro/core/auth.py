@@ -29,8 +29,8 @@ at ``prepare`` time is memoized on the packet keyed by (function, key,
 message identity, nonce).  ``verify`` reuses it only when *every* component
 matches — any in-flight tamper rebuilds the invariant bytes (new identity)
 and any key/selector mismatch misses the memo, so the verification outcome
-is always exactly what a fresh MAC computation would produce.  Disable with
-:func:`set_tag_memo` for reference-mode benchmarking.
+is always exactly what a fresh MAC computation would produce.  The
+reference datapath (:mod:`repro.datapath`) recomputes every tag instead.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
+from repro import datapath as _datapath
 from repro.crypto.hmac import hmac_md5, hmac_sha1, tag32
 from repro.crypto.pmac import PMAC
 from repro.crypto.stream import stream_mac
@@ -47,24 +48,6 @@ from repro.sim.counters import CounterRegistry
 from repro.iba.packet import DataPacket
 from repro.sim.config import AuthMode
 from repro.sim.engine import PS_PER_NS
-
-
-_TAG_MEMO_ENABLED = True
-
-
-def set_tag_memo(enabled: bool) -> None:
-    """Enable/disable the prepare→verify tag memo (fast default: on).
-
-    With the memo off, every ``verify`` recomputes the MAC from scratch —
-    the reference behavior the datapath benchmark compares against.  Both
-    modes return identical verdicts for every packet."""
-    global _TAG_MEMO_ENABLED
-    _TAG_MEMO_ENABLED = bool(enabled)
-
-
-def tag_memo_enabled() -> bool:
-    """Whether the prepare→verify tag memo is active."""
-    return _TAG_MEMO_ENABLED
 
 
 @dataclass(frozen=True)
@@ -224,7 +207,7 @@ class MacAuthService:
         nonce = packet.nonce
         tag = self.func.compute(key, message, nonce)
         packet.icrc = tag
-        if _TAG_MEMO_ENABLED:
+        if _datapath.fast:
             # Keyed on the message object's *identity*: the serialization
             # cache hands out a new bytes object whenever any covered field
             # mutates, so a tampered packet can never hit this memo.
@@ -247,7 +230,7 @@ class MacAuthService:
         nonce = packet.nonce
         memo = packet._auth_tag_memo
         if (
-            _TAG_MEMO_ENABLED
+            _datapath.fast
             and memo is not None
             and memo[0] == self.func.ident
             and memo[1] == key

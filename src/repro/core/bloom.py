@@ -20,33 +20,18 @@ P_Key's probe positions into a small integer; the ingress filter verifies
 the tag by recomputation, so a forger without the salt cannot mint a tag
 that survives verification (probability ~``m^-k`` per guess).
 
-Fast datapath: probe positions per (salt, key) are immutable, so
-:func:`set_position_memo` memoizes them exactly like the serialization/MAC
-caches — bit-identical results, toggled by :func:`repro.datapath.set_datapath`.
+Fast datapath: probe positions per (salt, key) are immutable, so each
+filter memoizes them exactly like the serialization/MAC caches —
+bit-identical results; the reference datapath (:mod:`repro.datapath`)
+recomputes them on every lookup.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro import datapath as _datapath
 from repro.crypto.md5 import md5
-
-_POSITION_MEMO_ENABLED = True
-
-
-def set_position_memo(enabled: bool) -> None:
-    """Globally enable/disable the per-(salt, key) probe-position memo.
-
-    Disabled recomputes the MD5 double hash on every lookup (the reference
-    datapath); enabled caches positions per filter instance.  Both modes are
-    bit-identical — only wall-clock changes."""
-    global _POSITION_MEMO_ENABLED
-    _POSITION_MEMO_ENABLED = bool(enabled)
-
-
-def position_memo_enabled() -> bool:
-    """Whether the probe-position memo layer is active."""
-    return _POSITION_MEMO_ENABLED
 
 
 def bloom_positions(key: int, salt: bytes, num_bits: int, num_hashes: int) -> tuple[int, ...]:
@@ -125,7 +110,7 @@ class BloomFilter:
 
     def positions(self, key: int) -> tuple[int, ...]:
         """Probe positions for *key* (memoized under the fast datapath)."""
-        if not _POSITION_MEMO_ENABLED:
+        if not _datapath.fast:
             return bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
         pos = self._memo.get(key)
         if pos is None:

@@ -4,13 +4,11 @@ InfiniBand computes its Invariant CRC and Variant CRC with the standard
 Ethernet polynomial ``0x04C11DB7``.  The reflected (LSB-first) form is
 ``0xEDB88320``.  We provide:
 
-* :func:`crc32` — one-shot CRC over a byte string, identical to
-  ``zlib.crc32`` semantics (init ``0xFFFFFFFF``, final XOR ``0xFFFFFFFF``).
-  Dispatches to a selectable backend: the pure-python table implementation
-  (:func:`crc32_pure`, the reference) or stdlib ``zlib.crc32`` (the fast
-  default) — see :func:`set_crc32_backend`.  Both are bit-identical; the
-  pure implementation is retained as the oracle the fast backend is checked
-  against in ``tests/crypto/test_crc32_backends.py``.
+* :func:`crc32` — one-shot CRC over a byte string, computed by stdlib
+  ``zlib.crc32`` (init ``0xFFFFFFFF``, final XOR ``0xFFFFFFFF``).
+* :func:`crc32_pure` — the same CRC as a pure-python table-driven loop,
+  kept as the oracle ``zlib`` is checked against in
+  ``tests/crypto/test_crc32_backends.py``.
 * :class:`CRC32` — incremental engine so a packet's headers and payload can
   be folded in field-by-field, the way an HCA pipeline would.
 * :func:`crc32_bitwise` — the definitional bit-serial implementation, kept as
@@ -50,7 +48,7 @@ _TABLE = _build_table()
 
 
 def crc32_pure(data: bytes, value: int = 0) -> int:
-    """Pure-python table-driven CRC-32 — the reference backend."""
+    """Pure-python table-driven CRC-32 — the oracle for :func:`crc32`."""
     crc = (value ^ _INIT) & 0xFFFFFFFF
     table = _TABLE
     for b in data:
@@ -58,41 +56,13 @@ def crc32_pure(data: bytes, value: int = 0) -> int:
     return (crc ^ _XOROUT) & 0xFFFFFFFF
 
 
-def _crc32_zlib(data: bytes, value: int = 0) -> int:
-    """``zlib.crc32``-backed fast backend (same init/xorout convention)."""
-    return zlib.crc32(data, value) & 0xFFFFFFFF
-
-
-_BACKENDS = {"pure": crc32_pure, "zlib": _crc32_zlib}
-_active_backend = "zlib"
-_active = _crc32_zlib
-
-
-def set_crc32_backend(name: str) -> None:
-    """Select the CRC-32 implementation: ``"zlib"`` (fast, default) or
-    ``"pure"`` (the table-driven reference/oracle).  Both produce identical
-    values for every input, so switching never changes simulation results —
-    only wall-clock time."""
-    global _active_backend, _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown CRC-32 backend {name!r}; choose from {sorted(_BACKENDS)}")
-    _active_backend = name
-    _active = _BACKENDS[name]
-
-
-def get_crc32_backend() -> str:
-    """Name of the currently active CRC-32 backend."""
-    return _active_backend
-
-
 def crc32(data: bytes, value: int = 0) -> int:
     """CRC-32 of *data*, continuing from a previous *value* (like zlib).
 
     ``value`` is the running CRC of everything already folded in (0 to
-    start).  Returns an unsigned 32-bit integer.  Computed by the active
-    backend (:func:`set_crc32_backend`).
+    start).  Returns an unsigned 32-bit integer.
     """
-    return _active(data, value)
+    return zlib.crc32(data, value)
 
 
 def crc32_bitwise(data: bytes, value: int = 0) -> int:
@@ -128,11 +98,9 @@ class CRC32:
             self.update(data)
 
     def update(self, data: bytes) -> "CRC32":
-        # Route through the active backend: convert the raw register to the
-        # public (xorout) convention the one-shot functions speak, fold, and
-        # convert back.  Both backends agree bit-for-bit, so the engine's
-        # stream is identical whichever is selected.
-        self._crc = _active(data, self._crc ^ _XOROUT) ^ _XOROUT
+        # Convert the raw register to the public (xorout) convention the
+        # one-shot function speaks, fold, and convert back.
+        self._crc = zlib.crc32(data, self._crc ^ _XOROUT) ^ _XOROUT
         return self
 
     @property

@@ -1,73 +1,45 @@
-"""One switch for the fast-vs-reference packet datapath.
+"""The fast-vs-reference packet datapath flag.
 
-The fast datapath is four independent, individually-toggleable layers that
-are all **bit-identical** to their reference counterparts:
+The fast datapath is a set of caches that are all **bit-identical** to
+recomputing from scratch:
 
 * cached header/packet serialization (:mod:`repro.iba.packet`),
-* table-driven CRC-16 + prefix-folded CRCs with a ``zlib.crc32`` backend
-  (:mod:`repro.iba.crc`, :mod:`repro.crypto.crc32`),
+* prefix-folded ICRC/VCRC values (:mod:`repro.iba.crc`),
 * the prepare→verify MAC tag memo (:mod:`repro.core.auth`),
 * the Bloom-filter probe-position memo (:mod:`repro.core.bloom`).
 
-:func:`set_datapath` flips them together so benchmarks and equivalence
-tests can run the exact same simulation twice — once the way the code
-worked before this optimization pass ("reference"), once with everything on
-("fast") — and diff wall-clock while asserting identical counters/traces.
-
-The ``REPRO_DATAPATH`` environment variable (``fast`` | ``reference``)
-selects the initial mode when this module is first imported; the default is
-``fast``.
+They read one flag, :data:`fast`.  A run chooses its datapath with
+``RunModes(datapath=...)`` (:class:`repro.sim.config.RunModes`), and
+:func:`~repro.sim.runner.run_simulation` holds the flag there for the
+run through :func:`held`.  The ``"reference"`` datapath (every cache off)
+is the fuzz harness's oracle leg: the same scenario must produce
+identical counters, stats and traces under both.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
-import importlib
+if TYPE_CHECKING:
+    from repro.sim.config import RunModes
 
-from repro.core import auth as _auth
-from repro.core import bloom as _bloom
-from repro.iba import crc as _ibacrc
-from repro.iba import packet as _packet
-
-# repro.crypto's __init__ re-exports the crc32 *function* under the same name
-# as the submodule, so a plain ``import repro.crypto.crc32 as _crc32`` would
-# bind the function — resolve the module explicitly.
-_crc32 = importlib.import_module("repro.crypto.crc32")
-
-MODES = ("fast", "reference")
-
-
-def set_datapath(mode: str) -> None:
-    """Select the packet-datapath implementation family.
-
-    ``"fast"`` — serialization caches on, table CRC-16, zlib CRC-32
-    backend, MAC tag memo on.  ``"reference"`` — every cache off, bit-serial
-    CRC-16, pure-python CRC-32 (the pre-optimization behavior).  Simulation
-    results are identical in both modes; only wall-clock changes.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown datapath mode {mode!r}; choose from {MODES}")
-    fast = mode == "fast"
-    _packet.set_serialization_cache(fast)
-    _ibacrc.set_crc16_impl("table" if fast else "bitwise")
-    _crc32.set_crc32_backend("zlib" if fast else "pure")
-    _auth.set_tag_memo(fast)
-    _bloom.set_position_memo(fast)
+#: True while the fast datapath's caches are in use.
+fast = True
 
 
 def get_datapath() -> str:
-    """Current mode — ``"fast"`` only when every layer is in its fast state."""
-    fast = (
-        _packet.serialization_cache_enabled()
-        and _ibacrc.get_crc16_impl() == "table"
-        and _crc32.get_crc32_backend() == "zlib"
-        and _auth.tag_memo_enabled()
-        and _bloom.position_memo_enabled()
-    )
+    """The datapath currently held (``"fast"`` outside any run)."""
     return "fast" if fast else "reference"
 
 
-_env_mode = os.environ.get("REPRO_DATAPATH")
-if _env_mode:
-    set_datapath(_env_mode)
+@contextmanager
+def held(modes: RunModes) -> Iterator[None]:
+    """Hold the flag at ``modes.datapath`` for the block, then restore it."""
+    global fast
+    prev = fast
+    fast = modes.datapath == "fast"
+    try:
+        yield
+    finally:
+        fast = prev

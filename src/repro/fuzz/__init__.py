@@ -12,9 +12,10 @@ Pipeline (see DESIGN.md §3e):
   topology/partition/traffic/attacker draws) plus mutation-based packet
   tampering and forged-packet injection, all on :class:`~repro.sim.rng.RngStreams`
   so every scenario is a pure function of ``(master_seed, index)``.
-* :mod:`repro.fuzz.oracles` — executes a scenario under a chosen datapath
-  mode and checks the invariant catalogue, including the differential
-  oracle that replays the scenario under ``fast`` vs ``reference``.
+* :mod:`repro.fuzz.oracles` — executes a scenario under a chosen
+  :class:`~repro.sim.config.RunModes` and checks the invariant catalogue,
+  including the differential oracles that replay it on every leg
+  (``reference`` datapath, ``heap`` scheduler, observability off).
 * :mod:`repro.fuzz.shrink` — greedy delta debugging: minimize a failing
   scenario while the same oracle still fires.
 * :mod:`repro.fuzz.corpus` — content-addressed JSON corpus of failures

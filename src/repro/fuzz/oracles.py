@@ -1,10 +1,10 @@
 """Scenario execution and the invariant catalogue (DESIGN.md §3e).
 
 :func:`execute_scenario` runs one :class:`~repro.fuzz.generators.Scenario`
-under a chosen datapath mode, installing its faults, wire tamperers, and
-forged injections through ``run_simulation``'s ``setup`` hook, and returns a
-:class:`FuzzRun` bundling the report, the full trace, the live fabric, and
-the identity sets the oracles need.
+under a chosen :class:`~repro.sim.config.RunModes`, installing its faults,
+wire tamperers, and forged injections through ``run_simulation``'s
+``setup`` hook, and returns a :class:`FuzzRun` bundling the report, the
+full trace, the live fabric, and the identity sets the oracles need.
 
 Single-run oracles (:data:`ORACLES`):
 
@@ -27,8 +27,8 @@ Single-run oracles (:data:`ORACLES`):
   stream as the live SIF filter may over-filter (false positives, counted
   separately) but must never pass a packet SIF dropped.
 
-:func:`check_differential` is the two-run oracle: the same scenario under
-``set_datapath("fast")`` vs ``"reference"`` must produce identical counters,
+:func:`check_differential` is the two-run oracle: the same scenario on the
+``fast`` and ``reference`` datapath legs must produce identical counters,
 stats, and traces (packet ids compared relative to each run's base, since
 ids are process-globally monotonic).  The same check runs across the
 scheduler axis (``wheel`` calendar queue vs the ``heap`` oracle — the
@@ -45,9 +45,6 @@ from typing import Callable
 from repro.core.attacks import forge_packet, inject_raw
 from repro.core.auth import auth_function_for
 from repro.core.enforcement import BloomPortFilter, SIFPortFilter, bloom_port_salt
-from repro.datapath import get_datapath, set_datapath
-from repro.observability import get_observability, set_observability
-from repro.sim.scheduler import get_scheduler, set_scheduler
 from repro.fuzz.generators import (
     ForgedInject,
     MutationContext,
@@ -60,7 +57,7 @@ from repro.iba.packet import DataPacket, current_packet_seq
 from repro.iba.switch import HCA_PORT
 from repro.iba.topology import Fabric
 from repro.iba.types import QPN
-from repro.sim.config import AuthMode, SimConfig
+from repro.sim.config import AuthMode, RunModes, SimConfig
 from repro.sim.engine import PS_PER_US
 from repro.sim.faults import FaultInjector
 from repro.sim.runner import SimReport, run_simulation
@@ -78,10 +75,13 @@ HCA_DROP_COUNTERS = (
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant failure, attributed to an oracle and a run mode."""
+    """One invariant failure, attributed to an oracle and the leg it ran on."""
 
     oracle: str
-    mode: str  #: ``reference`` | ``fast`` | ``differential``
+    #: the :attr:`FuzzRun.leg` (``reference`` | ``fast`` | ``heap`` |
+    #: ``obs_off`` | ``bloom_shadow``), or ``differential`` / ``sharded``
+    #: for a two-run oracle.
+    mode: str
     message: str
 
     def __str__(self) -> str:
@@ -93,7 +93,8 @@ class FuzzRun:
     """Everything one scenario execution leaves behind for the oracles."""
 
     scenario: Scenario
-    mode: str
+    modes: RunModes
+    leg: str  #: which fuzz leg this run is — see :func:`leg_name`.
     report: SimReport
     tracer: Tracer
     fabric: Fabric
@@ -199,18 +200,27 @@ class _BloomShadowFilter:
         return getattr(self.sif, name)
 
 
-def execute_scenario(
-    scenario: Scenario,
-    mode: str,
-    scheduler: str | None = None,
-    observability: str | None = None,
-    bloom_shadow: bool = False,
-) -> FuzzRun:
-    """Run *scenario* under datapath *mode*; restores the previous mode.
+def leg_name(modes: RunModes, bloom_shadow: bool = False) -> str:
+    """The fuzz leg *modes* (plus the shadow-filter flag) amount to:
+    ``fast`` for the default modes, else each departure from them joined
+    with ``+`` (``reference``, ``heap``, ``obs_off``, ``bloom_shadow``)."""
+    parts = [
+        name
+        for name, departs in (
+            ("reference", modes.datapath == "reference"),
+            ("heap", modes.scheduler == "heap"),
+            ("obs_off", not modes.observability),
+            ("bloom_shadow", bloom_shadow),
+        )
+        if departs
+    ]
+    return "+".join(parts) or "fast"
 
-    *scheduler* (``"wheel"`` | ``"heap"``) and *observability* (``"on"`` |
-    ``"off"``) pin those axes for this run when given; each is restored
-    afterwards.  They default to the ambient modes.
+
+def execute_scenario(
+    scenario: Scenario, modes: RunModes, bloom_shadow: bool = False
+) -> FuzzRun:
+    """Run *scenario* under *modes* (see :func:`run_simulation`).
 
     *bloom_shadow* wraps every installed SIF ingress filter in a
     :class:`_BloomShadowFilter` (sized by the scenario's ``bloom_bits`` /
@@ -218,126 +228,114 @@ def execute_scenario(
     ``bloom_dominance`` oracle can compare drop decisions on the identical
     stream; it has no effect on scenarios without SIF enforcement.
     """
-    prev_mode = get_datapath()
-    prev_sched = get_scheduler()
-    prev_obs = get_observability()
-    set_datapath(mode)
-    if scheduler is not None:
-        set_scheduler(scheduler)
-    if observability is not None:
-        set_observability(observability)
-    try:
-        base_seq = current_packet_seq()
-        tracer = Tracer()
-        config = scenario.build_config()
-        tampered: set[int] = set()
-        injected: set[int] = set()
-        captured: dict[str, Fabric] = {}
-        shadows: list[_BloomShadowFilter] = []
+    base_seq = current_packet_seq()
+    tracer = Tracer()
+    config = scenario.build_config()
+    tampered: set[int] = set()
+    injected: set[int] = set()
+    captured: dict[str, Fabric] = {}
+    shadows: list[_BloomShadowFilter] = []
 
-        def setup(engine, fabric: Fabric) -> None:
-            captured["fabric"] = fabric
-            injector = FaultInjector(fabric)
-            links = {link.name: link for link in fabric.all_links()}
+    def setup(engine, fabric: Fabric) -> None:
+        captured["fabric"] = fabric
+        injector = FaultInjector(fabric)
+        links = {link.name: link for link in fabric.all_links()}
 
-            # Faults are guarded: a link never double-fails (LinkFault and a
-            # SwitchCrash may name the same link) and never "restores" while
-            # up, so per-link link_down >= link_up holds by construction.
-            def fail_if_up(link) -> None:
-                if not link.failed:
-                    injector.fail_link(link)
+        # Faults are guarded: a link never double-fails (LinkFault and a
+        # SwitchCrash may name the same link) and never "restores" while
+        # up, so per-link link_down >= link_up holds by construction.
+        def fail_if_up(link) -> None:
+            if not link.failed:
+                injector.fail_link(link)
 
-            def restore_if_down(link) -> None:
-                if link.failed:
-                    injector.restore_link(link)
+        def restore_if_down(link) -> None:
+            if link.failed:
+                injector.restore_link(link)
 
-            for fault in scenario.link_faults:
-                link = links[fault.link]
-                engine.schedule_at(round(fault.fail_us * PS_PER_US), fail_if_up, link)
-                if fault.restore_us is not None:
-                    engine.schedule_at(
-                        round(fault.restore_us * PS_PER_US), restore_if_down, link
-                    )
-            for crash in scenario.switch_crashes:
-                coords = (crash.x, crash.y)
-                injector.crash_switch(coords, at_ps=round(crash.at_us * PS_PER_US))
-                if crash.restore_us is not None:
-                    injector.restore_switch(
-                        coords, at_ps=round(crash.restore_us * PS_PER_US)
-                    )
+        for fault in scenario.link_faults:
+            link = links[fault.link]
+            engine.schedule_at(round(fault.fail_us * PS_PER_US), fail_if_up, link)
+            if fault.restore_us is not None:
+                engine.schedule_at(
+                    round(fault.restore_us * PS_PER_US), restore_if_down, link
+                )
+        for crash in scenario.switch_crashes:
+            coords = (crash.x, crash.y)
+            injector.crash_switch(coords, at_ps=round(crash.at_us * PS_PER_US))
+            if crash.restore_us is not None:
+                injector.restore_switch(
+                    coords, at_ps=round(crash.restore_us * PS_PER_US)
+                )
 
-            ctx = MutationContext(
-                valid_pkeys=tuple(sorted(
-                    {p for hca in fabric.hcas.values() for p in hca.keys.pkeys},
-                    key=lambda p: p.value,
-                )),
-                lids=tuple(fabric.lids),
-            )
-            by_link: dict[str, dict[int, object]] = {}
-            for tamper in scenario.tampers:
-                by_link.setdefault(tamper.link, {}).setdefault(tamper.ordinal, tamper)
-            for name, plan in by_link.items():
-                link = links[name]
-                prev_tap = link.tap
-
-                def tamper_tap(packet, _plan=plan, _prev=prev_tap, _seen=[0]) -> None:
-                    if _prev is not None:
-                        _prev(packet)
-                    tamper = _plan.get(_seen[0])
-                    _seen[0] += 1
-                    if tamper is not None:
-                        apply_mutation(packet, tamper.mutation, tamper.param, ctx)
-                        tampered.add(packet.packet_id)
-
-                link.tap = tamper_tap
-
-            def fire_injection(inj: ForgedInject) -> None:
-                packet = _build_injection(inj, fabric, config)
-                injected.add(packet.packet_id)
-                inject_raw(fabric.hca(inj.src_lid), packet)
-
-            for inj in scenario.injections:
-                engine.schedule_at(round(inj.at_us * PS_PER_US), fire_injection, inj)
-
-            if bloom_shadow:
-                for lid in fabric.lids:
-                    sw = fabric.ingress_switch(lid)
-                    port = fabric.ingress_port(lid)
-                    filt = sw.filters[port]
-                    if not isinstance(filt, SIFPortFilter):
-                        continue
-                    bloom = BloomPortFilter(
-                        engine,
-                        set(filt.partition_table),
-                        filt.lookup_ns,
-                        config.sif_idle_timeout_us,
-                        bloom_bits=config.bloom_bits,
-                        bloom_hashes=config.bloom_hashes,
-                        salt=bloom_port_salt(filt.scope),
-                        inpacket_tag=False,  # a SIF run stamps no tags
-                        scope=f"shadow.{filt.scope}",
-                    )
-                    shadow = _BloomShadowFilter(filt, bloom)
-                    sw.set_port_filter(port, shadow)
-                    fabric.sm.registration_hooks[int(lid)] = shadow.register_invalid
-                    shadows.append(shadow)
-
-        report = run_simulation(config, tracer=tracer, setup=setup)
-        return FuzzRun(
-            scenario=scenario,
-            mode=mode,
-            report=report,
-            tracer=tracer,
-            fabric=captured["fabric"],
-            base_seq=base_seq,
-            tampered_ids=tampered,
-            injected_ids=injected,
-            bloom_shadows=shadows,
+        ctx = MutationContext(
+            valid_pkeys=tuple(sorted(
+                {p for hca in fabric.hcas.values() for p in hca.keys.pkeys},
+                key=lambda p: p.value,
+            )),
+            lids=tuple(fabric.lids),
         )
-    finally:
-        set_datapath(prev_mode)
-        set_scheduler(prev_sched)
-        set_observability(prev_obs)
+        by_link: dict[str, dict[int, object]] = {}
+        for tamper in scenario.tampers:
+            by_link.setdefault(tamper.link, {}).setdefault(tamper.ordinal, tamper)
+        for name, plan in by_link.items():
+            link = links[name]
+            prev_tap = link.tap
+
+            def tamper_tap(packet, _plan=plan, _prev=prev_tap, _seen=[0]) -> None:
+                if _prev is not None:
+                    _prev(packet)
+                tamper = _plan.get(_seen[0])
+                _seen[0] += 1
+                if tamper is not None:
+                    apply_mutation(packet, tamper.mutation, tamper.param, ctx)
+                    tampered.add(packet.packet_id)
+
+            link.tap = tamper_tap
+
+        def fire_injection(inj: ForgedInject) -> None:
+            packet = _build_injection(inj, fabric, config)
+            injected.add(packet.packet_id)
+            inject_raw(fabric.hca(inj.src_lid), packet)
+
+        for inj in scenario.injections:
+            engine.schedule_at(round(inj.at_us * PS_PER_US), fire_injection, inj)
+
+        if bloom_shadow:
+            for lid in fabric.lids:
+                sw = fabric.ingress_switch(lid)
+                port = fabric.ingress_port(lid)
+                filt = sw.filters[port]
+                if not isinstance(filt, SIFPortFilter):
+                    continue
+                bloom = BloomPortFilter(
+                    engine,
+                    set(filt.partition_table),
+                    filt.lookup_ns,
+                    config.sif_idle_timeout_us,
+                    bloom_bits=config.bloom_bits,
+                    bloom_hashes=config.bloom_hashes,
+                    salt=bloom_port_salt(filt.scope),
+                    inpacket_tag=False,  # a SIF run stamps no tags
+                    scope=f"shadow.{filt.scope}",
+                )
+                shadow = _BloomShadowFilter(filt, bloom)
+                sw.set_port_filter(port, shadow)
+                fabric.sm.registration_hooks[int(lid)] = shadow.register_invalid
+                shadows.append(shadow)
+
+    report = run_simulation(config, tracer=tracer, setup=setup, modes=modes)
+    return FuzzRun(
+        scenario=scenario,
+        modes=modes,
+        leg=leg_name(modes, bloom_shadow),
+        report=report,
+        tracer=tracer,
+        fabric=captured["fabric"],
+        base_seq=base_seq,
+        tampered_ids=tampered,
+        injected_ids=injected,
+        bloom_shadows=shadows,
+    )
 
 
 # -- single-run oracles -------------------------------------------------------
@@ -356,7 +354,7 @@ def check_conservation(run: FuzzRun) -> list[Violation]:
     accounted = delivered + hca_drops + switch_drops + in_flight
     if submitted != accounted:
         return [Violation(
-            "conservation", run.mode,
+            "conservation", run.leg,
             f"submitted={submitted} != delivered={delivered} + hca_drops={hca_drops}"
             f" + switch_drops={switch_drops} + in_flight={in_flight}"
             f" (= {accounted})",
@@ -373,7 +371,7 @@ def check_counter_trace(run: FuzzRun) -> list[Violation]:
     def expect(label: str, counter_value, event_count: int) -> None:
         if counter_value != event_count:
             out.append(Violation(
-                "counter_trace", run.mode,
+                "counter_trace", run.leg,
                 f"{label}: counter={counter_value} trace_events={event_count}",
             ))
 
@@ -406,7 +404,7 @@ def check_counter_trace(run: FuzzRun) -> list[Violation]:
     created = kinds.get("created", 0) + len(run.injected_ids)
     if submitted > created:
         out.append(Violation(
-            "counter_trace", run.mode,
+            "counter_trace", run.leg,
             f"submitted: counter={submitted} > created+injected={created}",
         ))
     # reroute_buffered can drop unroutables without a trace event, so the
@@ -414,7 +412,7 @@ def check_counter_trace(run: FuzzRun) -> list[Violation]:
     unroutable = r.counter_total("switch.*.unroutable_drops")
     if unroutable < kinds.get("unroutable", 0):
         out.append(Violation(
-            "counter_trace", run.mode,
+            "counter_trace", run.leg,
             f"unroutable: counter={unroutable} < trace_events={kinds.get('unroutable', 0)}",
         ))
     ups: dict[str, int] = {}
@@ -426,7 +424,7 @@ def check_counter_trace(run: FuzzRun) -> list[Violation]:
     for where, n_up in sorted(ups.items()):
         if n_up > downs.get(where, 0):
             out.append(Violation(
-                "counter_trace", run.mode,
+                "counter_trace", run.leg,
                 f"link {where}: link_up x{n_up} > link_down x{downs.get(where, 0)}",
             ))
     return out
@@ -446,7 +444,7 @@ def check_sif_legality(run: FuzzRun) -> list[Violation]:
         if enforcement != owner:
             if activated:
                 out.append(Violation(
-                    "sif_legality", run.mode,
+                    "sif_legality", run.leg,
                     f"{kind} without {owner} enforcement"
                     f" ({len(activated)} events)",
                 ))
@@ -454,7 +452,7 @@ def check_sif_legality(run: FuzzRun) -> list[Violation]:
         for event in activated:
             if first_trap is None or event.time_ps < first_trap:
                 out.append(Violation(
-                    "sif_legality", run.mode,
+                    "sif_legality", run.leg,
                     f"{event.where} activated at {event.time_ps}ps"
                     f" with no prior trap",
                 ))
@@ -464,7 +462,7 @@ def check_sif_legality(run: FuzzRun) -> list[Violation]:
             bound = max(1, len(filt.partition_table))
             if len(filt.invalid_table) > bound:
                 out.append(Violation(
-                    "sif_legality", run.mode,
+                    "sif_legality", run.leg,
                     f"{filt.scope}: invalid_table={len(filt.invalid_table)}"
                     f" exceeds whitelist bound {bound}",
                 ))
@@ -473,13 +471,13 @@ def check_sif_legality(run: FuzzRun) -> list[Violation]:
             # false-positive classifier can never exceed the drop count.
             if filt.bloom.memory_bytes != (filt.bloom.num_bits + 7) // 8:
                 out.append(Violation(
-                    "sif_legality", run.mode,
+                    "sif_legality", run.leg,
                     f"{filt.scope}: bloom memory {filt.bloom.memory_bytes}B"
                     f" deviates from fixed {(filt.bloom.num_bits + 7) // 8}B",
                 ))
             if int(filt.false_positive_drops) > int(filt.drops):
                 out.append(Violation(
-                    "sif_legality", run.mode,
+                    "sif_legality", run.leg,
                     f"{filt.scope}: false_positive_drops="
                     f"{int(filt.false_positive_drops)} exceeds"
                     f" drops={int(filt.drops)}",
@@ -497,7 +495,7 @@ def check_auth_soundness(run: FuzzRun) -> list[Violation]:
         if event.packet_id in bad:
             kind = "tampered" if event.packet_id in run.tampered_ids else "forged"
             out.append(Violation(
-                "auth_soundness", run.mode,
+                "auth_soundness", run.leg,
                 f"{kind} packet #{run.rel(event.packet_id)} delivered at"
                 f" {event.where} ({event.time_ps}ps)",
             ))
@@ -512,7 +510,7 @@ def check_ready_index(run: FuzzRun) -> list[Violation]:
         recount = sw.count_head_ready()
         if maintained != recount:
             out.append(Violation(
-                "ready_index", run.mode,
+                "ready_index", run.leg,
                 f"{sw.name}: maintained {maintained} != recount {recount}",
             ))
     return out
@@ -532,7 +530,7 @@ def check_bloom_vs_sif(run: FuzzRun) -> list[Violation]:
         if shadow.under_filtered:
             pid, pkey, t = shadow.under_filtered[0]
             out.append(Violation(
-                "bloom_dominance", run.mode,
+                "bloom_dominance", run.leg,
                 f"{scope}: bloom passed {len(shadow.under_filtered)} packets"
                 f" SIF dropped — first packet #{run.rel(pid)}"
                 f" pkey=0x{pkey:04x} at {t}ps",
@@ -541,13 +539,13 @@ def check_bloom_vs_sif(run: FuzzRun) -> list[Violation]:
         bloom_drops = int(shadow.bloom.drops)
         if bloom_drops < sif_drops:
             out.append(Violation(
-                "bloom_dominance", run.mode,
+                "bloom_dominance", run.leg,
                 f"{scope}: bloom drops={bloom_drops} < sif drops={sif_drops}",
             ))
         fp = int(shadow.bloom.false_positive_drops)
         if fp > bloom_drops:
             out.append(Violation(
-                "bloom_dominance", run.mode,
+                "bloom_dominance", run.leg,
                 f"{scope}: false_positive_drops={fp} exceeds drops={bloom_drops}",
             ))
     return out
@@ -793,17 +791,19 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario across all four legs and run every oracle.
 
-    Legs: reference datapath, fast datapath (both on the default
-    ``wheel`` scheduler), fast datapath on the
-    ``heap`` oracle scheduler, and fast datapath with observability
-    disabled.  The differential oracles require the first three to be
-    bit-identical in counters/stats/drops/trace, and the obs-off leg to be
-    the identical simulation with provably empty instrumentation.
+    Legs: reference datapath, fast datapath (both on the ``wheel``
+    scheduler), fast datapath on the ``heap`` oracle scheduler, and fast
+    datapath with observability disabled.  The differential oracles
+    require the first three to be bit-identical in counters/stats/drops/
+    trace, and the obs-off leg to be the identical simulation with
+    provably empty instrumentation.  Each leg spells its modes out, so
+    the verdict never depends on the environment's default modes.
     """
-    reference = execute_scenario(scenario, "reference", scheduler="wheel")
-    fast = execute_scenario(scenario, "fast", scheduler="wheel")
-    heap = execute_scenario(scenario, "fast", scheduler="heap")
-    obs_off = execute_scenario(scenario, "fast", scheduler="wheel", observability="off")
+    fast_modes = RunModes()
+    reference = execute_scenario(scenario, RunModes(datapath="reference"))
+    fast = execute_scenario(scenario, fast_modes)
+    heap = execute_scenario(scenario, RunModes(scheduler="heap"))
+    obs_off = execute_scenario(scenario, RunModes(observability=False))
     violations = (
         check_run(reference)
         + check_run(fast)
@@ -814,9 +814,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     )
     shadow = None
     if scenario.config.get("enforcement") == "sif":
-        shadow = execute_scenario(
-            scenario, "fast", scheduler="wheel", bloom_shadow=True
-        )
+        shadow = execute_scenario(scenario, fast_modes, bloom_shadow=True)
         violations += check_run(shadow) + check_bloom_vs_sif(shadow)
     return ScenarioResult(
         scenario=scenario, violations=violations, reference=reference, fast=fast,

@@ -110,7 +110,7 @@ def shrink(scenario: Scenario, predicate: Callable[[Scenario], bool],
 
 def shrink_failure(scenario: Scenario, oracle: str) -> Scenario:
     """Minimize *scenario* while the named oracle still reports a violation
-    (re-executing both datapath modes per probe)."""
+    (re-executing every fuzz leg per probe)."""
     from repro.fuzz.oracles import run_scenario
 
     def still_fails(candidate: Scenario) -> bool:

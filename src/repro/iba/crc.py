@@ -17,17 +17,18 @@ folded byte-by-byte, so ``crc(prefix + payload) == crc(payload, crc(prefix))``.
 Headers are immutable in flight, so the header-prefix CRC is computed once
 per packet and only the payload (and, for the VCRC, the 4 ICRC bytes) is
 re-folded — and a full-value cache makes repeat ``icrc()``/``vcrc()`` calls
-on an unmodified packet free.  The CRC-16 is table-driven (256 entries) with
-the original bit-serial form retained as a cross-check oracle
-(:func:`_crc16_bitwise`), mirroring ``crc32_bitwise``; select with
-:func:`set_crc16_impl`.  All implementations are bit-identical — the
-reference path exists for oracle tests and before/after benchmarking.
+on an unmodified packet free.  Under the reference datapath
+(:mod:`repro.datapath`) both CRCs are recomputed over the full byte string
+every time.  The CRC-16 is table-driven (256 entries) with the original
+bit-serial form retained as a cross-check oracle (:func:`_crc16_bitwise`),
+mirroring ``crc32_bitwise``.
 """
 
 from __future__ import annotations
 
+from repro import datapath as _datapath
 from repro.crypto.crc32 import crc32
-from repro.iba.packet import DataPacket, serialization_cache_enabled
+from repro.iba.packet import DataPacket
 
 #: CRC-16 polynomial for the VCRC, in reflected (LSB-first) form.  0xD008 is
 #: the bit-reversal of 0x100B — the IBA VCRC generator polynomial
@@ -78,26 +79,6 @@ def _crc16_table(data: bytes, init: int = 0xFFFF) -> int:
     return crc & 0xFFFF
 
 
-_CRC16_IMPLS = {"table": _crc16_table, "bitwise": _crc16_bitwise}
-_crc16_impl_name = "table"
-_crc16 = _crc16_table
-
-
-def set_crc16_impl(name: str) -> None:
-    """Select the CRC-16 implementation: ``"table"`` (fast, default) or
-    ``"bitwise"`` (the bit-serial oracle).  Bit-identical outputs."""
-    global _crc16_impl_name, _crc16
-    if name not in _CRC16_IMPLS:
-        raise ValueError(f"unknown CRC-16 impl {name!r}; choose from {sorted(_CRC16_IMPLS)}")
-    _crc16_impl_name = name
-    _crc16 = _CRC16_IMPLS[name]
-
-
-def get_crc16_impl() -> str:
-    """Name of the active CRC-16 implementation."""
-    return _crc16_impl_name
-
-
 def icrc(packet: DataPacket) -> int:
     """32-bit Invariant CRC of *packet* (over masked invariant bytes).
 
@@ -106,7 +87,7 @@ def icrc(packet: DataPacket) -> int:
     mutates) and only the payload is folded; a second call with nothing
     changed returns the memoized value outright.
     """
-    if not serialization_cache_enabled():
+    if not _datapath.fast:
         return crc32(packet.invariant_bytes())
     prefix = packet.invariant_prefix()
     payload = packet.payload
@@ -127,8 +108,8 @@ def vcrc(packet: DataPacket) -> int:
     Same folding trick as :func:`icrc`, with the packet's current ``icrc``
     field folded last (the VCRC covers it).
     """
-    if not serialization_cache_enabled():
-        return _crc16(packet.variant_bytes())
+    if not _datapath.fast:
+        return _crc16_table(packet.variant_bytes())
     prefix = packet.variant_prefix()
     payload = packet.payload
     icrc_val = packet.icrc
@@ -142,15 +123,15 @@ def vcrc(packet: DataPacket) -> int:
         return cache[3]
     pcache = packet._vcrc_prefix_cache
     if pcache is None or pcache[0] is not prefix:
-        packet._vcrc_prefix_cache = pcache = (prefix, _crc16(prefix))
-    value = _crc16(icrc_val.to_bytes(4, "big"), _crc16(payload, pcache[1]))
+        packet._vcrc_prefix_cache = pcache = (prefix, _crc16_table(prefix))
+    value = _crc16_table(icrc_val.to_bytes(4, "big"), _crc16_table(payload, pcache[1]))
     packet._vcrc_cache = (prefix, payload, icrc_val, value)
     return value
 
 
 def lpcrc(link_packet_bytes: bytes) -> int:
     """Link Packet CRC (flow-control packets)."""
-    return _crc16(link_packet_bytes)
+    return _crc16_table(link_packet_bytes)
 
 
 def stamp(packet: DataPacket) -> DataPacket:

@@ -31,9 +31,9 @@ ICRC identity, which makes ``invariant_bytes()``/``variant_bytes()``
 near-free on re-verify.  The definitional ``pack()``/``pack_invariant()``
 serializers are unchanged and remain the oracle; the cached accessors are
 ``packed()``/``packed_invariant()``.  ``tools/check_hot_path.py`` enforces
-that hot-path code only reaches ``pack()`` through this caching layer, and
-:func:`set_serialization_cache` disables every cache for the reference
-datapath (``repro.datapath.set_datapath("reference")``).
+that hot-path code only reaches ``pack()`` through this caching layer.
+The reference datapath (``RunModes(datapath="reference")``, see
+:mod:`repro.datapath`) bypasses every cache.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 
+from repro import datapath as _datapath
 from repro.iba.keys import PKey, QKey
 from repro.iba.types import LID, QPN, ServiceType, TrafficClass
 
@@ -59,25 +60,6 @@ LOCAL_RC_OVERHEAD = 8 + 12 + 4 + 2
 #: value, so a stamp uniquely identifies one state of one header object —
 #: packet-level caches compare stamp tuples instead of re-packing.
 _HEADER_STAMPS = itertools.count(1)
-
-_SER_CACHE_ENABLED = True
-
-
-def set_serialization_cache(enabled: bool) -> None:
-    """Globally enable/disable header+packet serialization memoization.
-
-    Disabled means every ``packed()``/``invariant_bytes()``/``variant_bytes()``
-    call rebuilds its bytes from scratch — the pre-cache reference behavior
-    the datapath benchmark compares against.  Cached and uncached modes are
-    bit-identical; only wall-clock changes."""
-    global _SER_CACHE_ENABLED
-    _SER_CACHE_ENABLED = bool(enabled)
-
-
-def serialization_cache_enabled() -> bool:
-    """Whether the serialization cache layer is active."""
-    return _SER_CACHE_ENABLED
-
 
 class _CachedHeader:
     """Mixin: memoize ``pack()``/``pack_invariant()`` with field-write
@@ -105,7 +87,7 @@ class _CachedHeader:
 
     def packed(self) -> bytes:
         """Cached wire bytes (same value as :meth:`pack`)."""
-        if not _SER_CACHE_ENABLED:
+        if not _datapath.fast:
             return self.pack()
         if self._cache_stamp != self._stamp:
             self._refresh()
@@ -113,7 +95,7 @@ class _CachedHeader:
 
     def packed_invariant(self) -> bytes:
         """Cached ICRC-coverage bytes (same value as :meth:`pack_invariant`)."""
-        if not _SER_CACHE_ENABLED:
+        if not _datapath.fast:
             return self.pack_invariant()
         if self._cache_stamp != self._stamp:
             self._refresh()
@@ -518,7 +500,7 @@ class DataPacket:
         "ICRC does not change from end to end" means — and why the AT that
         replaces it is an end-to-end transport-level tag.
         """
-        if not _SER_CACHE_ENABLED:
+        if not _datapath.fast:
             parts = [self.lrh.pack_invariant()]
             if self.grh is not None:
                 parts.append(self.grh.pack_invariant())
@@ -538,7 +520,7 @@ class DataPacket:
 
     def variant_bytes(self) -> bytes:
         """Everything the VCRC covers: LRH through ICRC, as transmitted."""
-        if not _SER_CACHE_ENABLED:
+        if not _datapath.fast:
             parts = [self.lrh.pack()]
             if self.grh is not None:
                 parts.append(self.grh.pack())

@@ -1,4 +1,4 @@
-"""One switch for zero-cost observability.
+"""Zero-cost observability.
 
 Counters and traces are invaluable for experiments and debugging but cost
 real time per event on a fat-tree-scale DoS run.  Rather than sprinkling
@@ -17,49 +17,20 @@ real time per event on a fat-tree-scale DoS run.  Rather than sprinkling
 ``self.tracer.record`` directly (which would bypass the swap and
 reintroduce per-call branching).
 
-:func:`set_observability` selects the mode used by the *next*
-``build_experiment`` / ``run_simulation`` call: ``"off"`` builds the
-fabric with a disabled registry and no tracer.  Simulation behavior —
-delivery, drops, timing, event order — is identical in both modes (the
-differential fuzz harness diffs an enabled run against a disabled one);
-only the runtime bookkeeping disappears.
-
-The ``REPRO_OBSERVABILITY`` environment variable (``on`` | ``off``)
-selects the initial mode at import; the default is ``on``.
+A run chooses the mode with ``RunModes(observability=...)``
+(:class:`repro.sim.config.RunModes`); ``False`` builds the fabric with a
+disabled registry and no tracer.  Simulation behavior — delivery, drops,
+timing, event order — is identical in both modes (the differential fuzz
+harness diffs an enabled run against a disabled one); only the runtime
+bookkeeping disappears.  The default comes from ``REPRO_OBSERVABILITY``
+(``on`` | ``off``).
 """
 
 from __future__ import annotations
 
-import os
-
-MODES = ("on", "off")
-
-_mode = "on"
-
-
-def set_observability(mode: str) -> None:
-    """Select whether fabrics built from now on carry counters/traces.
-
-    ``"on"`` — normal CounterRegistry and tracer wiring.  ``"off"`` —
-    NullCounter registry, tracer forced off: the hot path's bookkeeping
-    becomes no-op calls.  Results (stats, drops, delivered, timing) are
-    identical; only counter/trace output and wall-clock change.
-    """
-    global _mode
-    if mode not in MODES:
-        raise ValueError(f"unknown observability mode {mode!r}; choose from {MODES}")
-    _mode = mode
-
-
-def get_observability() -> str:
-    """Current mode — what the next fabric build will use."""
-    return _mode
+from repro.sim.config import default_modes
 
 
 def observability_enabled() -> bool:
-    return _mode == "on"
-
-
-_env_mode = os.environ.get("REPRO_OBSERVABILITY")
-if _env_mode:
-    set_observability(_env_mode)
+    """Whether runs given no modes carry counters and traces."""
+    return default_modes().observability

@@ -193,12 +193,8 @@ class ResultCache:
             self._hits += 1
             return result
         # Fall back to a sweep-layer entry (plain SimReport, no trace).
-        try:
-            with open(self.root / f"{key}.pkl", "rb") as f:
-                report = pickle.load(f)
-        except Exception:
-            report = None
-        if isinstance(report, SimReport):
+        report = self.run_cache.read(key)
+        if report is not None:
             self._hits += 1
             return JobResult(report=report, trace=(), trace_available=False)
         self._misses += 1

@@ -22,10 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
-from repro.datapath import get_datapath
 from repro.fuzz.generators import Scenario
 from repro.service.jobqueue import BoundedJobQueue
 from repro.service.jobstore import Job, JobResult, JobStore, ResultCache
+from repro.sim.config import default_modes
 from repro.sim.metrics_server import trace_event_dict
 
 #: Trace events kept per job result (newest wins) — bounds both the
@@ -43,7 +43,7 @@ def execute_job(scenario_dict: dict) -> JobResult:
     from repro.fuzz.oracles import execute_scenario
 
     scenario = Scenario.from_dict(scenario_dict)
-    run = execute_scenario(scenario, mode=get_datapath())
+    run = execute_scenario(scenario, default_modes())
     trace = tuple(
         trace_event_dict(e) for e in list(run.tracer.events)[-TRACE_KEEP:]
     )

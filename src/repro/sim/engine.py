@@ -13,7 +13,8 @@ queue internals.
 The queue structure itself is pluggable (:mod:`repro.sim.scheduler`): a
 binary heap kept as the oracle, or a calendar queue for fat-tree-scale runs.
 Both produce the identical (time, priority, seq) pop order; an engine
-samples the module-level mode at construction.  Under either queue the
+fixes its queue at construction (``Engine(scheduler=...)``, else the
+default ``RunModes``).  Under either queue the
 engine recycles fire-and-forget events through a free list
 (:meth:`Engine.schedule_pooled`) so the steady-state hot path allocates
 nothing per event.

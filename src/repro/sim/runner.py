@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro import datapath
 from repro.core.attacks import RandomPKeyFlooder, make_attack_windows
 from repro.core.auth import IcrcAuthService, MacAuthService, auth_function_for
 from repro.core.enforcement import install_enforcement
@@ -20,8 +21,14 @@ from repro.iba.qp import QueuePair
 from repro.iba.subnet_manager import SubnetManager
 from repro.iba.topology import Fabric, build_fabric, path_length
 from repro.iba.types import QPN, ServiceType
-from repro.observability import observability_enabled
-from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
+from repro.sim.config import (
+    AuthMode,
+    EnforcementMode,
+    KeyMgmtMode,
+    RunModes,
+    SimConfig,
+    default_modes,
+)
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_US
 from repro.sim.metrics import MetricsCollector, MetricsSummary
@@ -188,12 +195,15 @@ def build_experiment(
     config: SimConfig,
     tracer: Tracer | None = None,
     only_lids: set[int] | None = None,
+    modes: RunModes | None = None,
 ):
     """Construct (engine, fabric, sources, attackers) without running.
 
     Split from :func:`run_simulation` so tests can poke at intermediate
     state and examples can drive the fabric interactively.  *tracer*
     (optional) is wired into every component as the lifecycle event bus.
+    *modes* picks the engine's queue and whether the fabric carries
+    counters and traces (default: :func:`~repro.sim.config.default_modes`).
 
     *only_lids* restricts which nodes get **active** traffic sources and
     flooders; the fabric, partitions, QPs, and attack schedule are still
@@ -203,15 +213,16 @@ def build_experiment(
     shard and passes each replica its owned LIDs here.
     """
     config.validate()
-    engine = Engine()
+    if modes is None:
+        modes = default_modes()
+    engine = Engine(modes.scheduler)
     metrics = MetricsCollector(keep_samples=config.keep_samples)
-    # Zero-cost observability (repro.observability): "off" builds the whole
+    # Zero-cost observability (repro.observability): off builds the whole
     # fabric against a null counter registry and without a tracer, so the
     # hot path's bookkeeping reduces to no-op calls.
-    obs_on = observability_enabled()
-    if not obs_on:
+    if not modes.observability:
         tracer = None
-    registry = CounterRegistry(enabled=obs_on)
+    registry = CounterRegistry(enabled=modes.observability)
     fabric = build_fabric(engine, config, metrics, registry=registry, tracer=tracer)
     streams = RngStreams(config.seed)
 
@@ -388,6 +399,7 @@ def run_simulation(
     tracer: Tracer | None = None,
     setup=None,
     metrics_port: int | None = None,
+    modes: RunModes | None = None,
 ) -> SimReport:
     """Run one experiment end to end and return its report.
 
@@ -400,7 +412,14 @@ def run_simulation(
     *metrics_port* (optional) serves live counter/trace snapshots over
     HTTP for the duration of the run (0 = ephemeral port; see
     :mod:`repro.sim.metrics_server`).
+
+    *modes* (default: :func:`~repro.sim.config.default_modes`) is how the
+    run executes: the engine's queue, whether the fabric carries counters
+    and traces, and the datapath, which is held at ``modes.datapath`` for
+    the run and restored afterwards.  Sharded runs hand it to every shard.
     """
+    if modes is None:
+        modes = default_modes()
     if config.shards > 1:
         config.validate()
         if tracer is not None or setup is not None or metrics_port is not None:
@@ -411,24 +430,26 @@ def run_simulation(
             )
         from repro.sim.shard import run_sharded
 
-        return run_sharded(config)
+        with datapath.held(modes):
+            return run_sharded(config, modes)
     t0 = time.perf_counter()
-    engine, fabric, sources, flooders, windows, key_manager = build_experiment(
-        config, tracer=tracer
-    )
-    if setup is not None:
-        setup(engine, fabric)
-    server = None
-    if metrics_port is not None:
-        from repro.sim.metrics_server import MetricsServer
+    with datapath.held(modes):
+        engine, fabric, sources, flooders, windows, key_manager = build_experiment(
+            config, tracer=tracer, modes=modes
+        )
+        if setup is not None:
+            setup(engine, fabric)
+        server = None
+        if metrics_port is not None:
+            from repro.sim.metrics_server import MetricsServer
 
-        server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
-        server.start()
-    try:
-        engine.run(until=config.sim_time_ps)
-    finally:
-        if server is not None:
-            server.stop()
+            server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
+            server.start()
+        try:
+            engine.run(until=config.sim_time_ps)
+        finally:
+            if server is not None:
+                server.stop()
     wall = time.perf_counter() - t0
 
     metrics = fabric.metrics

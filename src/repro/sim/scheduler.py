@@ -23,21 +23,19 @@ two interchangeable implementations of that total order:
     ``bisect.insort`` past the drain point — this is what makes the pop
     sequence exactly the heap's, including same-instant ties.
 
-Mode selection mirrors :mod:`repro.datapath`: :func:`set_scheduler`
-switches the family used by newly built engines, :func:`get_scheduler`
-reports it, and the ``REPRO_SCHEDULER`` environment variable
-(``wheel`` | ``heap``) picks the initial mode at import; the default is
-``wheel``.  An :class:`~repro.sim.engine.Engine` samples the mode at
-construction, so a mode flip never mutates a live run.  The mode picks
-the queue and nothing else: event pooling and the rest of the engine
-run identically under both, so the ``heap`` leg of the differential
-fuzz harness and CI checks queue ordering alone.
+A run chooses the family with ``RunModes(scheduler=...)``
+(:class:`repro.sim.config.RunModes`), whose default comes from the
+``REPRO_SCHEDULER`` environment variable (``wheel`` | ``heap``; unset
+means ``wheel``).  An :class:`~repro.sim.engine.Engine` fixes its queue
+at construction.  The mode picks the queue and nothing else: event
+pooling and the rest of the engine run identically under both, so the
+``heap`` leg of the differential fuzz harness and CI checks queue
+ordering alone.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from typing import Any
 
@@ -279,25 +277,12 @@ class WheelScheduler:
 
 _SCHEDULERS = {"heap": HeapScheduler, "wheel": WheelScheduler}
 
-_mode = "wheel"
-
-
-def set_scheduler(mode: str) -> None:
-    """Select the scheduler family for engines built from now on.
-
-    ``"wheel"`` — the calendar queue.  ``"heap"`` — the binary heap
-    (the queue-ordering oracle).  Simulation results are identical in
-    both modes; only wall-clock changes.
-    """
-    global _mode
-    if mode not in MODES:
-        raise ValueError(f"unknown scheduler mode {mode!r}; choose from {MODES}")
-    _mode = mode
-
 
 def get_scheduler() -> str:
-    """Current mode — what the next ``Engine()`` will be built with."""
-    return _mode
+    """The scheduler family of runs given no modes."""
+    from repro.sim.config import default_modes  # config imports the engine
+
+    return default_modes().scheduler
 
 
 def make_scheduler(mode: str, now: int = 0) -> HeapScheduler | WheelScheduler:
@@ -308,7 +293,3 @@ def make_scheduler(mode: str, now: int = 0) -> HeapScheduler | WheelScheduler:
         raise ValueError(f"unknown scheduler mode {mode!r}; choose from {MODES}") from None
     return cls(now)
 
-
-_env_mode = os.environ.get("REPRO_SCHEDULER")
-if _env_mode:
-    set_scheduler(_env_mode)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from repro.iba.link import Link
 from repro.iba.topology import FT_AGG, FT_CORE
-from repro.sim.config import SimConfig
+from repro.sim.config import RunModes, SimConfig
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import PS_PER_US
 from repro.sim.metrics import LatencySample, MetricsSummary, StatAccumulator
@@ -137,7 +137,7 @@ class ShardResult:
 class ShardRuntime:
     """One shard: a full-fabric replica plus its boundary machinery."""
 
-    def __init__(self, config: SimConfig, shard_id: int) -> None:
+    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes) -> None:
         from repro.sim.runner import build_experiment
 
         self.config = config
@@ -151,7 +151,7 @@ class ShardRuntime:
             self.flooders,
             self.windows,
             _key_manager,
-        ) = build_experiment(config, only_lids=self.owned)
+        ) = build_experiment(config, only_lids=self.owned, modes=modes)
         sm = self.fabric.sm
         self.lookahead = min(lookahead_ps(config), sm.processing_ps)
         #: messages emitted since the last advance: (dst_shard, msg) pairs.
@@ -333,8 +333,9 @@ class ShardRuntime:
 class _InlineDriver:
     """All shards in this process — deterministic and 1-core friendly."""
 
-    def __init__(self, config: SimConfig, shard_id: int, crash_at=None) -> None:
-        self.runtime = ShardRuntime(config, shard_id)
+    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes,
+                 crash_at=None) -> None:
+        self.runtime = ShardRuntime(config, shard_id, modes)
 
     def deliver_and_eot(self, msgs):
         return self.runtime.deliver_and_eot(msgs)
@@ -349,14 +350,19 @@ class _InlineDriver:
         self.runtime.close()
 
 
-def _shard_worker(config: SimConfig, shard_id: int, conn, crash_at) -> None:
-    """Process-transport worker: build one shard, serve round commands."""
+def _shard_worker(
+    config: SimConfig, shard_id: int, modes: RunModes, conn, crash_at
+) -> None:
+    """Process-transport worker: build one shard, serve round commands.
+
+    The worker is forked inside :func:`~repro.sim.runner.run_simulation`,
+    so it inherits the datapath the parent holds for the run."""
     from repro.iba.packet import reset_packet_seq
 
     # disjoint packet-id ranges per worker — ids key switch pipeline maps
     # and must stay unique once packets cross shards
     reset_packet_seq((shard_id + 1) << 48)
-    runtime = ShardRuntime(config, shard_id)
+    runtime = ShardRuntime(config, shard_id, modes)
     if crash_at is not None and crash_at[0] == shard_id:
         # test hook: die without ceremony at a simulated instant, the way
         # an OOM-killed or segfaulted worker would
@@ -381,7 +387,8 @@ def _shard_worker(config: SimConfig, shard_id: int, conn, crash_at) -> None:
 class _ProcessDriver:
     """Parent-side proxy for one forked shard worker."""
 
-    def __init__(self, config: SimConfig, shard_id: int, crash_at=None) -> None:
+    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes,
+                 crash_at=None) -> None:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
@@ -389,7 +396,7 @@ class _ProcessDriver:
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_shard_worker,
-            args=(config, shard_id, child, crash_at),
+            args=(config, shard_id, modes, child, crash_at),
             daemon=True,
         )
         self.proc.start()
@@ -535,11 +542,15 @@ def _merge_results(
 
 def run_sharded(
     config: SimConfig,
+    modes: RunModes,
     transport: str | None = None,
     _crash_at: tuple[int, int] | None = None,
 ):
-    """Run *config* on ``config.shards`` space-partitioned engines and
-    return a merged, schema-compatible SimReport.
+    """Run *config* on ``config.shards`` space-partitioned engines under
+    *modes* and return a merged, schema-compatible SimReport.
+
+    Called by :func:`~repro.sim.runner.run_simulation`, which holds the
+    datapath at ``modes.datapath`` around the call.
 
     *transport* overrides ``config.shard_transport``; *_crash_at* is a
     test hook ``(shard, sim_time_ps)`` that kills that worker mid-run
@@ -550,11 +561,11 @@ def run_sharded(
     t0 = time.perf_counter()
     if transport == "process":
         drivers = [
-            _ProcessDriver(config, s, _crash_at) for s in range(config.shards)
+            _ProcessDriver(config, s, modes, _crash_at) for s in range(config.shards)
         ]
     else:
         drivers = [
-            _InlineDriver(config, s, _crash_at) for s in range(config.shards)
+            _InlineDriver(config, s, modes, _crash_at) for s in range(config.shards)
         ]
     try:
         rounds = _run_rounds(drivers, config.sim_time_ps)

@@ -60,37 +60,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from repro.datapath import get_datapath
-from repro.observability import get_observability
-from repro.sim.config import SimConfig
-from repro.sim.scheduler import get_scheduler
+from repro.sim.config import RunModes, SimConfig, default_modes
 from repro.sim.runner import SimReport, run_simulation
 
-#: bump when SimReport/SimConfig change shape enough to invalidate old
-#: cached pickles.
-#: Bump whenever SimReport's shape or semantics change — v2 added the
-#: counter-registry snapshot (``SimReport.counters``), making pre-v2 cached
-#: pickles incomplete; v3 folded the active datapath mode into the hashed
-#: payload (a ``REPRO_DATAPATH=reference`` debug sweep must never be served
-#: fast-mode entries, even though the two modes are meant to be identical);
-#: v4 folded in the scheduler mode the same way (a ``REPRO_SCHEDULER=heap``
-#: oracle sweep must re-execute rather than read wheel-mode entries);
-#: v5 added the Bloom enforcement fields (``bloom_bits``/``bloom_hashes``/
-#: ``bloom_inpacket_tag``) to SimConfig — pre-v5 entries were hashed over a
-#: config shape that could not express them, so a default-bloom-params run
-#: must not be served a pickle from before the Bloom mode existed;
-#: v6 added the open-loop traffic family (``traffic_model`` and its
-#: per-model knobs) and the coordinated attacker ramp
-#: (``attack_start_us``/``attack_ramp_us``) to SimConfig — pre-v6 entries
-#: were hashed over a config shape that could only express plain Poisson
-#: sources and step-on attackers, so a default-model run must never be
-#: served a pickle from before those axes existed;
-#: v7 folded in the observability mode (an observability-off run leaves
-#: ``SimReport.counters`` empty, so its entry must never answer an
-#: observability-on run) and turned SimReport's scalar counter fields
-#: into properties over ``counters``;
-#: v8 fixed the wheel scheduler's out-of-order pops after a stopped run,
-#: which changes ``shard.rounds`` in cached sharded reports.
+#: Version of what a cache entry holds.  Bump it when the same key would
+#: now hold a different entry: a change to SimReport's shape or meaning,
+#: or to what a run computes from the same config and modes.  Changes to
+#: the key's own inputs (config fields, run modes) rehash by themselves.
 CACHE_VERSION = 8
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
@@ -118,29 +94,27 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def run_key(**body: Any) -> str:
-    """Stable content hash of *body* under the current run modes.
+def run_key(modes: RunModes | None = None, **body: Any) -> str:
+    """Stable content hash of *body* run under *modes*.
 
-    The payload folds the cache version and every process-global run mode
-    (datapath, scheduler, observability) in beside the canonicalised
-    *body*, so a result cached under one mode never answers a run under
-    another: the modes are meant to be bit-identical, but proving that is
-    exactly what an oracle-mode run is for, and observability-off runs
-    carry no counter snapshot.  This is the one place the modes enter a
-    cache key.
+    The payload folds the cache version and the :class:`RunModes` the run
+    executes under (default: :func:`~repro.sim.config.default_modes`) in
+    beside the canonicalised *body*, so a result cached under one mode
+    never answers a run under another: the modes are meant to be
+    bit-identical, but proving that is exactly what an oracle-mode run is
+    for, and observability-off runs carry no counter snapshot.  This is
+    the one place the modes enter a cache key.
     """
     payload = {
         "cache_version": CACHE_VERSION,
-        "datapath": get_datapath(),
-        "scheduler": get_scheduler(),
-        "observability": get_observability(),
+        **asdict(modes or default_modes()),
         **{name: _canonical(value) for name, value in body.items()},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def config_key(config: SimConfig) -> str:
+def config_key(config: SimConfig, modes: RunModes | None = None) -> str:
     """Stable content hash of a fully-resolved :class:`SimConfig`.
 
     Two configs hash equal iff every field (including the seed) is equal
@@ -148,7 +122,7 @@ def config_key(config: SimConfig) -> str:
     (:func:`run_key`); the JSON canonicalisation makes the key
     independent of field order, enum identity, and tuple-vs-list spelling.
     """
-    return run_key(config=asdict(config))
+    return run_key(modes, config=asdict(config))
 
 
 def atomic_pickle(target: Path, obj: Any) -> None:
@@ -194,21 +168,25 @@ class RunCache:
     def path_for(self, config: SimConfig) -> Path:
         return self.root / f"{config_key(config)}.pkl"
 
-    def get(self, config: SimConfig) -> SimReport | None:
+    def read(self, key: str) -> SimReport | None:
+        """The report stored under *key*; None when absent or unreadable."""
         try:
-            with open(self.path_for(config), "rb") as f:
+            with open(self.root / f"{key}.pkl", "rb") as f:
                 report = pickle.load(f)
         except Exception:
             # Unpickling arbitrary corrupt bytes can raise nearly anything
             # (UnpicklingError, EOFError, ValueError from opcode args,
             # AttributeError/ImportError from stale class paths, ...); any
             # unreadable entry is simply a miss and gets re-simulated.
-            self.misses += 1
             return None
-        if not isinstance(report, SimReport):
+        return report if isinstance(report, SimReport) else None
+
+    def get(self, config: SimConfig) -> SimReport | None:
+        report = self.read(config_key(config))
+        if report is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return report
 
     def put(self, config: SimConfig, report: SimReport) -> None:

@@ -8,16 +8,9 @@ from repro.core.bloom import (
     bits_for_fp_rate,
     bloom_positions,
     pack_tag,
-    position_memo_enabled,
-    set_position_memo,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_memo():
-    prev = position_memo_enabled()
-    yield
-    set_position_memo(prev)
+from repro.datapath import held
+from repro.sim.config import RunModes
 
 
 class TestPositions:
@@ -154,17 +147,16 @@ class TestFilterOps:
 
 class TestPositionMemo:
     def test_memo_is_bit_identical(self):
-        set_position_memo(False)
-        reference = BloomFilter(256, 4, salt=b"memo")
-        ref_pos = [reference.positions(k) for k in range(64)]
-        set_position_memo(True)
+        with held(RunModes(datapath="reference")):
+            reference = BloomFilter(256, 4, salt=b"memo")
+            ref_pos = [reference.positions(k) for k in range(64)]
+            assert not reference._memo
         fast = BloomFilter(256, 4, salt=b"memo")
         warm = [fast.positions(k) for k in range(64)]
         again = [fast.positions(k) for k in range(64)]  # memo hits
         assert ref_pos == warm == again
 
     def test_memo_survives_clear(self):
-        set_position_memo(True)
         filt = BloomFilter(256, 4)
         filt.add(9)
         filt.clear()

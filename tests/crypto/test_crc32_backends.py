@@ -1,22 +1,14 @@
-"""CRC-32 backend equivalence: pure table, bit-serial oracle, and zlib
-must agree bit-for-bit on every input, including continuation folds."""
+"""CRC-32 oracle equivalence: the pure table loop, the bit-serial form and
+zlib (which :func:`crc32` uses) must agree bit-for-bit on every input,
+including continuation folds."""
 
 import importlib
 import random
 import zlib
 
-import pytest
-
 # repro.crypto's __init__ re-exports the crc32 *function* under the same
 # name as the submodule; resolve the module explicitly.
 crcmod = importlib.import_module("repro.crypto.crc32")
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    prior = crcmod.get_crc32_backend()
-    yield
-    crcmod.set_crc32_backend(prior)
 
 
 def random_blobs(seed, count=200, max_len=96):
@@ -42,51 +34,26 @@ class TestBackendAgreement:
 
     def test_continuation_equals_concatenation(self):
         """The linearity the ICRC fold relies on: crc(a+b) == crc(b, crc(a)),
-        even when the two folds run on *different* backends."""
+        even when the two folds run on *different* implementations."""
         rng = random.Random(99)
         for data in random_blobs(2, count=100):
             cut = rng.randrange(0, len(data) + 1)
             a, b = data[:cut], data[cut:]
             whole = crcmod.crc32(data)
-            crcmod.set_crc32_backend("pure")
-            prefix = crcmod.crc32(a)
-            crcmod.set_crc32_backend("zlib")
-            assert crcmod.crc32(b, prefix) == whole
-            crcmod.set_crc32_backend("pure")
-            assert crcmod.crc32(b, prefix) == whole
-
-
-class TestBackendSelection:
-    def test_dispatcher_routes_to_selected_backend(self):
-        data = b"routing check"
-        crcmod.set_crc32_backend("pure")
-        assert crcmod.get_crc32_backend() == "pure"
-        pure_value = crcmod.crc32(data)
-        crcmod.set_crc32_backend("zlib")
-        assert crcmod.get_crc32_backend() == "zlib"
-        assert crcmod.crc32(data) == pure_value
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            crcmod.set_crc32_backend("hardware")
+            assert crcmod.crc32_pure(data) == whole
+            assert crcmod.crc32(b, crcmod.crc32_pure(a)) == whole
+            assert crcmod.crc32_pure(b, crcmod.crc32(a)) == whole
 
 
 class TestIncrementalEngine:
     def test_streaming_equals_one_shot_under_both_backends(self):
         pieces = [b"lrh.....", b"bth.........", b"deth....", b"payload" * 9]
         whole = b"".join(pieces)
-        for backend in ("pure", "zlib"):
-            crcmod.set_crc32_backend(backend)
-            eng = crcmod.CRC32()
-            for piece in pieces:
-                eng.update(piece)
-            assert eng.value == crcmod.crc32(whole)
-            assert eng.value == zlib.crc32(whole) & 0xFFFFFFFF
-
-    def test_backend_switch_mid_stream(self):
-        whole = b"header-bytes" + b"payload-bytes"
-        crcmod.set_crc32_backend("pure")
-        eng = crcmod.CRC32(b"header-bytes")
-        crcmod.set_crc32_backend("zlib")
-        eng.update(b"payload-bytes")
+        eng = crcmod.CRC32()
+        pure = 0
+        for piece in pieces:
+            eng.update(piece)
+            pure = crcmod.crc32_pure(piece, pure)
+            assert eng.value == pure
+        assert eng.value == crcmod.crc32(whole) == crcmod.crc32_pure(whole)
         assert eng.value == zlib.crc32(whole) & 0xFFFFFFFF

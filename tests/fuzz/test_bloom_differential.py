@@ -13,6 +13,7 @@ import pytest
 
 from repro.fuzz.generators import generate_scenario
 from repro.fuzz.oracles import check_bloom_vs_sif, check_run, execute_scenario
+from repro.sim.config import RunModes
 
 from tests.fuzz.conftest import small_scenario
 
@@ -39,8 +40,7 @@ class TestBloomDominance:
         total_sif_drops = total_bloom_drops = total_fp = 0
         for seed in range(10):
             run = execute_scenario(
-                _sif_scenario(seed), "fast", scheduler="wheel",
-                bloom_shadow=True,
+                _sif_scenario(seed), RunModes(), bloom_shadow=True
             )
             violations = check_run(run) + check_bloom_vs_sif(run)
             assert not violations, (
@@ -59,13 +59,12 @@ class TestBloomDominance:
         assert 0 <= total_fp <= total_bloom_drops
 
     def test_shadow_leg_off_by_default(self):
-        run = execute_scenario(_sif_scenario(3), "fast", scheduler="wheel")
+        run = execute_scenario(_sif_scenario(3), RunModes())
         assert run.bloom_shadows == []
 
     def test_non_sif_scenario_installs_no_shadows(self):
         run = execute_scenario(
-            small_scenario(enforcement="if"), "fast", scheduler="wheel",
-            bloom_shadow=True,
+            small_scenario(enforcement="if"), RunModes(), bloom_shadow=True
         )
         assert run.bloom_shadows == []
 
@@ -80,9 +79,7 @@ class TestBloomDominance:
             if scenario.config.get("enforcement") != "sif":
                 continue
             checked += 1
-            run = execute_scenario(
-                scenario, "fast", scheduler="wheel", bloom_shadow=True
-            )
+            run = execute_scenario(scenario, RunModes(), bloom_shadow=True)
             violations = check_bloom_vs_sif(run)
             assert not violations, (
                 f"{scenario.summary()}\n"

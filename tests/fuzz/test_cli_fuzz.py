@@ -29,7 +29,7 @@ class TestSeededFailure:
     def patch_broken(self, monkeypatch):
         monkeypatch.setitem(
             oracles.ORACLES, "broken",
-            lambda run: [Violation("broken", run.mode, "always fails")],
+            lambda run: [Violation("broken", run.leg, "always fails")],
         )
         # tiny fixed scenario so the shrink probes stay fast
         monkeypatch.setattr(

@@ -3,6 +3,7 @@ and the differential oracle sees through to real fast-vs-reference drift."""
 
 from repro.fuzz.oracles import (
     ORACLES,
+    Violation,
     check_auth_soundness,
     check_conservation,
     check_counter_trace,
@@ -13,14 +14,18 @@ from repro.fuzz.oracles import (
     execute_scenario,
     run_scenario,
 )
+from repro.sim.config import RunModes
 from repro.sim.trace import TraceEvent
 
 from tests.fuzz.conftest import busy_scenario, small_scenario
 
+FAST = RunModes()
+REFERENCE = RunModes(datapath="reference")
+
 
 class TestCleanRuns:
     def test_clean_scenario_passes_every_oracle(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         assert check_run(run) == []
         assert run.report.delivered > 0  # the run actually did something
 
@@ -41,20 +46,20 @@ class TestSeededViolations:
     """Each oracle must fire when its invariant is deliberately broken."""
 
     def test_conservation_catches_counter_drift(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         run.report.counters["hca.1.submitted"] += 3
         (violation,) = check_conservation(run)
         assert violation.oracle == "conservation"
         assert "submitted" in violation.message
 
     def test_counter_trace_catches_missing_delivery_event(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         run.tracer.events.remove(run.tracer.of_kind("delivered")[0])
         violations = check_counter_trace(run)
         assert any("delivered" in v.message for v in violations)
 
     def test_counter_trace_catches_unbalanced_link_up(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="link_up", where="sw(0,0)->sw(1,0)")
         )
@@ -62,7 +67,7 @@ class TestSeededViolations:
         assert any("link_up" in v.message for v in violations)
 
     def test_sif_legality_rejects_activation_without_enforcement(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="sif_activated", where="sw(0,0).p0")
         )
@@ -72,7 +77,7 @@ class TestSeededViolations:
     def test_sif_legality_rejects_activation_before_first_trap(self):
         run = execute_scenario(
             small_scenario(enforcement="sif", num_attackers=1,
-                           num_partitions=2), "reference",
+                           num_partitions=2), REFERENCE,
         )
         run.tracer.events.append(
             TraceEvent(time_ps=0, kind="sif_activated", where="sw(0,0).p0")
@@ -81,7 +86,7 @@ class TestSeededViolations:
         assert any("no prior trap" in v.message for v in violations)
 
     def test_ready_index_catches_corrupted_count(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         assert check_ready_index(run) == []
         sw = run.fabric.all_switches()[0]
         sw._head_ready[1][0] += 1
@@ -90,7 +95,7 @@ class TestSeededViolations:
         assert sw.name in violation.message
 
     def test_auth_soundness_catches_tampered_delivery(self):
-        run = execute_scenario(small_scenario(), "reference")
+        run = execute_scenario(small_scenario(), REFERENCE)
         run.tampered_ids.add(run.tracer.of_kind("delivered")[0].packet_id)
         (violation,) = check_auth_soundness(run)
         assert violation.oracle == "auth_soundness"
@@ -100,22 +105,22 @@ class TestSeededViolations:
 class TestDifferentialOracle:
     def test_identical_runs_have_no_diff(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, "reference")
-        fast = execute_scenario(scenario, "fast")
+        reference = execute_scenario(scenario, REFERENCE)
+        fast = execute_scenario(scenario, FAST)
         assert check_differential(fast, reference) == []
 
     def test_counter_drift_is_reported(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, "reference")
-        fast = execute_scenario(scenario, "fast")
+        reference = execute_scenario(scenario, REFERENCE)
+        fast = execute_scenario(scenario, FAST)
         fast.report.counters["hca.1.delivered"] += 1
         violations = check_differential(fast, reference)
         assert any("counters differ" in v.message for v in violations)
 
     def test_trace_drift_is_reported_with_divergence_point(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, "reference")
-        fast = execute_scenario(scenario, "fast")
+        reference = execute_scenario(scenario, REFERENCE)
+        fast = execute_scenario(scenario, FAST)
         fast.tracer.events.pop()
         violations = check_differential(fast, reference)
         assert any("traces differ" in v.message for v in violations)
@@ -124,8 +129,8 @@ class TestDifferentialOracle:
         # the two runs allocate disjoint global packet-id ranges; the
         # normalization must hide that or every scenario would "diverge"
         scenario = small_scenario()
-        reference = execute_scenario(scenario, "reference")
-        fast = execute_scenario(scenario, "fast")
+        reference = execute_scenario(scenario, REFERENCE)
+        fast = execute_scenario(scenario, FAST)
         assert fast.base_seq != reference.base_seq
         assert check_differential(fast, reference) == []
 
@@ -134,7 +139,32 @@ class TestModeHygiene:
     def test_execute_scenario_restores_datapath_mode(self):
         from repro.datapath import get_datapath
 
-        before = get_datapath()
-        other = "fast" if before != "fast" else "reference"
-        execute_scenario(small_scenario(), other)
-        assert get_datapath() == before
+        assert get_datapath() == "fast"
+        execute_scenario(small_scenario(), REFERENCE)
+        assert get_datapath() == "fast"
+
+
+class TestLegLabels:
+    def test_every_leg_is_named(self):
+        result = run_scenario(small_scenario(enforcement="sif", num_attackers=1))
+        legs = {name: getattr(result, name).leg for name in
+                ("reference", "fast", "heap", "obs_off", "bloom_shadow")}
+        assert legs == {name: name for name in legs}
+        assert result.heap.modes == RunModes(scheduler="heap")
+
+    def test_heap_only_violation_is_labelled_heap(self, monkeypatch):
+        """A violation only the heap leg produces names that leg, in the
+        printed form and in the corpus entry."""
+        from repro.fuzz.corpus import entry_from_result
+
+        def heap_only(run):
+            if run.fabric.all_switches()[0].engine.scheduler_mode != "heap":
+                return []
+            return [Violation("conservation", run.leg, "heap queue only")]
+
+        monkeypatch.setitem(ORACLES, "heap_only", heap_only)
+        result = run_scenario(small_scenario())
+        assert [str(v) for v in result.violations] == [
+            "[heap:conservation] heap queue only"
+        ]
+        assert entry_from_result(result)["violations"][0]["mode"] == "heap"

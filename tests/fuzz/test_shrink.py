@@ -13,7 +13,7 @@ from tests.fuzz.conftest import busy_scenario, small_scenario
 
 def always_broken(run):
     """Oracle fixture that fails on every run (the 'seeded violation')."""
-    return [Violation("broken", run.mode, "deliberately broken oracle")]
+    return [Violation("broken", run.leg, "deliberately broken oracle")]
 
 
 class TestStructuralShrinking:

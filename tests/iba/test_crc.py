@@ -160,18 +160,13 @@ class TestCRC16Implementations:
             assert folded == ibacrc._crc16_table(data)
 
     def test_impl_switch_is_bit_identical(self):
-        prior = ibacrc.get_crc16_impl()
-        try:
-            ibacrc.set_crc16_impl("table")
-            fast = ibacrc.vcrc(make_packet(psn=9))
-            ibacrc.set_crc16_impl("bitwise")
-            assert ibacrc.get_crc16_impl() == "bitwise"
-            assert ibacrc.vcrc(make_packet(psn=9)) == fast
-        finally:
-            ibacrc.set_crc16_impl(prior)
+        """The table-driven VCRC equals the bit-serial oracle over the
+        same bytes, under both datapaths."""
+        from repro.datapath import held
+        from repro.sim.config import RunModes
 
-    def test_unknown_impl_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ibacrc.set_crc16_impl("simd")
+        packet = make_packet(psn=9)
+        oracle = ibacrc._crc16_bitwise(packet.variant_bytes())
+        assert ibacrc.vcrc(packet) == oracle
+        with held(RunModes(datapath="reference")):
+            assert ibacrc.vcrc(make_packet(psn=9)) == oracle

@@ -10,6 +10,7 @@ replacement, payload swaps — and compare against a cache-cold clone.
 
 import pytest
 
+from repro.datapath import get_datapath, held
 from repro.iba import crc as ibacrc
 from repro.iba.keys import PKey, QKey
 from repro.iba.packet import (
@@ -18,20 +19,11 @@ from repro.iba.packet import (
     DatagramExtendedHeader,
     GlobalRouteHeader,
     LocalRouteHeader,
-    serialization_cache_enabled,
-    set_serialization_cache,
 )
 from repro.iba.types import LID, QPN
+from repro.sim.config import RunModes
 
 from tests.conftest import make_packet
-
-
-@pytest.fixture(autouse=True)
-def _cache_on():
-    """These tests exercise the cached fast path; leave it on afterwards."""
-    set_serialization_cache(True)
-    yield
-    set_serialization_cache(True)
 
 
 def global_packet() -> DataPacket:
@@ -211,15 +203,13 @@ class TestCacheDisabled:
         p = ibacrc.stamp(global_packet())
         warm(p)
         cached = (p.invariant_bytes(), p.variant_bytes(), ibacrc.icrc(p), ibacrc.vcrc(p))
-        set_serialization_cache(False)
-        assert not serialization_cache_enabled()
-        try:
+        with held(RunModes(datapath="reference")):
+            assert get_datapath() == "reference"
             uncached = (
                 p.invariant_bytes(), p.variant_bytes(),
                 ibacrc.icrc(p), ibacrc.vcrc(p),
             )
-        finally:
-            set_serialization_cache(True)
+        assert get_datapath() == "fast"
         assert cached == uncached
 
 

@@ -1,24 +1,17 @@
 """Fast vs reference datapath: the optimization must be invisible to the
 simulation — identical counters, identical stats, identical trace streams.
 
-``repro.datapath.set_datapath`` flips every fast-path layer at once
-(serialization caches, table CRC-16, zlib CRC-32, MAC tag memo).  These
-tests run the same seeded scenarios under both modes and diff everything
-observable.  Packet ids come from a process-global sequence, so traces are
+``RunModes(datapath=...)`` turns every fast-path cache on or off at once
+(serialization caches, prefix-folded CRCs, MAC tag memo, Bloom probe
+memo).  These tests run the same seeded scenarios under both datapaths and
+diff everything observable.  Packet ids come from a process-global sequence, so traces are
 compared after normalizing ids by order of first appearance.
 """
 
-import pytest
-
-from repro.datapath import get_datapath, set_datapath
+from repro.datapath import get_datapath
+from repro.sim.config import RunModes
 from repro.sim.runner import run_simulation
 from repro.sim.trace import Tracer
-
-
-@pytest.fixture(autouse=True)
-def _restore_fast_datapath():
-    yield
-    set_datapath("fast")
 
 
 def canonical_trace(events):
@@ -35,10 +28,13 @@ def canonical_trace(events):
 
 
 def run_traced(cfg, mode):
-    set_datapath(mode)
-    assert get_datapath() == mode
     tracer = Tracer()
-    report = run_simulation(cfg, tracer=tracer)
+    during = []  # the datapath the run really held
+    report = run_simulation(
+        cfg, tracer=tracer, modes=RunModes(datapath=mode),
+        setup=lambda engine, fabric: during.append(get_datapath()),
+    )
+    assert during == [mode]
     return report, tracer
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
+from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, RunModes, SimConfig
 
 
 class TestTable1Defaults:
@@ -167,3 +167,31 @@ class TestEnums:
 
     def test_keymgmt_values(self):
         assert {m.value for m in KeyMgmtMode} == {"none", "partition", "qp"}
+
+
+class TestRunModes:
+    def test_defaults(self):
+        assert RunModes() == RunModes("fast", "wheel", True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("datapath", "turbo"),
+        ("observability", "on"),
+        ("observability", 1),
+    ])
+    def test_unknown_value_rejected(self, field, value):
+        # unknown schedulers: test_scheduler.py::TestModeSelection
+        with pytest.raises(ValueError):
+            RunModes(**{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            RunModes().scheduler = "heap"
+
+    def test_default_reads_environment(self, default_env):
+        assert default_env(REPRO_SCHEDULER="heap", REPRO_OBSERVABILITY="off") == (
+            RunModes(scheduler="heap", observability=False)
+        )
+
+    def test_invalid_observability_environment_rejected(self, default_env):
+        with pytest.raises(ValueError):
+            default_env(REPRO_OBSERVABILITY="bogus")

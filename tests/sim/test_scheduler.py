@@ -12,14 +12,9 @@ import random
 
 import pytest
 
+from repro.sim.config import RunModes
 from repro.sim.engine import Engine
-from repro.sim.scheduler import (
-    MODES,
-    SLOT_BITS,
-    get_scheduler,
-    make_scheduler,
-    set_scheduler,
-)
+from repro.sim.scheduler import MODES, SLOT_BITS, make_scheduler
 
 SLOT_PS = 1 << SLOT_BITS
 
@@ -92,12 +87,7 @@ def fat_tree_outcome(mode):
     cfg = SimConfig(topology="fat_tree", fat_tree_k=4, num_attackers=2,
                     best_effort_load=0.8, vl_buffer_packets=32,
                     sim_time_us=100.0, warmup_us=5.0, keep_samples=False)
-    prev = get_scheduler()
-    try:
-        set_scheduler(mode)
-        report = run_simulation(cfg)
-    finally:
-        set_scheduler(prev)
+    report = run_simulation(cfg, modes=RunModes(scheduler=mode))
     return (report.counters, report.drops, report.delivered,
             report.events_processed)
 
@@ -346,29 +336,17 @@ class TestEventPooling:
 
 
 class TestModeSelection:
-    def test_set_scheduler_rejects_unknown(self):
+    def test_run_modes_rejects_unknown_scheduler(self, default_env):
         with pytest.raises(ValueError, match="unknown scheduler mode"):
-            set_scheduler("btree")
+            RunModes(scheduler="btree")
+        with pytest.raises(ValueError, match="unknown scheduler mode"):
+            default_env(REPRO_SCHEDULER="btree")
 
     def test_make_scheduler_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown scheduler mode"):
             make_scheduler("btree")
 
-    def test_engine_samples_mode_at_construction(self):
-        prev = get_scheduler()
-        try:
-            set_scheduler("wheel")
-            eng = Engine()
-            set_scheduler("heap")
-            assert eng.scheduler_mode == "wheel"
-            assert Engine().scheduler_mode == "heap"
-        finally:
-            set_scheduler(prev)
-
-    def test_explicit_mode_overrides_global(self):
-        prev = get_scheduler()
-        try:
-            set_scheduler("heap")
-            assert Engine(scheduler="wheel").scheduler_mode == "wheel"
-        finally:
-            set_scheduler(prev)
+    def test_explicit_mode_overrides_global(self, default_env):
+        assert default_env(REPRO_SCHEDULER="heap").scheduler == "heap"
+        assert Engine().scheduler_mode == "heap"
+        assert Engine(scheduler="wheel").scheduler_mode == "wheel"

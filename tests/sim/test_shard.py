@@ -5,7 +5,7 @@ the window boundary, the SM-busy lookahead exception, and worker crashes."""
 import pytest
 
 from repro.iba.keys import PKey
-from repro.sim.config import EnforcementMode, SimConfig
+from repro.sim.config import EnforcementMode, RunModes, SimConfig, default_modes
 from repro.sim.engine import PS_PER_US
 from repro.sim.shard import (
     _REGISTER,
@@ -113,7 +113,7 @@ class TestShardRuntime:
     def test_register_at_current_clock_is_legal(self):
         # a REGISTER crossing back to the offender shard carries zero
         # residual delay: it can fire exactly at the receiver's clock
-        rt = ShardRuntime(_runtime_config(), 0)
+        rt = ShardRuntime(_runtime_config(), 0, default_modes())
         try:
             rt.advance(5_000_000)
             rt.deliver_and_eot([(5_000_000, _REGISTER, 1, PKey(0x0001))])
@@ -124,7 +124,7 @@ class TestShardRuntime:
             rt.close()
 
     def test_sm_busy_drops_lookahead(self):
-        rt = ShardRuntime(_runtime_config(), 0)
+        rt = ShardRuntime(_runtime_config(), 0, default_modes())
         try:
             rt.engine.schedule_at(1000, int)
             assert rt.deliver_and_eot([]) == 1000 + rt.lookahead
@@ -137,8 +137,8 @@ class TestShardRuntime:
     def test_boundary_surgery_is_shard_local(self):
         # every boundary link name maps on exactly one of the two runtimes'
         # sender tables, and the opposite runtime's receiver table
-        r0 = ShardRuntime(_runtime_config(), 0)
-        r1 = ShardRuntime(_runtime_config(), 1)
+        r0 = ShardRuntime(_runtime_config(), 0, default_modes())
+        r1 = ShardRuntime(_runtime_config(), 1, default_modes())
         try:
             assert set(r0._pkt_route) == set(r1._in_map)
             assert set(r1._pkt_route) == set(r0._in_map)
@@ -162,7 +162,7 @@ class TestProcessTransportCrash:
         )
         cfg.validate()
         with pytest.raises(ShardCrashError) as excinfo:
-            run_sharded(cfg, _crash_at=(0, 60 * PS_PER_US))
+            run_sharded(cfg, default_modes(), _crash_at=(0, 60 * PS_PER_US))
         assert excinfo.value.shard == 0
 
 
@@ -191,34 +191,62 @@ class TestRunSimulationDispatch:
             run_simulation(cfg, setup=lambda engine, fabric: None)
 
 
+def _pod_sif_config(transport: str, **overrides) -> SimConfig:
+    """k=4 fat tree on 2 shards: SIF, one flooder, pod partitions."""
+    base = dict(
+        topology="fat_tree", fat_tree_k=4, shards=2,
+        shard_transport=transport, partition_layout="pod",
+        enforcement=EnforcementMode.SIF, num_attackers=1,
+        sim_time_us=150.0,
+    )
+    return SimConfig(**{**base, **overrides})
+
+
 class TestSchedulerIndependence:
+    @staticmethod
+    def counters(transport, scheduler):
+        from repro.sim.runner import run_simulation
+
+        report = run_simulation(
+            _pod_sif_config(transport), modes=RunModes(scheduler=scheduler)
+        )
+        # busy_seconds is host wall-clock time, not a simulation result
+        return {k: v for k, v in report.counters.items()
+                if not k.endswith(".busy_seconds")}
+
     def test_wheel_and_heap_run_the_same_rounds(self):
         """Each round schedules cross-shard messages after ``run(until=...)``
         stopped short, then peeks the next event time for the shard's
         lookahead bound.  The wheel once filed such a message behind the
         bucket the stopped run had opened, so its peek read too late and
         ``shard.rounds`` came out lower than under the heap."""
-        from repro.sim.runner import run_simulation
-        from repro.sim.scheduler import get_scheduler, set_scheduler
-
-        cfg = SimConfig(
-            topology="fat_tree", fat_tree_k=4, shards=2,
-            shard_transport="inline", partition_layout="pod",
-            enforcement=EnforcementMode.SIF, num_attackers=1,
-            sim_time_us=150.0,
-        )
-
-        def counters(mode):
-            prev = get_scheduler()
-            try:
-                set_scheduler(mode)
-                report = run_simulation(cfg)
-            finally:
-                set_scheduler(prev)
-            # busy_seconds is host wall-clock time, not a simulation result
-            return {k: v for k, v in report.counters.items()
-                    if not k.endswith(".busy_seconds")}
-
-        wheel = counters("wheel")
+        wheel = self.counters("inline", "wheel")
         assert wheel["shard.rounds"] > 0
-        assert wheel == counters("heap")
+        assert wheel == self.counters("inline", "heap")
+
+    def test_wheel_and_heap_run_the_same_rounds_on_processes(self):
+        """The same, with each forked shard worker building its engine
+        from the modes it was handed."""
+        wheel = self.counters("process", "wheel")
+        assert wheel["shard.rounds"] > 0
+        assert wheel == self.counters("process", "heap")
+        assert wheel == self.counters("inline", "wheel")
+
+
+class TestObservabilityAcrossShards:
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_observability_off_changes_only_the_bookkeeping(self, transport):
+        """Every shard builds its replica under the run's modes: with
+        observability off no shard records a component counter, and the
+        merged simulation is the same."""
+        from repro.sim.runner import run_simulation
+
+        cfg = _pod_sif_config(transport, sim_time_us=80.0, warmup_us=20.0)
+        on = run_simulation(cfg, modes=RunModes(observability=True))
+        off = run_simulation(cfg, modes=RunModes(observability=False))
+        assert on.delivered > 0 and on.drops
+        assert (off.delivered, off.drops, off.stats) == (
+            on.delivered, on.drops, on.stats
+        )
+        assert any(k.startswith(("hca.", "switch.")) for k in on.counters)
+        assert not [k for k in off.counters if k.startswith(("hca.", "switch."))]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.config import SimConfig
+from repro.sim.config import RunModes, SimConfig
 from repro.sim.runner import run_simulation
 from repro.sim.sweep import (
     RunCache,
@@ -109,51 +109,30 @@ class TestRunCache:
         assert config_key(base) != config_key(base.replace(sim_time_us=151.0))
 
     def test_cache_key_tracks_datapath_mode(self, base):
-        """Regression: a REPRO_DATAPATH=reference debug sweep must never be
+        """Regression: a reference-datapath debug sweep must never be
         served fast-mode cache entries."""
-        from repro.datapath import get_datapath, set_datapath
+        fast_key = config_key(base, RunModes())
+        assert fast_key != config_key(base, RunModes(datapath="reference"))
 
-        prev = get_datapath()
-        try:
-            set_datapath("fast")
-            fast_key = config_key(base)
-            set_datapath("reference")
-            reference_key = config_key(base)
-        finally:
-            set_datapath(prev)
-        assert fast_key != reference_key
-
-    def test_cache_key_tracks_scheduler_mode(self, base):
+    def test_cache_key_tracks_scheduler_mode(self, base, default_env):
         """Regression: a REPRO_SCHEDULER=heap oracle sweep must never be
-        served wheel-mode cache entries (CACHE_VERSION 4)."""
-        from repro.sim.scheduler import get_scheduler, set_scheduler
+        served wheel-mode cache entries."""
+        heap_key = config_key(base, RunModes(scheduler="heap"))
+        assert config_key(base, RunModes()) != heap_key
+        default_env(REPRO_SCHEDULER="heap")
+        assert config_key(base) == heap_key
 
-        prev = get_scheduler()
-        try:
-            set_scheduler("wheel")
-            wheel_key = config_key(base)
-            set_scheduler("heap")
-            heap_key = config_key(base)
-        finally:
-            set_scheduler(prev)
-        assert wheel_key != heap_key
-
-    def test_cache_key_tracks_observability_mode(self, base, tmp_path):
+    def test_cache_key_tracks_observability_mode(self, base, tmp_path, default_env):
         """Regression: an observability-off run caches a report with an
         empty counter snapshot, so a later observability-on sweep of the
         same config must re-simulate rather than be served that entry."""
-        from repro.observability import get_observability, set_observability
-
-        prev = get_observability()
-        try:
-            set_observability("off")
-            off = Sweep(base, {})
-            off.run(workers=1, cache=tmp_path)
-            set_observability("on")
-            on = Sweep(base, {})
-            points = on.run(workers=1, cache=tmp_path)
-        finally:
-            set_observability(prev)
+        default_env(REPRO_OBSERVABILITY="off")
+        off = Sweep(base, {})
+        off.run(workers=1, cache=tmp_path)
+        assert not off.results[0].reports[0].counters
+        default_env(REPRO_OBSERVABILITY="on")
+        on = Sweep(base, {})
+        points = on.run(workers=1, cache=tmp_path)
         assert off.stats.cache_misses == 1
         assert on.stats.cache_misses == 1
         assert points[0].reports[0].counters
