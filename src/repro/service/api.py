@@ -36,7 +36,6 @@ from repro.service.jobstore import (
     Job,
     JobState,
     JobStore,
-    ResultCache,
     report_payload,
     scenario_key,
 )
@@ -48,7 +47,7 @@ from repro.sim.metrics_server import (
     JsonRequestHandler,
     version_payload,
 )
-from repro.sim.sweep import DEFAULT_CACHE_DIR
+from repro.sim.sweep import DEFAULT_CACHE_DIR, RunCache
 
 #: Client id header; absent clients share one "anonymous" bucket.
 CLIENT_HEADER = "X-Client-Id"
@@ -110,7 +109,7 @@ class JobService(JsonHttpServer):
         self._failed = c("service.failed")
         self.store = JobStore()
         self.queue = BoundedJobQueue(maxsize=self.config.queue_depth)
-        self.cache = ResultCache(self.config.cache_dir)
+        self.cache = RunCache(root=self.config.cache_dir)
         self.limiter = ClientRateLimiter(self.config.rate_per_s, self.config.burst)
         self.pool = WorkerPool(
             self.queue,
@@ -181,6 +180,13 @@ class JobService(JsonHttpServer):
             raise ScenarioValidationError(
                 f"sim_time_us={config.sim_time_us:g} exceeds the service "
                 f"limit of {self.config.max_sim_time_us:g}"
+            )
+        if config.shards > 1:
+            # every job runs traced with a setup hook, which sharded runs
+            # do not support
+            raise ScenarioValidationError(
+                f"shards={config.shards}: the service runs every job on one "
+                f"process; submit shards=1"
             )
         return scenario
 
@@ -282,8 +288,8 @@ class JobService(JsonHttpServer):
             }
         return 200, {
             "job_id": job.job_id,
-            "trace_available": job.result.trace_available,
-            "events": list(job.result.trace),
+            "trace_available": job.result.trace is not None,
+            "events": list(job.result.trace or ()),
         }
 
     def metrics_payload(self) -> dict:

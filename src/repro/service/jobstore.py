@@ -1,18 +1,12 @@
-"""Job records and the content-addressed result cache.
+"""Job records, content addressing and the deterministic report body.
 
-The cache is the service's scale story: results land in the *same*
-``.sweep_cache/`` directory the sweep layer uses, keyed by the same
-machinery (:func:`repro.sim.sweep.run_key` — cache version, run modes
-and fully-resolved config), so a scenario anyone has ever run — through a
-figure sweep or through the API — answers instantly for every later
-client.  Two entry shapes coexist:
-
-* ``<key>.pkl`` — a plain :class:`~repro.sim.runner.SimReport`, the sweep
-  layer's native entry.  The service *writes* one for schedule-free
-  scenarios (sweeps benefit from API traffic) and *reads* one as a
-  trace-less fallback (API traffic benefits from sweeps).
-* ``<key>.job.pkl`` — a :class:`JobResult` (report + trace events), the
-  service's native entry with everything the report/trace endpoints need.
+Results live in :class:`~repro.sim.sweep.RunCache`, the one result store:
+the service writes each finished job's :class:`~repro.sim.sweep.JobResult`
+(report plus trace tail) to ``<key>.pkl`` in the same ``.sweep_cache/``
+directory figure sweeps use.  A schedule-free scenario keys exactly like
+the sweep layer keys its resolved config, so a scenario anyone has ever
+run — through a figure sweep or through the API — answers instantly for
+every later client; an answer that came from a sweep carries no trace.
 
 Scenarios that carry fault/tamper/injection schedules are not expressible
 as a bare :class:`SimConfig`, so their key hashes the whole canonical
@@ -24,39 +18,19 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import itertools
-import os
-import pickle
+import json
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.fuzz.generators import Scenario
 from repro.sim.runner import SimReport
-from repro.sim.sweep import (
-    DEFAULT_CACHE_DIR,
-    RunCache,
-    _canonical,
-    atomic_pickle,
-    config_key,
-    run_key,
-)
+from repro.sim.sweep import JobResult, _canonical, config_key, run_key
 
 REPORT_SCHEMA = "repro.service_report/1"
-
-
-@dataclass
-class JobResult:
-    """What one executed job leaves behind (picklable — it crosses the
-    worker subprocess boundary and lands in the result cache)."""
-
-    report: SimReport
-    trace: tuple[dict, ...] = ()  #: trace events as wire-shape dicts.
-    trace_available: bool = True
-    """False when the result was reconstructed from a sweep-layer cache
-    entry (plain ``SimReport`` pickle), which carries no trace."""
 
 
 class JobState(str, enum.Enum):
@@ -103,7 +77,7 @@ class Job:
             payload["summary"] = {
                 "delivered": r.delivered,
                 "events_processed": r.events_processed,
-                "trace_available": self.result.trace_available,
+                "trace_available": self.result.trace is not None,
             }
         return payload
 
@@ -158,54 +132,11 @@ def report_payload(report: SimReport) -> dict:
     }
 
 
-class ResultCache:
-    """Content-addressed :class:`JobResult` store over ``.sweep_cache/``.
-
-    Writes go through :func:`~repro.sim.sweep.atomic_pickle`, the same
-    writer :class:`~repro.sim.sweep.RunCache` uses (concurrent writers of
-    one key both succeed, readers never see a torn file).
-    """
-
-    def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-        self.run_cache = RunCache(root=self.root)
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    def _job_path(self, key: str) -> Path:
-        return self.root / f"{key}.job.pkl"
-
-    def get(self, key: str) -> JobResult | None:
-        try:
-            with open(self._job_path(key), "rb") as f:
-                result = pickle.load(f)
-        except Exception:
-            result = None
-        if isinstance(result, JobResult):
-            self._hits += 1
-            return result
-        # Fall back to a sweep-layer entry (plain SimReport, no trace).
-        report = self.run_cache.read(key)
-        if report is not None:
-            self._hits += 1
-            return JobResult(report=report, trace=(), trace_available=False)
-        self._misses += 1
-        return None
-
-    def put(self, key: str, result: JobResult, scenario: Scenario) -> None:
-        atomic_pickle(self._job_path(key), result)
-        # Schedule-free scenarios also feed the sweep layer's memo table
-        # (its key is this key by construction — see scenario_key).
-        if scenario.schedule_free:
-            self.run_cache.put(result.report.config, result.report)
+def report_digest(report: SimReport) -> str:
+    """sha256 of the canonical JSON of :func:`report_payload` — the digest
+    ``repro/sim/golden.json`` pins per case."""
+    blob = json.dumps(report_payload(report), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class JobStore:

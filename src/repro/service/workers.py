@@ -10,7 +10,7 @@ in-thread execution, exactly like :meth:`Sweep.run`'s fallback.
 :func:`execute_job` is the module-level, picklable unit of work: it
 reuses the fuzz harness's :func:`~repro.fuzz.oracles.execute_scenario`
 so fault/tamper/injection schedules behave identically to a fuzz run,
-and returns a :class:`~repro.service.jobstore.JobResult` bundling the
+and returns a :class:`~repro.sim.sweep.JobResult` bundling the
 report with a bounded tail of trace events.
 """
 
@@ -24,9 +24,10 @@ from typing import Callable
 
 from repro.fuzz.generators import Scenario
 from repro.service.jobqueue import BoundedJobQueue
-from repro.service.jobstore import Job, JobResult, JobStore, ResultCache
+from repro.service.jobstore import Job, JobStore
 from repro.sim.config import default_modes
 from repro.sim.metrics_server import trace_event_dict
+from repro.sim.sweep import JobResult, RunCache
 
 #: Trace events kept per job result (newest wins) — bounds both the
 #: subprocess return payload and the cache entry size.
@@ -62,7 +63,7 @@ class WorkerPool:
         self,
         queue: BoundedJobQueue,
         store: JobStore,
-        cache: ResultCache,
+        cache: RunCache,
         workers: int = 2,
         use_subprocess: bool = True,
         runner: Callable[[dict], JobResult] = execute_job,
@@ -142,7 +143,7 @@ class WorkerPool:
             self._failed += 1
             self._store.mark_failed(job, format_failure(exc))
         else:
-            self._cache.put(job.key, result, job.scenario)
+            self._cache.put(job.key, result)
             self._completed += 1
             self._store.mark_done(job, result)
         if self._on_done is not None:

@@ -25,11 +25,18 @@ the sweep silently falls back to in-process execution.
 Run cache
 ---------
 
-With ``cache=True`` (or a directory path / :class:`RunCache`), every
-completed :class:`~repro.sim.runner.SimReport` is pickled into
-``.sweep_cache/`` under a content hash of its fully-resolved config
-(:func:`config_key`).  Re-running a benchmark only simulates points whose
-configuration actually changed; everything else is a cache hit.
+:class:`RunCache` is the one result store: one ``<key>.pkl`` per run,
+holding a :class:`JobResult` (the report, plus the trace tail a service
+job keeps).  With ``cache=True`` (or a directory path / :class:`RunCache`),
+every completed sweep run is stored under :func:`config_key` of its
+fully-resolved config; the job service stores schedule-free scenarios
+under that same key, so either side answers the other.  Re-running a
+benchmark only simulates points whose configuration actually changed.
+
+Every key folds :data:`RESULTS_VERSION`, derived at import from the shapes
+of the result types and the pinned digests in ``golden.json``: a change
+to what a run computes moves a golden digest, and regenerating the table
+(``python tools/golden.py --write``) invalidates every entry.
 
 Observability
 -------------
@@ -56,20 +63,19 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from repro.sim.config import RunModes, SimConfig, default_modes
-from repro.sim.runner import SimReport, run_simulation
-
-#: Version of what a cache entry holds.  Bump it when the same key would
-#: now hold a different entry: a change to SimReport's shape or meaning,
-#: or to what a run computes from the same config and modes.  Changes to
-#: the key's own inputs (config fields, run modes) rehash by themselves.
-CACHE_VERSION = 8
+from repro.sim.metrics import LatencySample, MetricsSummary
+from repro.sim.runner import ClassStats, SimReport, run_simulation
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
+
+#: Pinned result digests of short schedule-free runs (``tests/sim/
+#: test_golden.py`` checks them; ``tools/golden.py --write`` regenerates).
+GOLDEN_TABLE = Path(__file__).with_name("golden.json")
 
 
 class SweepWorkerError(RuntimeError):
@@ -97,16 +103,17 @@ def _canonical(value: Any) -> Any:
 def run_key(modes: RunModes | None = None, **body: Any) -> str:
     """Stable content hash of *body* run under *modes*.
 
-    The payload folds the cache version and the :class:`RunModes` the run
-    executes under (default: :func:`~repro.sim.config.default_modes`) in
-    beside the canonicalised *body*, so a result cached under one mode
-    never answers a run under another: the modes are meant to be
-    bit-identical, but proving that is exactly what an oracle-mode run is
-    for, and observability-off runs carry no counter snapshot.  This is
-    the one place the modes enter a cache key.
+    The payload folds :data:`RESULTS_VERSION` and the :class:`RunModes`
+    the run executes under (default:
+    :func:`~repro.sim.config.default_modes`) in beside the canonicalised
+    *body*, so a result cached under one mode never answers a run under
+    another: the modes are meant to be bit-identical, but proving that is
+    exactly what an oracle-mode run is for, and observability-off runs
+    carry no counter snapshot.  This is the one place the modes enter a
+    cache key.
     """
     payload = {
-        "cache_version": CACHE_VERSION,
+        "results_version": RESULTS_VERSION,
         **asdict(modes or default_modes()),
         **{name: _canonical(value) for name, value in body.items()},
     }
@@ -130,16 +137,17 @@ def atomic_pickle(target: Path, obj: Any) -> None:
 
     A concurrent reader never sees a torn file, and the pid+thread staging
     suffix keeps same-key writers (processes OR threads) from clobbering
-    each other's half-written file.  An unwritable directory or an
-    unpicklable object (pickle raises PicklingError, TypeError, or
-    AttributeError — local objects raise the latter — depending on the
-    payload) is a non-fatal cache skip, and the staging file is removed.
+    each other's half-written file.  A directory that cannot be created or
+    written, or an unpicklable object (pickle raises PicklingError,
+    TypeError, or AttributeError — local objects raise the latter —
+    depending on the payload), is a non-fatal cache skip, and the staging
+    file is removed.
     """
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(
         f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as f:
             pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, target)
@@ -151,46 +159,61 @@ def atomic_pickle(target: Path, obj: Any) -> None:
 
 
 @dataclass
-class RunCache:
-    """Content-addressed on-disk store of :class:`SimReport` pickles.
+class JobResult:
+    """One cache entry: a run's report, plus the bounded tail of trace
+    events (wire-shape dicts) a service job keeps.  Sweep runs store no
+    trace (``trace is None``); a traced run with no events stores ``()``.
+    """
 
-    One file per resolved config: ``<root>/<sha256(config)>.pkl``.  A
-    corrupt or unreadable entry is treated as a miss, never an error.
+    report: SimReport
+    trace: tuple[dict, ...] | None = None
+
+
+def _results_version() -> str:
+    """sha256 over the result types' field names and annotated types and
+    the golden digests: any change to either moves every cache key."""
+    shapes = {
+        cls.__name__: [[f.name, str(f.type)] for f in fields(cls)]
+        for cls in (SimConfig, SimReport, ClassStats, MetricsSummary,
+                    LatencySample, JobResult)
+    }
+    golden = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))
+    digests = [case["digest"] for case in golden["cases"]]
+    blob = json.dumps([shapes, digests], sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+RESULTS_VERSION = _results_version()
+
+
+@dataclass
+class RunCache:
+    """Content-addressed on-disk store of :class:`JobResult` pickles.
+
+    One file per key: ``<root>/<key>.pkl``.  A corrupt or unreadable
+    entry is a miss, never an error.
     """
 
     root: Path = Path(DEFAULT_CACHE_DIR)
-    hits: int = 0
-    misses: int = 0
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
 
-    def path_for(self, config: SimConfig) -> Path:
-        return self.root / f"{config_key(config)}.pkl"
-
-    def read(self, key: str) -> SimReport | None:
-        """The report stored under *key*; None when absent or unreadable."""
+    def get(self, key: str) -> JobResult | None:
+        """The entry stored under *key*; None when absent or unreadable."""
         try:
             with open(self.root / f"{key}.pkl", "rb") as f:
-                report = pickle.load(f)
+                entry = pickle.load(f)
         except Exception:
             # Unpickling arbitrary corrupt bytes can raise nearly anything
             # (UnpicklingError, EOFError, ValueError from opcode args,
             # AttributeError/ImportError from stale class paths, ...); any
             # unreadable entry is simply a miss and gets re-simulated.
             return None
-        return report if isinstance(report, SimReport) else None
+        return entry if isinstance(entry, JobResult) else None
 
-    def get(self, config: SimConfig) -> SimReport | None:
-        report = self.read(config_key(config))
-        if report is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return report
-
-    def put(self, config: SimConfig, report: SimReport) -> None:
-        atomic_pickle(self.path_for(config), report)
+    def put(self, key: str, entry: JobResult) -> None:
+        atomic_pickle(self.root / f"{key}.pkl", entry)
 
 
 def _resolve_cache(
@@ -399,18 +422,16 @@ class Sweep:
         results: list[SimReport | None] = [None] * len(configs)
         point_hits = [0] * len(points)
         jobs: list[tuple[int, SimConfig]] = []
-        hits0 = store.hits if store is not None else 0
-        misses0 = store.misses if store is not None else 0
         for idx, cfg in enumerate(configs):
-            cached = store.get(cfg) if store is not None else None
+            cached = store.get(config_key(cfg)) if store is not None else None
             if cached is not None:
-                results[idx] = cached
+                results[idx] = cached.report
                 point_hits[idx // len(seeds)] += 1
             else:
                 jobs.append((idx, cfg))
         if store is not None:
-            self.stats.cache_hits = store.hits - hits0
-            self.stats.cache_misses = store.misses - misses0
+            self.stats.cache_hits = sum(point_hits)
+            self.stats.cache_misses = len(jobs)
 
         point_remaining = [
             sum(1 for idx, _ in jobs if idx // len(seeds) == pi) if seeds else 0
@@ -435,7 +456,7 @@ class Sweep:
             results[idx] = report
             self.stats.simulated += 1
             if store is not None:
-                store.put(configs[idx], report)
+                store.put(config_key(configs[idx]), JobResult(report))
             pi = idx // len(seeds)
             point_remaining[pi] -= 1
             if point_remaining[pi] == 0:

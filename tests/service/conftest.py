@@ -12,8 +12,8 @@ import pytest
 
 from repro.fuzz.generators import Scenario
 from repro.service.api import JobService, ServiceConfig
-from repro.service.jobstore import JobResult
 from repro.sim.runner import SimReport
+from repro.sim.sweep import JobResult
 
 
 def tiny_scenario_dict(name="svc-test", seed=1, **config_overrides):

@@ -47,6 +47,17 @@ class TestRejection400:
         assert status == 400
         assert "sim_time_us" in payload["error"]
 
+    def test_sharded_scenario_is_400(self, make_service):
+        """Regression: a sharded scenario was accepted with 202, then every
+        run failed, because service jobs always run traced."""
+        service = make_service()
+        status, payload, _ = service.submit("c", tiny_body(
+            topology="fat_tree", fat_tree_k=4, partition_layout="pod", shards=2,
+        ))
+        assert status == 400
+        assert "shards=2" in payload["error"]
+        assert len(service.store) == 0
+
     def test_malformed_submissions_spend_no_tokens(self, make_service):
         """400s happen before the token bucket: a misbehaving-but-broken
         client cannot rate-limit itself into masking its own errors."""
@@ -82,6 +93,18 @@ class TestSubmitLifecycle:
         assert status == 200
         assert trace["trace_available"]
         assert trace["events"][0]["kind"] == "fake"
+
+    def test_cache_root_under_a_file_still_finishes_the_job(
+        self, make_service, tmp_path
+    ):
+        """Regression: a cache directory that cannot be created raised in
+        the worker thread, which died and left the job running forever."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        service = make_service(cache_dir=str(blocker / "cache"), workers=1)
+        _, body, _ = service.submit("c", tiny_body(seed=3))
+        assert wait_terminal(service, body["job_id"]).state.value == "done"
+        assert service.pool.active == 1
 
     def test_duplicate_after_completion_is_instant_cache_hit(self, make_service):
         service = make_service()

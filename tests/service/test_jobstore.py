@@ -1,17 +1,13 @@
-"""Content addressing, deterministic reports, and the shared result cache."""
+"""Content addressing, deterministic reports, and the one result store
+the service shares with sweeps."""
 
 import dataclasses
 import json
 import threading
 
 from repro.fuzz.generators import Scenario
-from repro.service.jobstore import (
-    JobStore,
-    ResultCache,
-    report_payload,
-    scenario_key,
-)
-from repro.sim.sweep import RunCache, config_key
+from repro.service.jobstore import JobStore, report_payload, scenario_key
+from repro.sim.sweep import RunCache, Sweep, config_key
 
 from tests.service.conftest import fake_runner, tiny_scenario_dict
 
@@ -60,64 +56,66 @@ class TestReportPayload:
         assert dump(a) == dump(b)
 
 
-class TestResultCache:
+class TestSharedRunCache:
     def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = RunCache(tmp_path)
         s = scenario(seed=5)
         key = scenario_key(s)
         assert cache.get(key) is None
         result = fake_runner(s.to_dict())
-        cache.put(key, result, s)
+        cache.put(key, result)
         loaded = cache.get(key)
         assert loaded is not None
         assert loaded.report.delivered == result.report.delivered
         assert loaded.trace == result.trace
-        assert loaded.trace_available
+        assert list(tmp_path.iterdir()) == [tmp_path / f"{key}.pkl"]
 
-    def test_reads_sweep_layer_entries_as_traceless_fallback(self, tmp_path):
+    def test_sweep_entry_reads_back_without_trace(self, tmp_path):
+        """Sweeps warm API traffic: a sweep's entry answers the schedule-free
+        scenario of that config, with no trace to serve."""
         s = scenario(seed=6)
-        report = fake_runner(s.to_dict()).report
-        RunCache(root=tmp_path).put(report.config, report)
-        loaded = ResultCache(tmp_path).get(config_key(report.config))
+        config = s.build_config()
+        Sweep(config, {}, seeds=(config.seed,)).run(cache=tmp_path)
+        loaded = RunCache(tmp_path).get(scenario_key(s))
         assert loaded is not None
-        assert loaded.report.delivered == report.delivered
-        assert not loaded.trace_available
-        assert loaded.trace == ()
+        assert loaded.report.config == config
+        assert loaded.trace is None
 
     def test_schedule_free_put_feeds_the_sweep_cache(self, tmp_path):
-        """API traffic warms the sweep memo table: after a service run,
-        ``RunCache.get`` for the same config is a hit."""
-        cache = ResultCache(tmp_path)
+        """API traffic warms the sweep memo table: after a service run, a
+        sweep of the same config is a hit."""
         s = scenario(seed=7)
         result = fake_runner(s.to_dict())
-        cache.put(scenario_key(s), result, s)
-        swept = RunCache(root=tmp_path).get(result.report.config)
-        assert swept is not None
-        assert swept.delivered == result.report.delivered
+        RunCache(tmp_path).put(scenario_key(s), result)
+        config = result.report.config
+        sweep = Sweep(config, {}, seeds=(config.seed,))
+        (point,) = sweep.run(cache=tmp_path)
+        assert sweep.stats.cache_hits == 1
+        assert sweep.stats.simulated == 0
+        assert point.reports[0].delivered == result.report.delivered
 
     def test_scheduled_put_does_not_pollute_sweep_entries(self, tmp_path):
         faulted = Scenario.from_dict(dict(
             tiny_scenario_dict(seed=7),
             link_faults=[{"link": "hca1->sw(0,0)", "fail_us": 5.0}],
         ))
-        cache = ResultCache(tmp_path)
         result = fake_runner(faulted.to_dict())
-        cache.put(scenario_key(faulted), result, faulted)
+        RunCache(tmp_path).put(scenario_key(faulted), result)
         # the faulted run must NOT satisfy a plain sweep of that config
-        assert RunCache(root=tmp_path).get(result.report.config) is None
+        assert RunCache(tmp_path).get(config_key(result.report.config)) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         s = scenario(seed=8)
         key = scenario_key(s)
-        (tmp_path / f"{key}.job.pkl").write_bytes(b"not a pickle")
-        assert ResultCache(tmp_path).get(key) is None
+        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
+        assert RunCache(tmp_path).get(key) is None
 
 
 class TestConcurrentCacheAccess:
     def test_racing_writers_never_produce_a_torn_read(self, tmp_path):
         """Two writers hammer the same key while a reader polls it: every
         successful read is a complete entry (tmp-file + rename contract)."""
-        cache = ResultCache(tmp_path)
+        cache = RunCache(tmp_path)
         s = scenario(seed=11)
         key = scenario_key(s)
         result = fake_runner(s.to_dict())
@@ -126,11 +124,11 @@ class TestConcurrentCacheAccess:
 
         def writer():
             while not stop.is_set():
-                cache.put(key, result, s)
+                cache.put(key, result)
 
         def reader():
             while not stop.is_set():
-                loaded = ResultCache(tmp_path).get(key)
+                loaded = RunCache(tmp_path).get(key)
                 if loaded is not None and loaded.report.delivered != 7:
                     torn.append(loaded)
 

@@ -7,9 +7,11 @@ import pytest
 from repro.sim.config import SimConfig
 from repro.sim.runner import SimReport
 from repro.sim.sweep import (
+    JobResult,
     RunCache,
     Sweep,
     bloom_fp_axis,
+    config_key,
     network_us,
     queuing_us,
     total_us,
@@ -212,21 +214,21 @@ class TestCacheConcurrency:
 
     def test_racing_writers_same_key_no_torn_reads(self, base, tmp_path):
         cache = RunCache(root=tmp_path)
-        report = SimReport(
+        key = config_key(base)
+        entry = JobResult(SimReport(
             config=base, stats={}, drops={}, delivered=42, attack_windows=[],
-        )
+        ))
         stop = threading.Event()
         torn: list = []
 
         def writer():
             while not stop.is_set():
-                cache.put(base, report)
+                cache.put(key, entry)
 
         def reader():
-            # a fresh RunCache per read keeps hit/miss bookkeeping private
             while not stop.is_set():
-                loaded = RunCache(root=tmp_path).get(base)
-                if loaded is not None and loaded.delivered != 42:
+                loaded = RunCache(root=tmp_path).get(key)
+                if loaded is not None and loaded.report.delivered != 42:
                     torn.append(loaded)
 
         threads = [threading.Thread(target=writer) for _ in range(2)]
@@ -238,9 +240,9 @@ class TestCacheConcurrency:
         for t in threads:
             t.join(timeout=5)
         assert torn == []
-        final = RunCache(root=tmp_path).get(base)
+        final = RunCache(root=tmp_path).get(key)
         assert final is not None
-        assert final.delivered == 42
+        assert final.report.delivered == 42
         # no leftover temp files: every write either renamed or cleaned up
         stragglers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert stragglers == []

@@ -6,6 +6,8 @@ flag file (environment-passed path) because worker state does not persist
 between attempts.
 """
 
+import dataclasses
+import json
 import os
 import pickle
 import time
@@ -14,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.sim.config import RunModes, SimConfig
-from repro.sim.runner import run_simulation
+from repro.sim.runner import SimReport, run_simulation
 from repro.sim.sweep import (
+    JobResult,
     RunCache,
     Sweep,
     SweepTimeoutError,
@@ -137,37 +140,89 @@ class TestRunCache:
         assert on.stats.cache_misses == 1
         assert points[0].reports[0].counters
 
-    def test_cache_version_bump_invalidates(self, base, monkeypatch):
-        """Regression: the v3->v4 bump must change every key, so stale v3
-        pickles (which never encoded the scheduler axis) can never hit."""
+    @staticmethod
+    def _keys(base):
         from repro.sim import sweep as sweep_mod
 
-        current = config_key(base)
-        monkeypatch.setattr(sweep_mod, "CACHE_VERSION", 3)
-        assert config_key(base) != current
+        return config_key(base), sweep_mod.run_key(scenario={"name": "s"})
+
+    @staticmethod
+    def _rederive(monkeypatch):
+        from repro.sim import sweep as sweep_mod
+
+        monkeypatch.setattr(
+            sweep_mod, "RESULTS_VERSION", sweep_mod._results_version()
+        )
+
+    def _keys_under_config_shape(self, base, monkeypatch, dropped):
+        """Every key as it would be if SimConfig lacked the *dropped* fields."""
+        from repro.sim import sweep as sweep_mod
+
+        older = dataclasses.make_dataclass(
+            "SimConfig",
+            [(f.name, f.type) for f in dataclasses.fields(SimConfig)
+             if not dropped(f.name)],
+        )
+        monkeypatch.setattr(sweep_mod, "SimConfig", older)
+        self._rederive(monkeypatch)
+        return self._keys(base)
+
+    def test_cache_version_bump_invalidates(self, base, tmp_path, monkeypatch):
+        """Regression: a change to what a run computes must change every
+        key, so stale pickles can never hit.  RESULTS_VERSION folds the
+        pinned golden digests: re-deriving it is stable, and regenerating
+        the golden table with a moved digest moves every key (config-keyed
+        sweep entries and scenario-keyed service entries)."""
+        from repro.sim import sweep as sweep_mod
+
+        current = self._keys(base)
+        self._rederive(monkeypatch)
+        assert self._keys(base) == current
+
+        table = json.loads(sweep_mod.GOLDEN_TABLE.read_text(encoding="utf-8"))
+        table["cases"][0]["digest"] = "0" * 64
+        edited = tmp_path / "golden.json"
+        edited.write_text(json.dumps(table), encoding="utf-8")
+        monkeypatch.setattr(sweep_mod, "GOLDEN_TABLE", edited)
+        self._rederive(monkeypatch)
+        assert all(a != b for a, b in zip(self._keys(base), current))
 
     def test_cache_version_5_invalidates_pre_bloom_entries(self, base, monkeypatch):
-        """Regression: the v4->v5 bump must change every key — pre-v5
-        pickles were hashed over a config shape that could not express the
-        Bloom fields, so a default-bloom-params run must never hit them."""
-        from repro.sim import sweep as sweep_mod
-
-        current = config_key(base)
-        monkeypatch.setattr(sweep_mod, "CACHE_VERSION", 4)
-        assert config_key(base) != current
+        """Regression: pre-Bloom pickles were hashed over a config shape
+        that could not express the Bloom fields, so a default-bloom-params
+        run must never hit them: that shape derives another RESULTS_VERSION
+        and so other keys."""
+        current = self._keys(base)
+        older = self._keys_under_config_shape(
+            base, monkeypatch, lambda name: name.startswith("bloom_")
+        )
+        assert all(a != b for a, b in zip(older, current))
 
     def test_cache_version_6_invalidates_pre_traffic_family_entries(
         self, base, monkeypatch
     ):
-        """Regression: the v5->v6 bump must change every key — pre-v6
-        pickles were hashed over a config shape that could only express
-        plain Poisson sources and step-on attackers, so a default
-        traffic_model run must never hit them."""
+        """Regression: pre-traffic-family pickles were hashed over a config
+        shape that could only express plain Poisson sources and step-on
+        attackers, so a default traffic_model run must never hit them."""
+        traffic = {"traffic_model", "attack_ramp_us"}
+        current = self._keys(base)
+        older = self._keys_under_config_shape(
+            base, monkeypatch, lambda name: name in traffic
+        )
+        assert all(a != b for a, b in zip(older, current))
+
+    def test_every_key_tracks_report_shape(self, base, monkeypatch):
+        """Adding a SimReport field moves every key: old pickles of the
+        narrower report can never answer a run."""
         from repro.sim import sweep as sweep_mod
 
-        current = config_key(base)
-        monkeypatch.setattr(sweep_mod, "CACHE_VERSION", 5)
-        assert config_key(base) != current
+        current = self._keys(base)
+        grown = dataclasses.make_dataclass(
+            "SimReport", [("extra", int, 0)], bases=(SimReport,)
+        )
+        monkeypatch.setattr(sweep_mod, "SimReport", grown)
+        self._rederive(monkeypatch)
+        assert all(a != b for a, b in zip(self._keys(base), current))
 
     def test_cache_key_tracks_traffic_family_fields(self, base):
         """The traffic-model and attacker-ramp knobs are hashed: sweeps that
@@ -186,10 +241,10 @@ class TestRunCache:
         report = run_simulation(base)
         report.counters = dict(report.counters)
         report.counters["bad"] = lambda: None  # pickling raises
-        cache.put(base, report)  # must not raise
+        cache.put(config_key(base), JobResult(report))  # must not raise
         assert list(tmp_path.glob("*.tmp")) == []
         assert list(tmp_path.glob("*.pkl")) == []
-        assert cache.get(base) is None  # a skip, not a corrupt entry
+        assert cache.get(config_key(base)) is None  # a skip, not a corrupt entry
 
     def test_unwritable_cache_dir_is_nonfatal(self, base, tmp_path):
         if os.geteuid() == 0:
@@ -199,10 +254,22 @@ class TestRunCache:
         locked.chmod(0o500)
         try:
             cache = RunCache(root=locked)
-            cache.put(base, run_simulation(base))  # must not raise
+            cache.put(config_key(base), JobResult(run_simulation(base)))
             assert list(locked.glob("*")) == []
         finally:
             locked.chmod(0o700)
+
+    def test_cache_root_under_a_file_is_nonfatal(self, base, tmp_path):
+        """Regression: the cache directory was created outside the
+        non-fatal skip, so a root that cannot exist (a path under a regular
+        file) raised NotADirectoryError after the sweep had simulated."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        sweep = Sweep(base, {}, seeds=(1,))
+        (point,) = sweep.run(cache=blocker / "cache")
+        assert sweep.stats.simulated == 1
+        assert point.reports[0].delivered > 0
+        assert RunCache(root=blocker / "cache").get(config_key(base)) is None
 
     def test_cache_key_tracks_bloom_fields(self, base):
         """The Bloom knobs are part of the hashed payload: two sweeps that
@@ -240,10 +307,10 @@ class TestRunCache:
 
     def test_wrong_object_in_entry_is_a_miss(self, base, tmp_path):
         cache = RunCache(root=tmp_path)
-        cache.put(base, run_simulation(base))
+        cache.put(config_key(base), JobResult(run_simulation(base)))
         (entry,) = tmp_path.glob("*.pkl")
         entry.write_bytes(pickle.dumps({"not": "a report"}))
-        assert cache.get(base) is None
+        assert cache.get(config_key(base)) is None
 
     def test_progress_reports_cache_hits(self, base, tmp_path):
         Sweep(base, GRID, seeds=(1,)).run(cache=tmp_path)
