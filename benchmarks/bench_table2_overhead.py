@@ -5,7 +5,7 @@ plus the live simulator's lookup counters confirming the per-packet column's
 ordering.  Benchmarks the model evaluation and the SIF filter hot path.
 """
 
-from repro.core.enforcement import SIFPortFilter
+from repro.core import SIFPortFilter
 from repro.core.overhead import EnforcementOverheadModel, f_linear
 from repro.experiments.table2_overhead import format_table2, measured_lookups, run_table2
 from repro.iba.keys import PKey

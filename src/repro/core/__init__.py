@@ -5,9 +5,11 @@ extensions (replay protection, alternative fast MACs).
 """
 
 from repro.core.enforcement import (
-    DPTPortFilter,
-    IngressPortFilter,
+    BloomPortFilter,
     SIFPortFilter,
+    TablePortFilter,
+    TrapDrivenPortFilter,
+    bloom_port_filter,
     install_enforcement,
 )
 from repro.core.overhead import EnforcementOverheadModel, OverheadRow
@@ -29,9 +31,11 @@ from repro.core.fastmac import PartialDigestFunction
 from repro.core.replay import ReplayWindowAnalysis, run_replay_experiment
 
 __all__ = [
-    "DPTPortFilter",
-    "IngressPortFilter",
+    "TablePortFilter",
+    "TrapDrivenPortFilter",
     "SIFPortFilter",
+    "BloomPortFilter",
+    "bloom_port_filter",
     "install_enforcement",
     "EnforcementOverheadModel",
     "OverheadRow",

@@ -5,22 +5,26 @@ All four designs share the same goal — invalid-P_Key packets must die at
 (or near) the edge instead of crossing the fabric — and differ in *where the
 partition state lives* and *what it costs*:
 
-* :class:`DPTPortFilter` (Duplicate Partition Table): every input port of
-  every switch holds the whole subnet's partition table and checks every
-  packet.  Memory n·p per switch, one f(n·p) lookup per packet per hop.
-* :class:`IngressPortFilter` (IF): only the HCA-facing port of the ingress
-  switch filters, with just the attached node's p entries.  One f(p) lookup
-  per packet — still paid by every legitimate packet forever.
+* DPT (Duplicate Partition Table): every input port of every switch holds
+  the whole subnet's partition table and checks every packet.  Memory n·p
+  per switch, one f(n·p) lookup per packet per hop.
+* IF (Ingress Filtering): only the HCA-facing port of the ingress switch
+  filters, with just the attached node's p entries.  One f(p) lookup per
+  packet — still paid by every legitimate packet forever.
+
+  Both are one :class:`TablePortFilter`; :func:`install_enforcement` alone
+  decides which table it holds and where it sits.
 * :class:`SIFPortFilter` (Stateful Ingress Filtering — the proposal):
   normally *disabled, zero cost*.  A destination HCA's P_Key-violation trap
   makes the SM register the bad P_Key here and switch filtering on; an
-  Ingress P_Key Violation Counter ages it back off when the attack stops.
+  Ingress P_Key Violation Counter ages it back off when the attack stops
+  (the :class:`TrapDrivenPortFilter` control plane).
   When the attacker sprays so many distinct P_Keys that the
   Invalid_P_Key_Table would outgrow the partition table, the filter flips
   from blacklist to whitelist mode ("the Invalid_P_Key_Table should be used
   as long as the number of entries is smaller than the partition table").
 * :class:`BloomPortFilter` (the fourth design — ROADMAP's "in-packet Bloom
-  filters", after arXiv 0908.3574 / 1901.00955): trap-activated like SIF,
+  filters", after arXiv 0908.3574 / 1901.00955): SIF's control plane,
   but the invalid-key state is a **fixed-size Bloom filter** — constant
   memory no matter how wide the spray — at the price of a tunable
   false-positive rate.  Its contract, checked by the fuzz oracle: it may
@@ -47,17 +51,21 @@ def _is_management(pkey: PKey) -> bool:
     return pkey.value == PKey.DEFAULT
 
 
-class DPTPortFilter:
-    """Always-on filter holding the full subnet partition table."""
+class TablePortFilter:
+    """Always-on filter over a fixed partition table — DPT and IF alike.
+
+    The two designs differ only in the table and where it sits, which
+    :func:`install_enforcement` decides: the whole subnet's table on every
+    port (DPT) or the node's own partitions at its ingress port (IF)."""
 
     def __init__(
         self,
-        subnet_pkey_indices: set[int],
+        pkey_indices: set[int],
         lookup_ns: float,
         registry: CounterRegistry | None = None,
-        scope: str = "filter.dpt",
+        scope: str = "filter.table",
     ) -> None:
-        self.table = set(subnet_pkey_indices)
+        self.partition_table = set(pkey_indices)
         self.lookup_ns = lookup_ns
         self.registry = registry if registry is not None else CounterRegistry()
         self.lookups = self.registry.counter(f"{scope}.lookups")
@@ -65,38 +73,30 @@ class DPTPortFilter:
 
     def process(self, packet: DataPacket, now_ps: int) -> tuple[bool, float]:
         self.lookups.inc()
-        if _is_management(packet.pkey) or packet.pkey.index in self.table:
+        if _is_management(packet.pkey) or packet.pkey.index in self.partition_table:
             return True, self.lookup_ns
         self.drops.inc()
         return False, self.lookup_ns
 
 
-class IngressPortFilter:
-    """Always-on ingress filter holding only the attached node's partitions."""
+class TrapDrivenPortFilter:
+    """The control plane SIF and Bloom share (paper Section 3.3).
 
-    def __init__(
-        self,
-        node_pkey_indices: set[int],
-        lookup_ns: float,
-        registry: CounterRegistry | None = None,
-        scope: str = "filter.if",
-    ) -> None:
-        self.table = set(node_pkey_indices)
-        self.lookup_ns = lookup_ns
-        self.registry = registry if registry is not None else CounterRegistry()
-        self.lookups = self.registry.counter(f"{scope}.lookups")
-        self.drops = self.registry.counter(f"{scope}.drops")
+    Normally *disabled, zero cost*.  The SM registers a trapped P_Key
+    (:meth:`register_invalid`), which switches filtering on and arms the
+    idle check; the check ages filtering back off, clearing the invalid-key
+    store, once the Ingress P_Key Violation Counter stops rising.
 
-    def process(self, packet: DataPacket, now_ps: int) -> tuple[bool, float]:
-        self.lookups.inc()
-        if _is_management(packet.pkey) or packet.pkey.index in self.table:
-            return True, self.lookup_ns
-        self.drops.inc()
-        return False, self.lookup_ns
+    A subclass supplies its own ``process`` and the invalid-key store:
+    ``_insert(pkey)`` stores a trapped P_Key (False when the store refuses
+    it), ``_registered_detail(pkey)`` describes an accepted registration
+    for the trace, and ``_clear()`` forgets every key when the filter goes
+    idle.
+    """
 
-
-class SIFPortFilter:
-    """Trap-activated, self-disabling ingress filter — the paper's design."""
+    #: Trace kinds are ``<prefix>_registered``, ``_activated`` and
+    #: ``_deactivated``.
+    trace_prefix = ""
 
     def __init__(
         self,
@@ -104,9 +104,9 @@ class SIFPortFilter:
         node_pkey_indices: set[int],
         lookup_ns: float,
         idle_timeout_us: float,
-        registry: CounterRegistry | None = None,
-        scope: str = "filter.sif",
-        tracer: Tracer | None = None,
+        registry: CounterRegistry | None,
+        scope: str,
+        tracer: Tracer | None,
     ) -> None:
         self.engine = engine
         self.partition_table = set(node_pkey_indices)
@@ -115,8 +115,6 @@ class SIFPortFilter:
         self.enabled = False
         self.scope = scope
         self.tracer = tracer
-        #: Invalid_P_Key_Table — P_Key indices the SM registered.
-        self.invalid_table: set[int] = set()
         self._counter_at_last_check = 0
         self._timer_armed = False
         #: Same-instant race guard: a registration that lands between two
@@ -136,6 +134,78 @@ class SIFPortFilter:
         self.drops = self.registry.counter(f"{scope}.drops")
         self.activations = self.registry.counter(f"{scope}.activations")
         self.deactivations = self.registry.counter(f"{scope}.deactivations")
+
+    # -- SM-facing control --------------------------------------------------
+
+    def register_invalid(self, pkey: PKey, now_ps: int) -> None:
+        """SM registers a trapped P_Key and enables filtering (Section 3.3)."""
+        if self._insert(pkey) and self.tracer is not None:
+            self.tracer.record(
+                self.engine.now, f"{self.trace_prefix}_registered", self.scope,
+                detail=self._registered_detail(pkey),
+            )
+        if not self.enabled:
+            self.enabled = True
+            self.activations.inc()
+            if self.tracer is not None:
+                self.tracer.record(
+                    self.engine.now, f"{self.trace_prefix}_activated", self.scope,
+                    detail=f"pkey=0x{pkey.value:04x}",
+                )
+        if self._timer_armed:
+            self._registered_since_check = True
+        else:
+            self._timer_armed = True
+            self._registered_since_check = False
+            self._counter_at_last_check = int(self.violation_counter)
+            self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+
+    def _idle_check(self) -> None:
+        # Only this check ever disables the filter, and it disarms the
+        # timer when it does, so it never runs on a disabled filter.
+        idle = (
+            self.violation_counter == self._counter_at_last_check
+            and not self._registered_since_check
+        )
+        self._registered_since_check = False
+        if idle:
+            # "If this counter does not increase for some time, the switch
+            # disables ingress filtering by itself."
+            self.enabled = False
+            self._clear()
+            self.deactivations.inc()
+            self._timer_armed = False
+            if self.tracer is not None:
+                self.tracer.record(
+                    self.engine.now, f"{self.trace_prefix}_deactivated", self.scope,
+                    detail=f"idle>{self.idle_timeout_ps}ps",
+                )
+            return
+        self._counter_at_last_check = int(self.violation_counter)
+        self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+
+
+class SIFPortFilter(TrapDrivenPortFilter):
+    """Trap-activated, self-disabling ingress filter — the paper's design."""
+
+    trace_prefix = "sif"
+
+    def __init__(
+        self,
+        engine: Engine,
+        node_pkey_indices: set[int],
+        lookup_ns: float,
+        idle_timeout_us: float,
+        registry: CounterRegistry | None = None,
+        scope: str = "filter.sif",
+        tracer: Tracer | None = None,
+    ) -> None:
+        super().__init__(
+            engine, node_pkey_indices, lookup_ns, idle_timeout_us,
+            registry, scope, tracer,
+        )
+        #: Invalid_P_Key_Table — P_Key indices the SM registered.
+        self.invalid_table: set[int] = set()
         self.rejected_registrations = self.registry.counter(
             f"{scope}.rejected_registrations"
         )
@@ -151,7 +221,7 @@ class SIFPortFilter:
         flips: its "whitelist" would be empty and would silently drop every
         non-management packet, far beyond the trap-driven design.  Such a
         port stays a blacklist whose table is capped at one entry (see
-        :meth:`register_invalid`)."""
+        :meth:`_insert`)."""
         return bool(self.partition_table) and len(self.invalid_table) >= len(
             self.partition_table
         )
@@ -184,70 +254,29 @@ class SIFPortFilter:
             return False, self.lookup_ns
         return True, self.lookup_ns
 
-    # -- SM-facing control --------------------------------------------------
+    # -- invalid-key store --------------------------------------------------
 
-    def register_invalid(self, pkey: PKey, now_ps: int) -> None:
-        """SM registers a trapped P_Key and enables filtering (Section 3.3).
-
-        The Invalid_P_Key_Table is bounded by the partition table: "the
+    def _insert(self, pkey: PKey) -> bool:
+        """The Invalid_P_Key_Table is bounded by the partition table: "the
         Invalid_P_Key_Table should be used as long as the number of entries
         is smaller than the partition table".  Once :attr:`whitelist_mode`
         is reached, further registrations are redundant — the whitelist
         already rejects every invalid P_Key — and are *not* inserted, so a
-        wide P_Key spray cannot grow the table without bound.
-        """
+        wide P_Key spray cannot grow the table without bound."""
         if self._table_full:
             self.rejected_registrations.inc()
-        else:
-            self.invalid_table.add(pkey.index)
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.engine.now, "sif_registered", self.scope,
-                    detail=f"pkey=0x{pkey.value:04x} entries={len(self.invalid_table)}",
-                )
-        if not self.enabled:
-            self.enabled = True
-            self.activations.inc()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.engine.now, "sif_activated", self.scope,
-                    detail=f"pkey=0x{pkey.value:04x}",
-                )
-        if self._timer_armed:
-            self._registered_since_check = True
-        else:
-            self._timer_armed = True
-            self._registered_since_check = False
-            self._counter_at_last_check = int(self.violation_counter)
-            self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+            return False
+        self.invalid_table.add(pkey.index)
+        return True
 
-    def _idle_check(self) -> None:
-        if not self.enabled:
-            self._timer_armed = False
-            return
-        idle = (
-            self.violation_counter == self._counter_at_last_check
-            and not self._registered_since_check
-        )
-        self._registered_since_check = False
-        if idle:
-            # "If this counter does not increase for some time, the switch
-            # disables ingress filtering by itself."
-            self.enabled = False
-            self.invalid_table.clear()
-            self.deactivations.inc()
-            self._timer_armed = False
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.engine.now, "sif_deactivated", self.scope,
-                    detail=f"idle>{self.idle_timeout_ps}ps",
-                )
-            return
-        self._counter_at_last_check = int(self.violation_counter)
-        self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+    def _registered_detail(self, pkey: PKey) -> str:
+        return f"pkey=0x{pkey.value:04x} entries={len(self.invalid_table)}"
+
+    def _clear(self) -> None:
+        self.invalid_table.clear()
 
 
-class BloomPortFilter:
+class BloomPortFilter(TrapDrivenPortFilter):
     """Trap-activated ingress filter with constant-memory Bloom state.
 
     The control plane is SIF's, unchanged: disabled (zero cost) until the
@@ -286,6 +315,8 @@ class BloomPortFilter:
     more filtering, never less.
     """
 
+    trace_prefix = "bloom"
+
     def __init__(
         self,
         engine: Engine,
@@ -300,13 +331,10 @@ class BloomPortFilter:
         scope: str = "filter.bloom",
         tracer: Tracer | None = None,
     ) -> None:
-        self.engine = engine
-        self.partition_table = set(node_pkey_indices)
-        self.lookup_ns = lookup_ns
-        self.idle_timeout_ps = round(idle_timeout_us * PS_PER_US)
-        self.enabled = False
-        self.scope = scope
-        self.tracer = tracer
+        super().__init__(
+            engine, node_pkey_indices, lookup_ns, idle_timeout_us,
+            registry, scope, tracer,
+        )
         self.inpacket_tag = inpacket_tag
         #: The constant-memory invalid-key state (replaces Invalid_P_Key_Table).
         self.bloom = BloomFilter(bloom_bits, bloom_hashes, salt)
@@ -317,24 +345,10 @@ class BloomPortFilter:
         #: classify drops as true vs false positive.  Never consulted by
         #: :meth:`process` for the accept/drop decision.
         self._exact_registered: set[int] = set()
-        self._counter_at_last_check = 0
-        self._timer_armed = False
-        self._registered_since_check = False  # same race guard as SIF
-        # statistics (registry-owned; see repro.sim.counters)
-        self.registry = registry if registry is not None else CounterRegistry()
-        #: Ingress P_Key Violation Counter — modeled hardware state the
-        #: idle-timeout check reads (same contract as SIF's).
-        self.violation_counter = self.registry.state_counter(
-            f"{scope}.violation_counter"
-        )
-        self.lookups = self.registry.counter(f"{scope}.lookups")
-        self.drops = self.registry.counter(f"{scope}.drops")
         self.false_positive_drops = self.registry.counter(
             f"{scope}.false_positive_drops"
         )
         self.tag_failures = self.registry.counter(f"{scope}.tag_failures")
-        self.activations = self.registry.counter(f"{scope}.activations")
-        self.deactivations = self.registry.counter(f"{scope}.deactivations")
         self.registrations = self.registry.counter(f"{scope}.registrations")
 
     # -- data path ----------------------------------------------------------
@@ -398,83 +412,66 @@ class BloomPortFilter:
         if not _is_management(packet.pkey) and idx in self.partition_table:
             packet.bloom_tag = self.bloom.tag(idx)
 
-    # -- SM-facing control --------------------------------------------------
+    # -- invalid-key store --------------------------------------------------
 
-    def register_invalid(self, pkey: PKey, now_ps: int) -> None:
-        """SM registers a trapped P_Key and enables filtering.
-
-        Unlike SIF there is no growth to bound — insertion is always
+    def _insert(self, pkey: PKey) -> bool:
+        """Unlike SIF there is no growth to bound — insertion is always
         accepted (constant memory), which is one leg of the
         never-under-filters argument."""
         self.bloom.add(pkey.index)
         self._exact_registered.add(pkey.index)
         self._registered_count += 1
         self.registrations.inc()
-        if self.tracer is not None:
-            self.tracer.record(
-                self.engine.now, "bloom_registered", self.scope,
-                detail=(
-                    f"pkey=0x{pkey.value:04x} raw={self._registered_count}"
-                    f" bits={self.bloom.bits_set}/{self.bloom.num_bits}"
-                ),
-            )
-        if not self.enabled:
-            self.enabled = True
-            self.activations.inc()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.engine.now, "bloom_activated", self.scope,
-                    detail=f"pkey=0x{pkey.value:04x}",
-                )
-        if self._timer_armed:
-            self._registered_since_check = True
-        else:
-            self._timer_armed = True
-            self._registered_since_check = False
-            self._counter_at_last_check = int(self.violation_counter)
-            self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+        return True
 
-    def _idle_check(self) -> None:
-        if not self.enabled:
-            self._timer_armed = False
-            return
-        idle = (
-            self.violation_counter == self._counter_at_last_check
-            and not self._registered_since_check
+    def _registered_detail(self, pkey: PKey) -> str:
+        return (
+            f"pkey=0x{pkey.value:04x} raw={self._registered_count}"
+            f" bits={self.bloom.bits_set}/{self.bloom.num_bits}"
         )
-        self._registered_since_check = False
-        if idle:
-            self.enabled = False
-            self.bloom.clear()
-            self._exact_registered.clear()
-            self._registered_count = 0
-            self.deactivations.inc()
-            self._timer_armed = False
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.engine.now, "bloom_deactivated", self.scope,
-                    detail=f"idle>{self.idle_timeout_ps}ps",
-                )
-            return
-        self._counter_at_last_check = int(self.violation_counter)
-        self.engine.schedule(self.idle_timeout_ps, self._idle_check)
+
+    def _clear(self) -> None:
+        self.bloom.clear()
+        self._exact_registered.clear()
+        self._registered_count = 0
 
 
-def bloom_port_salt(scope: str) -> bytes:
-    """Deterministic per-port secret salt for the in-packet tag.
+def bloom_port_filter(
+    engine: Engine,
+    cfg,
+    node_pkey_indices: set[int],
+    scope: str,
+    registry: CounterRegistry | None = None,
+    tracer: Tracer | None = None,
+) -> BloomPortFilter:
+    """The Bloom ingress filter *cfg* configures for the port named *scope*.
 
-    Domain-separated KDF over the port scope so every run (and every
-    differential leg of the same run) derives identical salts without
-    consuming any simulation randomness."""
+    The port's secret salt for the in-packet tag is a domain-separated KDF
+    over *scope*, so every run (and every differential leg of the same run)
+    derives identical salts without consuming any simulation randomness."""
     from repro.crypto.kdf import derive_key
 
-    return derive_key(b"repro.bloom.port-salt", scope.encode("utf-8"), 16)
+    return BloomPortFilter(
+        engine,
+        node_pkey_indices,
+        cfg.pkey_lookup_ns,
+        cfg.sif_idle_timeout_us,
+        bloom_bits=cfg.bloom_bits,
+        bloom_hashes=cfg.bloom_hashes,
+        salt=derive_key(b"repro.bloom.port-salt", scope.encode("utf-8"), 16),
+        inpacket_tag=cfg.bloom_inpacket_tag,
+        registry=registry,
+        scope=scope,
+        tracer=tracer,
+    )
 
 
 def install_enforcement(fabric, mode) -> None:
     """Wire the chosen enforcement mode into *fabric*'s switches.
 
-    Requires fabric.sm to exist with partitions already created.  For SIF
+    Requires fabric.sm to exist with partitions already created.  DPT puts
+    the whole subnet's table on every input port of every switch; IF, SIF
+    and Bloom put the node's own partitions at its ingress port.  For SIF
     and Bloom the SM's registration hooks are pointed at each node's
     ingress filter.
 
@@ -484,14 +481,13 @@ def install_enforcement(fabric, mode) -> None:
     filters as orphaned engine-timer targets).  Build a fresh fabric — or
     re-request the mode already installed, which is a no-op.
     """
-    from repro.iba.switch import HCA_PORT
     from repro.sim.config import EnforcementMode
 
     cfg = fabric.config
     sm = fabric.sm
     if sm is None:
         raise RuntimeError("fabric has no subnet manager")
-    installed = getattr(fabric, "enforcement_installed", None)
+    installed = fabric.enforcement_installed
     if installed is not None:
         if installed is mode:
             return  # idempotent: same mode already wired
@@ -499,70 +495,41 @@ def install_enforcement(fabric, mode) -> None:
             f"enforcement already installed on this fabric ({installed.value});"
             f" cannot re-install {mode.value} — build a fresh fabric"
         )
-    subnet_indices = sm.valid_pkey_indices()
-    registry = getattr(fabric, "registry", None)
-    tracer = getattr(fabric, "tracer", None)
-
     if mode is EnforcementMode.NONE:
-        fabric.enforcement_installed = mode
-        return
-    if mode is EnforcementMode.DPT:
-        for sw in fabric.all_switches():
-            for port in range(sw.num_ports):
-                sw.set_port_filter(
-                    port,
-                    DPTPortFilter(
-                        subnet_indices, cfg.pkey_lookup_ns,
-                        registry=registry, scope=f"filter.{sw.name}.p{port}",
-                    ),
-                )
-        fabric.enforcement_installed = mode
-        return
-    # IF, SIF, and Bloom filter only at the HCA-facing ingress port (HCA_PORT
-    # on the mesh; fat-tree edge switches host one HCA per low-numbered port).
-    for lid in fabric.lids:
-        sw = fabric.ingress_switch(lid)
-        port = fabric.ingress_port(lid) if hasattr(fabric, "ingress_port") else HCA_PORT
-        node_indices = sm.partitions_of(lid)
+        sites = []
+    elif mode is EnforcementMode.DPT:
+        subnet = sm.valid_pkey_indices()
+        sites = [
+            (None, sw, port, subnet)
+            for sw in fabric.all_switches()
+            for port in range(sw.num_ports)
+        ]
+    elif mode in (EnforcementMode.IF, EnforcementMode.SIF, EnforcementMode.BLOOM):
+        sites = [
+            (lid, fabric.ingress_switch(lid), fabric.ingress_port(lid),
+             sm.partitions_of(lid))
+            for lid in fabric.lids
+        ]
+    else:
+        raise ValueError(f"unknown enforcement mode {mode}")
+    for lid, sw, port, table in sites:
         scope = f"filter.{sw.name}.p{port}"
-        if mode is EnforcementMode.IF:
-            sw.set_port_filter(
-                port,
-                IngressPortFilter(
-                    node_indices, cfg.pkey_lookup_ns,
-                    registry=registry, scope=scope,
-                ),
-            )
-        elif mode is EnforcementMode.SIF:
+        if mode is EnforcementMode.SIF:
             filt = SIFPortFilter(
-                fabric.engine,
-                node_indices,
-                cfg.pkey_lookup_ns,
-                cfg.sif_idle_timeout_us,
-                registry=registry,
-                scope=scope,
-                tracer=tracer,
+                fabric.engine, table, cfg.pkey_lookup_ns, cfg.sif_idle_timeout_us,
+                registry=fabric.registry, scope=scope, tracer=fabric.tracer,
             )
-            sw.set_port_filter(port, filt)
-            sm.registration_hooks[int(lid)] = filt.register_invalid
         elif mode is EnforcementMode.BLOOM:
-            bloom_filt = BloomPortFilter(
-                fabric.engine,
-                node_indices,
-                cfg.pkey_lookup_ns,
-                cfg.sif_idle_timeout_us,
-                bloom_bits=cfg.bloom_bits,
-                bloom_hashes=cfg.bloom_hashes,
-                salt=bloom_port_salt(scope),
-                inpacket_tag=cfg.bloom_inpacket_tag,
-                registry=registry,
-                scope=scope,
-                tracer=tracer,
+            filt = bloom_port_filter(
+                fabric.engine, cfg, table, scope, fabric.registry, fabric.tracer
             )
-            sw.set_port_filter(port, bloom_filt)
-            sm.registration_hooks[int(lid)] = bloom_filt.register_invalid
             if cfg.bloom_inpacket_tag:
-                fabric.hca(lid).bloom_stamper = bloom_filt.stamp_tag
+                fabric.hca(lid).bloom_stamper = filt.stamp_tag
         else:
-            raise ValueError(f"unknown enforcement mode {mode}")
+            filt = TablePortFilter(
+                table, cfg.pkey_lookup_ns, registry=fabric.registry, scope=scope
+            )
+        sw.set_port_filter(port, filt)
+        if isinstance(filt, TrapDrivenPortFilter):
+            sm.registration_hooks[int(lid)] = filt.register_invalid
     fabric.enforcement_installed = mode

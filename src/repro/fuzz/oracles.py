@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core import BloomPortFilter, SIFPortFilter, bloom_port_filter
 from repro.core.attacks import forge_packet, inject_raw
 from repro.core.auth import auth_function_for
-from repro.core.enforcement import BloomPortFilter, SIFPortFilter, bloom_port_salt
 from repro.fuzz.generators import (
     ForgedInject,
     MutationContext,
@@ -307,16 +307,10 @@ def execute_scenario(
                 filt = sw.filters[port]
                 if not isinstance(filt, SIFPortFilter):
                     continue
-                bloom = BloomPortFilter(
-                    engine,
-                    set(filt.partition_table),
-                    filt.lookup_ns,
-                    config.sif_idle_timeout_us,
-                    bloom_bits=config.bloom_bits,
-                    bloom_hashes=config.bloom_hashes,
-                    salt=bloom_port_salt(filt.scope),
-                    inpacket_tag=False,  # a SIF run stamps no tags
-                    scope=f"shadow.{filt.scope}",
+                # private registry, no tracer: the run's report and trace
+                # stay those of a plain SIF run
+                bloom = bloom_port_filter(
+                    engine, config, filt.partition_table, filt.scope
                 )
                 shadow = _BloomShadowFilter(filt, bloom)
                 sw.set_port_filter(port, shadow)

@@ -20,7 +20,7 @@ from repro.iba.link import Link
 from repro.iba.subnet_manager import SubnetManager
 from repro.iba.switch import HCA_PORT, Switch
 from repro.iba.types import LID
-from repro.sim.config import SimConfig
+from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsCollector
@@ -58,6 +58,9 @@ class Fabric:
     registry: CounterRegistry = field(default_factory=CounterRegistry)
     #: lifecycle event bus (None = tracing off, zero overhead).
     tracer: Tracer | None = None
+    #: mode :func:`repro.core.enforcement.install_enforcement` wired in
+    #: (None until it runs).
+    enforcement_installed: EnforcementMode | None = None
 
     @property
     def lids(self) -> list[int]:

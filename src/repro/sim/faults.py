@@ -95,9 +95,8 @@ class FaultInjector:
                             qkeys.add(entry.packet.qkey)
                 # scrape filter tables (valid P_Key indices are keys too)
                 filt = switch.filters[port]
-                for attr in ("table", "partition_table"):
-                    for idx in getattr(filt, attr, ()):  # type: ignore[union-attr]
-                        pkeys.add(PKey(idx | PKey.FULL_MEMBER_BIT))
+                for idx in getattr(filt, "partition_table", ()):
+                    pkeys.add(PKey(idx | PKey.FULL_MEMBER_BIT))
             # packets still in the routing/enforcement pipeline stage are
             # physically in the input buffers too — they leak just the same
             for packet in switch.pipeline_packets():

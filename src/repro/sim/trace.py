@@ -12,7 +12,8 @@ packet lifecycle      ``created``, ``injected``, ``switch_rx``,
 security control      ``trap_raised`` (HCA → SM P_Key-violation trap),
                       ``sif_registered`` (SM registered a P_Key at the
                       ingress filter), ``sif_activated``,
-                      ``sif_deactivated`` (idle age-out)
+                      ``sif_deactivated`` (idle age-out); the Bloom
+                      filter emits the same three as ``bloom_*``
 faults                ``link_down``, ``link_up``
 ====================  ======================================================
 
@@ -22,10 +23,6 @@ ring buffer (oldest events evicted) so long production-scale runs can
 keep tracing on with O(1) memory.  :meth:`Tracer.to_jsonl` /
 :meth:`Tracer.jsonl_lines` export the buffer as JSON Lines — one event
 object per line — for offline analysis and the ``repro-sim trace`` CLI.
-
-The legacy :func:`attach_hca_tracer` / :func:`attach_switch_tracer`
-decorators remain for tracing a fabric that was built *without* a tracer;
-a fabric built with one must not also be wrapped (events would double).
 """
 
 from __future__ import annotations
@@ -164,72 +161,3 @@ class Tracer:
             n += 1
         return n
 
-
-def attach_hca_tracer(hca, tracer: Tracer) -> None:
-    """Wrap an HCA's submit/inject/deliver path with trace records.
-
-    For fabrics built without a native tracer only — a natively traced
-    HCA already emits these events itself.
-    """
-    original_submit = hca.submit
-    original_check = hca._check_and_deliver
-
-    def traced_submit(packet):
-        tracer.record(hca.engine.now, "created", f"hca{int(hca.lid)}", packet.packet_id)
-        original_submit(packet)
-
-    def traced_check(packet):
-        before = int(hca.delivered)
-        original_check(packet)
-        if hca.delivered > before:
-            tracer.record(
-                hca.engine.now, "delivered", f"hca{int(hca.lid)}", packet.packet_id
-            )
-        else:
-            tracer.record(
-                hca.engine.now, "dropped", f"hca{int(hca.lid)}", packet.packet_id
-            )
-
-    hca.submit = traced_submit
-    hca._check_and_deliver = traced_check
-
-    original_try_inject = hca._try_inject
-
-    def traced_try_inject():
-        # record injection times by diffing queue heads before/after
-        pending = {id(q): list(q) for q in hca.send_queues}
-        original_try_inject()
-        for q in hca.send_queues:
-            before_list = pending[id(q)]
-            gone = len(before_list) - len(q)
-            for pkt in before_list[:gone]:
-                tracer.record(
-                    hca.engine.now, "injected", f"hca{int(hca.lid)}", pkt.packet_id
-                )
-
-    hca._try_inject = traced_try_inject
-
-
-def attach_switch_tracer(switch, tracer: Tracer) -> None:
-    """Wrap a switch's receive/drop path with trace records (legacy —
-    see :func:`attach_hca_tracer`)."""
-    original_receive = switch.receive
-    original_pipeline = switch._pipeline_done
-
-    def traced_receive(packet, in_port):
-        tracer.record(
-            switch.engine.now, "switch_rx", switch.name, packet.packet_id,
-            f"port {in_port}",
-        )
-        original_receive(packet, in_port)
-
-    def traced_pipeline(packet, in_port, accept):
-        if not accept:
-            tracer.record(
-                switch.engine.now, "filtered", switch.name, packet.packet_id,
-                f"port {in_port}",
-            )
-        original_pipeline(packet, in_port, accept)
-
-    switch.receive = traced_receive
-    switch._pipeline_done = traced_pipeline

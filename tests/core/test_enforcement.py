@@ -1,16 +1,16 @@
-"""DPT/IF/SIF/Bloom port filters: accept/drop decisions, lookup costs, the
-SIF state machine (trap → enable → age out → whitelist flip), the Bloom
-never-under-filters contract, and fabric wiring."""
+"""Port filters: the DPT/IF table filter's accept/drop decisions and lookup
+costs, the trap-driven control plane SIF and Bloom share (trap → enable →
+age out), SIF's whitelist flip, the Bloom never-under-filters contract, and
+fabric wiring."""
 
 import random
 
 import pytest
 
-from repro.core.enforcement import (
+from repro.core import (
     BloomPortFilter,
-    DPTPortFilter,
-    IngressPortFilter,
     SIFPortFilter,
+    TablePortFilter,
     install_enforcement,
 )
 from repro.iba.keys import PKey
@@ -23,44 +23,114 @@ from tests.conftest import make_packet
 VALID = {1, 2, 3}
 
 
-class TestDPT:
+class TestTablePortFilter:
+    """The always-on filter behind DPT (a subnet-wide table) and IF (a
+    node-scoped table)."""
+
     def test_valid_accepted_with_lookup_cost(self):
-        f = DPTPortFilter(VALID, lookup_ns=50.0)
+        f = TablePortFilter(VALID, lookup_ns=50.0)
         ok, cost = f.process(make_packet(pkey=PKey(0x8001)), 0)
         assert ok and cost == 50.0
         assert f.lookups == 1
 
     def test_invalid_dropped_still_costs(self):
-        f = DPTPortFilter(VALID, lookup_ns=50.0)
+        f = TablePortFilter(VALID, lookup_ns=50.0)
         ok, cost = f.process(make_packet(pkey=PKey(0x8777)), 0)
         assert not ok and cost == 50.0
         assert f.drops == 1
 
     def test_membership_bit_ignored_for_filtering(self):
-        f = DPTPortFilter(VALID, lookup_ns=1.0)
+        f = TablePortFilter(VALID, lookup_ns=1.0)
         ok, _ = f.process(make_packet(pkey=PKey(0x0001)), 0)  # limited member
         assert ok
 
     def test_management_packets_pass(self):
-        f = DPTPortFilter(VALID, lookup_ns=1.0)
+        f = TablePortFilter(VALID, lookup_ns=1.0)
         ok, _ = f.process(make_packet(pkey=PKey(0xFFFF)), 0)
         assert ok
 
-
-class TestIF:
     def test_node_scoped_table(self):
-        f = IngressPortFilter({2}, lookup_ns=10.0)
+        f = TablePortFilter({2}, lookup_ns=10.0)
         assert f.process(make_packet(pkey=PKey(0x8002)), 0)[0]
         assert not f.process(make_packet(pkey=PKey(0x8001)), 0)[0]
 
     def test_management_passes(self):
-        f = IngressPortFilter(set(), lookup_ns=10.0)
+        f = TablePortFilter(set(), lookup_ns=10.0)
         assert f.process(make_packet(pkey=PKey(0xFFFF)), 0)[0]
 
 
-class TestSIFStateMachine:
-    def make(self, engine, partitions={1}, timeout_us=100.0):
+class SIFStore:
+    """Builds SIF filters and reads their exact Invalid_P_Key_Table."""
+
+    @staticmethod
+    def make(engine, partitions={1}, timeout_us=100.0):
         return SIFPortFilter(engine, partitions, lookup_ns=25.0, idle_timeout_us=timeout_us)
+
+    @staticmethod
+    def holds(f, pkey):
+        return pkey.index in f.invalid_table
+
+    @staticmethod
+    def is_clear(f):
+        return f.invalid_table == set()
+
+
+class BloomStore:
+    """Builds Bloom filters and reads their bit array."""
+
+    @staticmethod
+    def make(engine, partitions={1, 5}, timeout_us=1e6, bits=1024, hashes=4, **kw):
+        return BloomPortFilter(
+            engine, partitions, lookup_ns=25.0, idle_timeout_us=timeout_us,
+            bloom_bits=bits, bloom_hashes=hashes, **kw,
+        )
+
+    @staticmethod
+    def holds(f, pkey):
+        return pkey.index in f.bloom
+
+    @staticmethod
+    def is_clear(f):
+        return f.bloom.bits_set == 0 and f.registered_count == 0
+
+
+class ControlPlaneCases:
+    """The trap-driven control plane SIF and Bloom share, run against each
+    filter by the test classes that mix in its store."""
+
+    def test_idle_timeout_disables_and_clears(self, engine):
+        f = self.make(engine, timeout_us=50.0)
+        f.register_invalid(PKey(0x8999), engine.now)
+        assert f.enabled
+        engine.run(until=round(200 * PS_PER_US))
+        assert not f.enabled
+        assert self.is_clear(f)
+        assert f.deactivations == 1
+
+    def test_violations_keep_it_alive(self, engine):
+        f = self.make(engine, timeout_us=50.0)
+        f.register_invalid(PKey(0x8999), engine.now)
+
+        def attack_tick():
+            f.process(make_packet(pkey=PKey(0x8999)), engine.now)
+            if engine.now < 300 * PS_PER_US:
+                engine.schedule(round(20 * PS_PER_US), attack_tick)
+
+        attack_tick()
+        engine.run(until=round(250 * PS_PER_US))
+        assert f.enabled  # counter kept increasing
+
+    def test_reactivation_after_timeout(self, engine):
+        f = self.make(engine, timeout_us=50.0)
+        f.register_invalid(PKey(0x8999), engine.now)
+        engine.run(until=round(200 * PS_PER_US))
+        assert not f.enabled
+        f.register_invalid(PKey(0x8777), engine.now)
+        assert f.enabled
+        assert f.activations == 2
+
+
+class TestSIFStateMachine(SIFStore, ControlPlaneCases):
 
     def test_idle_costs_nothing(self, engine):
         f = self.make(engine)
@@ -106,37 +176,6 @@ class TestSIFStateMachine:
         f.register_invalid(PKey(0x8999), engine.now)
         assert f.process(make_packet(pkey=PKey(0xFFFF)), engine.now)[0]
 
-    def test_idle_timeout_disables_and_clears(self, engine):
-        f = self.make(engine, timeout_us=50.0)
-        f.register_invalid(PKey(0x8999), engine.now)
-        assert f.enabled
-        engine.run(until=round(200 * PS_PER_US))
-        assert not f.enabled
-        assert f.invalid_table == set()
-        assert f.deactivations == 1
-
-    def test_violations_keep_it_alive(self, engine):
-        f = self.make(engine, timeout_us=50.0)
-        f.register_invalid(PKey(0x8999), engine.now)
-
-        def attack_tick():
-            f.process(make_packet(pkey=PKey(0x8999)), engine.now)
-            if engine.now < 300 * PS_PER_US:
-                engine.schedule(round(20 * PS_PER_US), attack_tick)
-
-        attack_tick()
-        engine.run(until=round(250 * PS_PER_US))
-        assert f.enabled  # counter kept increasing
-
-    def test_reactivation_after_timeout(self, engine):
-        f = self.make(engine, timeout_us=50.0)
-        f.register_invalid(PKey(0x8999), engine.now)
-        engine.run(until=round(200 * PS_PER_US))
-        assert not f.enabled
-        f.register_invalid(PKey(0x8777), engine.now)
-        assert f.enabled
-        assert f.activations == 2
-
 
 class TestInstallEnforcement:
     def _fabric(self, mode):
@@ -157,15 +196,19 @@ class TestInstallEnforcement:
 
     def test_dpt_on_every_port(self):
         fabric = self._fabric(EnforcementMode.DPT)
+        subnet = fabric.sm.valid_pkey_indices()
         for sw in fabric.all_switches():
             for port in range(sw.num_ports):
-                assert isinstance(sw.filters[port], DPTPortFilter)
+                assert sw.filters[port].partition_table == subnet
 
     def test_if_only_on_hca_ports(self):
         fabric = self._fabric(EnforcementMode.IF)
-        for sw in fabric.all_switches():
-            assert isinstance(sw.filters[HCA_PORT], IngressPortFilter)
+        for lid in fabric.lids:
+            sw = fabric.ingress_switch(lid)
+            assert fabric.ingress_port(lid) == HCA_PORT
+            assert sw.filters[HCA_PORT].partition_table == fabric.sm.partitions_of(lid)
             assert all(f is None for f in sw.filters[HCA_PORT + 1 :])
+        assert not fabric.sm.registration_hooks  # always on: no trap wiring
 
     def test_sif_wires_sm_hooks(self):
         fabric = self._fabric(EnforcementMode.SIF)
@@ -179,13 +222,13 @@ class TestInstallEnforcement:
         sm = fabric.sm
         for lid in fabric.lids:
             filt = fabric.ingress_switch(lid).filters[HCA_PORT]
-            assert filt.table == sm.partitions_of(lid)
+            assert filt.partition_table == sm.partitions_of(lid)
 
     def test_dpt_tables_are_subnet_wide(self):
         fabric = self._fabric(EnforcementMode.DPT)
         sm = fabric.sm
         filt = fabric.all_switches()[0].filters[0]
-        assert filt.table == sm.valid_pkey_indices()
+        assert filt.partition_table == sm.valid_pkey_indices()
 
 
 class TestSIFSprayRegression:
@@ -250,14 +293,14 @@ class TestSIFZeroPartitionRegression:
         assert f.process(make_packet(pkey=PKey(0xFFFF)), engine.now)[0]
 
 
-class TestSIFReactivationRace:
+class ReactivationRaceCases:
     """Bugfix: a registration landing between two idle checks — with no
     drop-driven counter movement in the window — used to be invisible to
     the next ``_idle_check``, which deactivated on its stale counter
     snapshot and silently discarded the just-registered key."""
 
     def test_registration_between_checks_keeps_filter_alive(self, engine):
-        f = SIFPortFilter(engine, {1, 5}, lookup_ns=25.0, idle_timeout_us=50.0)
+        f = self.make(engine, {1, 5}, timeout_us=50.0)
         f.register_invalid(PKey(0x8999), engine.now)
         # second trap lands just before the 50 us idle check; no violations
         # (drops) occur in between, so only the race guard keeps it alive
@@ -267,30 +310,34 @@ class TestSIFReactivationRace:
         )
         engine.run(until=round(60 * PS_PER_US))
         assert f.enabled
-        assert PKey(0x8777).index in f.invalid_table
+        assert self.holds(f, PKey(0x8777))
         # ...and with no further activity the *next* check does deactivate
         engine.run(until=round(160 * PS_PER_US))
         assert not f.enabled
 
     def test_full_reactivation_cycle(self, engine):
-        f = SIFPortFilter(engine, {1, 5}, lookup_ns=25.0, idle_timeout_us=50.0)
+        f = self.make(engine, {1, 5}, timeout_us=50.0)
         f.register_invalid(PKey(0x8999), engine.now)
         engine.run(until=round(120 * PS_PER_US))
-        assert not f.enabled and f.invalid_table == set()
+        assert not f.enabled and self.is_clear(f)
         f.register_invalid(PKey(0x8777), engine.now)
         assert f.enabled
-        assert f.invalid_table == {PKey(0x8777).index}  # no stale first-cycle key
+        # no stale first-cycle key
+        assert self.holds(f, PKey(0x8777)) and not self.holds(f, PKey(0x8999))
         engine.run(until=round(300 * PS_PER_US))
         assert not f.enabled
         assert f.activations == 2 and f.deactivations == 2
 
 
-class TestBloomPortFilter:
-    def make(self, engine, partitions={1, 5}, bits=1024, hashes=4, **kw):
-        return BloomPortFilter(
-            engine, partitions, lookup_ns=25.0, idle_timeout_us=1e6,
-            bloom_bits=bits, bloom_hashes=hashes, **kw,
-        )
+class TestSIFReactivationRace(SIFStore, ReactivationRaceCases):
+    pass
+
+
+class TestBloomReactivationRace(BloomStore, ReactivationRaceCases):
+    pass
+
+
+class TestBloomPortFilter(BloomStore, ControlPlaneCases):
 
     def test_idle_costs_nothing(self, engine):
         f = self.make(engine)

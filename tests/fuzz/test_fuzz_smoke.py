@@ -1,7 +1,8 @@
-"""tier2_fuzz smoke: 10 generated scenarios through every invariant
-oracle and every differential axis — datapath fast vs reference,
-scheduler wheel vs heap, observability on vs off (the
-differential-identity acceptance check).
+"""tier2_fuzz smoke: the first ten generated scenarios, plus the first IF
+and the first SIF one, through every invariant oracle and every
+differential axis — datapath fast vs reference, scheduler wheel vs heap,
+observability on vs off (the differential-identity acceptance check) —
+and, for SIF, the Bloom shadow leg.
 
 Select with ``pytest -m tier2_fuzz``; also runs in the tier-1 suite."""
 
@@ -9,13 +10,18 @@ import pytest
 
 from repro.fuzz.generators import generate_scenario
 from repro.fuzz.oracles import run_scenario
+from repro.sim.config import EnforcementMode
 
 pytestmark = pytest.mark.tier2_fuzz
+
+#: scenario 10 is the first ``if`` and 16 the first ``sif`` of seed 0
+INDICES = (*range(10), 10, 16)
 
 
 def test_ten_scenarios_clean_and_differentially_identical():
     tampered = injected = 0
-    for index in range(10):
+    modes = set()
+    for index in INDICES:
         scenario = generate_scenario(0, index)
         result = run_scenario(scenario)
         assert result.ok, (
@@ -25,7 +31,12 @@ def test_ten_scenarios_clean_and_differentially_identical():
         # all four legs actually executed (datapath x scheduler x obs)
         assert result.heap is not None and result.obs_off is not None
         assert result.heap.report.events_processed == result.fast.report.events_processed
+        mode = scenario.build_config().enforcement
+        if mode is EnforcementMode.SIF:
+            assert result.bloom_shadow.bloom_shadows  # shadow Bloom filters ran
+        modes.add(mode)
         tampered += len(result.reference.tampered_ids)
         injected += len(result.reference.injected_ids)
-    # the batch genuinely exercised the attack surface
+    # the batch genuinely exercised the attack surface and every filter
     assert tampered + injected > 0
+    assert modes == set(EnforcementMode)

@@ -2,7 +2,7 @@
 
 from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.runner import build_experiment
-from repro.sim.trace import Tracer, attach_hca_tracer, attach_switch_tracer
+from repro.sim.trace import Tracer
 
 
 def small_run(tracer, enforcement=EnforcementMode.NONE, attackers=0):
@@ -12,11 +12,7 @@ def small_run(tracer, enforcement=EnforcementMode.NONE, attackers=0):
         best_effort_load=0.2, enable_realtime=False,
         num_attackers=attackers, enforcement=enforcement,
     )
-    engine, fabric, sources, flooders, _, _ = build_experiment(cfg)
-    for hca in fabric.hcas.values():
-        attach_hca_tracer(hca, tracer)
-    for sw in fabric.all_switches():
-        attach_switch_tracer(sw, tracer)
+    engine, fabric, sources, flooders, _, _ = build_experiment(cfg, tracer=tracer)
     engine.run(until=cfg.sim_time_ps)
     return fabric
 
