@@ -125,11 +125,8 @@ class TrapDrivenPortFilter:
         # statistics (registry-owned; see repro.sim.counters)
         self.registry = registry if registry is not None else CounterRegistry()
         #: Ingress P_Key Violation Counter (paper Section 3.3) — modeled
-        #: hardware state the idle-timeout check *reads*, so it must stay a
-        #: real counter even when observability is disabled.
-        self.violation_counter = self.registry.state_counter(
-            f"{scope}.violation_counter"
-        )
+        #: hardware state the idle-timeout check *reads*.
+        self.violation_counter = self.registry.counter(f"{scope}.violation_counter")
         self.lookups = self.registry.counter(f"{scope}.lookups")
         self.drops = self.registry.counter(f"{scope}.drops")
         self.activations = self.registry.counter(f"{scope}.activations")

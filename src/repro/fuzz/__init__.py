@@ -15,7 +15,7 @@ Pipeline (see DESIGN.md §3e):
 * :mod:`repro.fuzz.oracles` — executes a scenario under a chosen
   :class:`~repro.sim.config.RunModes` and checks the invariant catalogue,
   including the differential oracles that replay it on every leg
-  (``reference`` datapath, ``heap`` scheduler, observability off).
+  (``reference`` datapath, ``heap`` scheduler).
 * :mod:`repro.fuzz.shrink` — greedy delta debugging: minimize a failing
   scenario while the same oracle still fires.
 * :mod:`repro.fuzz.corpus` — content-addressed JSON corpus of failures

@@ -32,9 +32,8 @@ Single-run oracles (:data:`ORACLES`):
 stats, and traces (packet ids compared relative to each run's base, since
 ids are process-globally monotonic).  The same check runs across the
 scheduler axis (``wheel`` calendar queue vs the ``heap`` oracle — the
-queue structure must not change one observable bit), and
-:func:`check_observability_differential` proves a disabled observability
-layer changes nothing but the bookkeeping itself.
+queue structure must not change one observable bit).  Counters are
+always on, so every leg's counter snapshot is compared in full.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class Violation:
 
     oracle: str
     #: the :attr:`FuzzRun.leg` (``reference`` | ``fast`` | ``heap`` |
-    #: ``obs_off`` | ``bloom_shadow``), or ``differential`` / ``sharded``
+    #: ``bloom_shadow``), or ``differential`` / ``sharded``
     #: for a two-run oracle.
     mode: str
     message: str
@@ -203,13 +202,12 @@ class _BloomShadowFilter:
 def leg_name(modes: RunModes, bloom_shadow: bool = False) -> str:
     """The fuzz leg *modes* (plus the shadow-filter flag) amount to:
     ``fast`` for the default modes, else each departure from them joined
-    with ``+`` (``reference``, ``heap``, ``obs_off``, ``bloom_shadow``)."""
+    with ``+`` (``reference``, ``heap``, ``bloom_shadow``)."""
     parts = [
         name
         for name, departs in (
             ("reference", modes.datapath == "reference"),
             ("heap", modes.scheduler == "heap"),
-            ("obs_off", not modes.observability),
             ("bloom_shadow", bloom_shadow),
         )
         if departs
@@ -619,43 +617,6 @@ def check_differential(
     return out
 
 
-def check_observability_differential(on: FuzzRun, off: FuzzRun) -> list[Violation]:
-    """An observability-disabled run must produce the identical *simulation*
-    (per-class stats, drop taxonomy, events processed) while recording
-    nothing: zero counters and an empty trace prove the no-op swap is
-    actually in place rather than silently half-enabled."""
-    out: list[Violation] = []
-    if on.report.stats != off.report.stats:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"class stats differ: on={on.report.stats} off={off.report.stats}",
-        ))
-    if on.report.drops != off.report.drops:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"drop taxonomies differ: on={on.report.drops} off={off.report.drops}",
-        ))
-    if on.report.events_processed != off.report.events_processed:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"event counts differ: on={on.report.events_processed}"
-            f" off={off.report.events_processed}",
-        ))
-    live = {k: v for k, v in off.report.counters.items() if v}
-    if live:
-        shown = ", ".join(f"{k}={v}" for k, v in sorted(live.items())[:5])
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"disabled registry still recorded {len(live)} counters — {shown}",
-        ))
-    if off.tracer.events:
-        out.append(Violation(
-            "observability_differential", "differential",
-            f"disabled run still traced {len(off.tracer.events)} events",
-        ))
-    return out
-
-
 # -- sharded-engine differential ----------------------------------------------
 
 
@@ -764,7 +725,7 @@ class ScenarioResult:
 
     ``reference``/``fast`` are the two datapath legs (both under the
     ``wheel`` scheduler); ``heap`` re-runs the fast datapath on the binary
-    heap oracle scheduler, and ``obs_off`` with observability disabled.
+    heap oracle scheduler.
     ``bloom_shadow`` (SIF scenarios only) re-runs with shadow Bloom filters
     riding the SIF ingress ports for the dominance oracle — its extra
     shadow-timer events exclude it from the differential comparisons."""
@@ -774,7 +735,6 @@ class ScenarioResult:
     reference: FuzzRun | None = None
     fast: FuzzRun | None = None
     heap: FuzzRun | None = None
-    obs_off: FuzzRun | None = None
     bloom_shadow: FuzzRun | None = None
 
     @property
@@ -783,28 +743,24 @@ class ScenarioResult:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute a scenario across all four legs and run every oracle.
+    """Execute a scenario across all three legs and run every oracle.
 
     Legs: reference datapath, fast datapath (both on the ``wheel``
-    scheduler), fast datapath on the ``heap`` oracle scheduler, and fast
-    datapath with observability disabled.  The differential oracles
-    require the first three to be bit-identical in counters/stats/drops/
-    trace, and the obs-off leg to be the identical simulation with
-    provably empty instrumentation.  Each leg spells its modes out, so
-    the verdict never depends on the environment's default modes.
+    scheduler), and fast datapath on the ``heap`` oracle scheduler.  The
+    differential oracles require them to be bit-identical in counters/
+    stats/drops/trace.  Each leg spells its modes out, so the verdict
+    never depends on the environment's default modes.
     """
     fast_modes = RunModes()
     reference = execute_scenario(scenario, RunModes(datapath="reference"))
     fast = execute_scenario(scenario, fast_modes)
     heap = execute_scenario(scenario, RunModes(scheduler="heap"))
-    obs_off = execute_scenario(scenario, RunModes(observability=False))
     violations = (
         check_run(reference)
         + check_run(fast)
         + check_run(heap)
         + check_differential(fast, reference)
         + check_differential(fast, heap, oracle="scheduler_differential")
-        + check_observability_differential(fast, obs_off)
     )
     shadow = None
     if scenario.config.get("enforcement") == "sif":
@@ -812,5 +768,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         violations += check_run(shadow) + check_bloom_vs_sif(shadow)
     return ScenarioResult(
         scenario=scenario, violations=violations, reference=reference, fast=fast,
-        heap=heap, obs_off=obs_off, bloom_shadow=shadow,
+        heap=heap, bloom_shadow=shadow,
     )

@@ -354,16 +354,16 @@ class SimConfig:
 class RunModes:
     """How a run executes, as opposed to what it simulates (:class:`SimConfig`).
 
-    Every combination produces the identical simulation; the non-default
-    values exist as differential oracles.
+    Every combination produces the identical simulation, counters
+    included; the non-default values exist as differential oracles.
+    Counters are always on; tracing is opt-in per run (a ``tracer``
+    argument), not a mode (:mod:`repro.observability`).
 
     * ``datapath`` — ``"fast"`` (serialization caches, prefix-folded CRCs,
       the MAC tag memo and the Bloom probe memo) or ``"reference"`` (every
       cache off; the fuzz harness's oracle leg).
     * ``scheduler`` — the event queue: ``"wheel"`` (calendar queue) or
       ``"heap"`` (the queue-ordering oracle).
-    * ``observability`` — counters and traces on, or compiled out to no-op
-      calls (:mod:`repro.observability`).
 
     :func:`~repro.sim.runner.run_simulation` takes one of these and is the
     only place a run's modes are applied; :func:`~repro.sim.sweep.run_key`
@@ -372,7 +372,6 @@ class RunModes:
 
     datapath: str = "fast"
     scheduler: str = "wheel"
-    observability: bool = True
 
     def __post_init__(self) -> None:
         if self.datapath not in ("fast", "reference"):
@@ -381,19 +380,12 @@ class RunModes:
         if self.scheduler not in ("wheel", "heap"):
             raise ValueError(f"unknown scheduler mode {self.scheduler!r}; "
                              "choose from ('wheel', 'heap')")
-        if not isinstance(self.observability, bool):
-            raise ValueError(f"observability must be a bool, not {self.observability!r}")
 
 
 @functools.cache
 def default_modes() -> RunModes:
     """The modes a run takes when it is given none, read once per process
-    from ``REPRO_SCHEDULER`` (``wheel`` | ``heap``) and
-    ``REPRO_OBSERVABILITY`` (``on`` | ``off``); unset means the default.
-    Every sweep worker, shard worker and service job reads the same
-    environment as the process that started it, so they all agree."""
-    obs = os.environ.get("REPRO_OBSERVABILITY") or "on"
-    if obs not in ("on", "off"):
-        raise ValueError(f"REPRO_OBSERVABILITY={obs!r}; choose from ('on', 'off')")
-    return RunModes(scheduler=os.environ.get("REPRO_SCHEDULER") or "wheel",
-                    observability=obs == "on")
+    from ``REPRO_SCHEDULER`` (``wheel`` | ``heap``); unset means the
+    default.  Every sweep worker, shard worker and service job reads the
+    same environment as the process that started it, so they all agree."""
+    return RunModes(scheduler=os.environ.get("REPRO_SCHEDULER") or "wheel")

@@ -22,6 +22,10 @@ A :class:`Counter` emulates an integer (comparisons, arithmetic,
 verbatim; only the *producers* change, from ``self.x += 1`` to
 ``self.x.inc()``.  ``tools/check_bare_counters.py`` enforces that no new
 bare-integer stat sneaks back into ``iba/`` or ``core/``.
+
+Counters are always on: there is no disabled registry, so every report's
+snapshot is the run's full statistical state, whatever its run modes.
+Tracing, by contrast, is opt-in per run (see :mod:`repro.observability`).
 """
 
 from __future__ import annotations
@@ -39,17 +43,11 @@ class Counter:
     all work.
     """
 
-    __slots__ = ("name", "value", "kind")
+    __slots__ = ("name", "value")
 
-    def __init__(
-        self, name: str, value: int | float = 0, kind: str = "counter"
-    ) -> None:
+    def __init__(self, name: str, value: int | float = 0) -> None:
         self.name = name
         self.value = value
-        #: ``"counter"`` for plain statistics, ``"state"`` for counters the
-        #: simulation *reads* (see :meth:`CounterRegistry.state_counter`).
-        #: Cross-shard merges refuse to fold counters of different kinds.
-        self.kind = kind
 
     # -- mutation ----------------------------------------------------------
 
@@ -134,31 +132,6 @@ class Counter:
         return f"Counter({self.name}={self.value!r})"
 
 
-class NullCounter(Counter):
-    """A counter whose mutators are no-ops and whose value is pinned at 0.
-
-    A **disabled** :class:`CounterRegistry` hands every requester the same
-    shared instance, so hot-path call sites keep their unconditional
-    ``self.stat.inc()`` shape — the increment itself becomes a no-op
-    method call rather than a per-call ``if`` (the zero-cost-observability
-    contract; see :mod:`repro.observability`).  Reads still behave like the
-    number 0, so diagnostic code that compares counters keeps working.
-    """
-
-    __slots__ = ()
-
-    def inc(self, n: int | float = 1) -> None:
-        pass
-
-    add = inc
-
-    def reset(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"NullCounter({self.name})"
-
-
 class CounterRegistry:
     """Flat, ordered namespace of :class:`Counter` objects.
 
@@ -167,30 +140,18 @@ class CounterRegistry:
     twice against the same registry shares (and keeps accumulating into)
     its counters — components therefore use unique instance scopes.
 
-    Built with ``enabled=False`` the registry is a black hole: every
-    :meth:`counter` request returns one shared :class:`NullCounter`, the
-    namespace stays empty, and :meth:`snapshot` is ``{}``.  Simulation
-    behavior is unchanged because nothing in the data path *reads* plain
-    counters to make decisions — state the simulation does read (e.g. the
-    SIF Invalid P_Key violation counter, whose idle-timeout check compares
-    successive values) must be requested via :meth:`state_counter`, which
-    stays a real mutable counter in either mode.
+    A registry is always live: every counter it hands out records, and the
+    simulation may read a counter to make decisions (SIF's Invalid P_Key
+    violation counter drives its idle timeout).
     """
 
-    __slots__ = ("_counters", "enabled", "_null", "_state")
+    __slots__ = ("_counters",)
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self.enabled = enabled
-        self._null = NullCounter("disabled") if not enabled else None
-        # real counters handed out while disabled (see state_counter) —
-        # kept out of _counters so snapshot()/names() stay empty.
-        self._state: dict[str, Counter] = {}
 
     def counter(self, name: str, initial: int | float = 0) -> Counter:
         """Create (or fetch) the counter called *name*."""
-        if self._null is not None:
-            return self._null
         c = self._counters.get(name)
         if c is None:
             c = Counter(name, initial)
@@ -200,21 +161,6 @@ class CounterRegistry:
     #: Gauges are counters whose value is *set* rather than accumulated;
     #: the registry does not distinguish — the alias documents intent.
     gauge = counter
-
-    def state_counter(self, name: str, initial: int | float = 0) -> Counter:
-        """Create (or fetch) a counter that models **hardware state** the
-        simulation reads to make decisions.  Unlike :meth:`counter`, a
-        disabled registry still returns a real, mutable counter — nulling
-        it would change simulation behavior, not just observability.  When
-        disabled the counter is excluded from the exported namespace
-        (:meth:`snapshot` stays ``{}``); when enabled it is an ordinary
-        registry counter (of kind ``"state"``)."""
-        store = self._counters if self._null is None else self._state
-        c = store.get(name)
-        if c is None:
-            c = Counter(name, initial, kind="state")
-            store[name] = c
-        return c
 
     def get(self, name: str) -> int | float:
         """Current value of *name* (0 when never registered)."""
@@ -246,50 +192,3 @@ class CounterRegistry:
             for name in sorted(self._counters)
             if pattern is None or fnmatchcase(name, pattern)
         }
-
-    def kinds(self) -> dict[str, str]:
-        """``{name: kind}`` for every registered counter — the sharded
-        engine ships this alongside :meth:`snapshot` so merges can enforce
-        kind agreement across process boundaries."""
-        return {name: c.kind for name, c in self._counters.items()}
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: dict[str, int | float],
-        kinds: dict[str, str] | None = None,
-    ) -> "CounterRegistry":
-        """Rebuild an enabled registry from a :meth:`snapshot` dict (and an
-        optional :meth:`kinds` map), preserving the dict's iteration order.
-        This is how per-shard counter state is rehydrated for a cross-shard
-        :meth:`merge`."""
-        registry = cls(enabled=True)
-        kinds = kinds or {}
-        for name, value in snapshot.items():
-            registry._counters[name] = Counter(
-                name, value, kind=kinds.get(name, "counter")
-            )
-        return registry
-
-    def merge(self, other: "CounterRegistry") -> None:
-        """Fold *other*'s counters into this registry, in place.
-
-        Same-name counters sum; names only *other* has are appended in
-        *other*'s order after this registry's existing names, so repeated
-        merges preserve a stable, deterministic counter ordering.  A
-        same-name pair whose kinds disagree (plain ``"counter"`` vs
-        ``"state"``) raises ``ValueError`` — summing hardware state into a
-        statistic (or vice versa) is always a wiring bug.  Merging an empty
-        or disabled registry is a no-op, so shards that processed nothing
-        cost nothing."""
-        for name, theirs in other._counters.items():
-            mine = self._counters.get(name)
-            if mine is None:
-                self._counters[name] = Counter(name, theirs.value, theirs.kind)
-            elif mine.kind != theirs.kind:
-                raise ValueError(
-                    f"cannot merge counter {name!r}: kind {mine.kind!r} "
-                    f"!= {theirs.kind!r}"
-                )
-            else:
-                mine.value += theirs.value

@@ -198,12 +198,8 @@ class MetricsCollector:
         return sorted(set(self._queuing) | set(self._network))
 
     def count(self, traffic_class: str) -> int:
-        """Delivered-packet count for *traffic_class* (0 when unseen).
-
-        Public accessor so report builders never index ``_queuing``
-        directly — a class observed on only one of the two accumulators
-        (e.g. network-only samples merged in externally) must not KeyError.
-        """
+        """Delivered-packet count for *traffic_class* (0 when unseen on
+        both accumulators)."""
         q = self._queuing.get(traffic_class)
         n = self._network.get(traffic_class)
         return max(q.count if q else 0, n.count if n else 0)

@@ -29,9 +29,8 @@ from repro.sim.config import (
     SimConfig,
     default_modes,
 )
-from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine, PS_PER_US
-from repro.sim.metrics import MetricsCollector, MetricsSummary
+from repro.sim.metrics import MetricsCollector, MetricsSummary, StatAccumulator
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
 from repro.sim.traffic import (
@@ -100,7 +99,7 @@ class SimReport:
         )
 
     # The enforcement/SM headline numbers, read from the counter snapshot
-    # (0 when observability was off and the snapshot is empty).
+    # (which every run carries in full: counters are always on).
 
     @property
     def switch_filtered(self) -> int:
@@ -146,12 +145,7 @@ class SimReport:
             "best_effort": self.config.best_effort_load if self.config.enable_best_effort else 0.0,
             "realtime": self.config.realtime_load if self.config.enable_realtime else 0.0,
         }.get(traffic_class, 0.0)
-        if traffic_class in self.senders:
-            senders = self.senders[traffic_class]
-        else:
-            # Report built without sender counts: best available estimate.
-            senders = self.config.num_nodes - self.config.num_attackers
-        return load * self.config.link_bandwidth_gbps * senders
+        return load * self.config.link_bandwidth_gbps * self.senders.get(traffic_class, 0)
 
     def excluding_attack_windows(self, traffic_class: str) -> tuple[float, float]:
         """(queuing_us, network_us) over deliveries injected outside attack
@@ -179,6 +173,37 @@ class SimReport:
         return "\n".join(lines)
 
 
+def class_stats(
+    queuing: dict[str, StatAccumulator], network: dict[str, StatAccumulator]
+) -> dict[str, ClassStats]:
+    """A report's ``stats``: one :class:`ClassStats` per traffic class, in
+    class-name order, from per-class queuing and network latency
+    accumulators (ps).  A class missing from one side reads as empty."""
+    empty = StatAccumulator()
+    stats = {}
+    for name in sorted(set(queuing) | set(network)):
+        q, n = queuing.get(name, empty), network.get(name, empty)
+        stats[name] = ClassStats(
+            queuing_us=q.mean / PS_PER_US,
+            network_us=n.mean / PS_PER_US,
+            queuing_std_us=q.stddev / PS_PER_US,
+            network_std_us=n.stddev / PS_PER_US,
+            count=max(q.count, n.count),
+        )
+    return stats
+
+
+def count_senders(sources) -> dict[str, int]:
+    """A report's ``senders``: how many traffic sources started per class."""
+    senders = {"best_effort": 0, "realtime": 0}
+    for src in sources:
+        if isinstance(src, BestEffortSource):
+            senders["best_effort"] += 1
+        elif isinstance(src, RealtimeSource):
+            senders["realtime"] += 1
+    return senders
+
+
 def estimate_rtt_ps(fabric: Fabric, src: int, dst: int) -> int:
     """Round-trip estimate for a 256-byte management exchange, used as the
     QP-level key-exchange cost ("one round trip time delay")."""
@@ -202,8 +227,8 @@ def build_experiment(
     Split from :func:`run_simulation` so tests can poke at intermediate
     state and examples can drive the fabric interactively.  *tracer*
     (optional) is wired into every component as the lifecycle event bus.
-    *modes* picks the engine's queue and whether the fabric carries
-    counters and traces (default: :func:`~repro.sim.config.default_modes`).
+    *modes* picks the engine's queue (default:
+    :func:`~repro.sim.config.default_modes`).
 
     *only_lids* restricts which nodes get **active** traffic sources and
     flooders; the fabric, partitions, QPs, and attack schedule are still
@@ -217,13 +242,7 @@ def build_experiment(
         modes = default_modes()
     engine = Engine(modes.scheduler)
     metrics = MetricsCollector(keep_samples=config.keep_samples)
-    # Zero-cost observability (repro.observability): off builds the whole
-    # fabric against a null counter registry and without a tracer, so the
-    # hot path's bookkeeping reduces to no-op calls.
-    if not modes.observability:
-        tracer = None
-    registry = CounterRegistry(enabled=modes.observability)
-    fabric = build_fabric(engine, config, metrics, registry=registry, tracer=tracer)
+    fabric = build_fabric(engine, config, metrics, tracer=tracer)
     streams = RngStreams(config.seed)
 
     sm = SubnetManager(
@@ -414,9 +433,9 @@ def run_simulation(
     :mod:`repro.sim.metrics_server`).
 
     *modes* (default: :func:`~repro.sim.config.default_modes`) is how the
-    run executes: the engine's queue, whether the fabric carries counters
-    and traces, and the datapath, which is held at ``modes.datapath`` for
-    the run and restored afterwards.  Sharded runs hand it to every shard.
+    run executes: the engine's queue, and the datapath, which is held at
+    ``modes.datapath`` for the run and restored afterwards.  Sharded runs
+    hand it to every shard.
     """
     if modes is None:
         modes = default_modes()
@@ -453,32 +472,16 @@ def run_simulation(
     wall = time.perf_counter() - t0
 
     metrics = fabric.metrics
-    stats = {
-        name: ClassStats(
-            queuing_us=metrics.queuing_us(name),
-            network_us=metrics.network_us(name),
-            queuing_std_us=metrics.queuing_std_us(name),
-            network_std_us=metrics.network_std_us(name),
-            count=metrics.count(name),
-        )
-        for name in metrics.classes()
-    }
-    senders = {"best_effort": 0, "realtime": 0}
-    for src in sources:
-        if isinstance(src, BestEffortSource):
-            senders["best_effort"] += 1
-        elif isinstance(src, RealtimeSource):
-            senders["realtime"] += 1
     return SimReport(
         config=config,
-        stats=stats,
+        stats=class_stats(metrics._queuing, metrics._network),
         drops=dict(metrics.dropped),
         delivered=metrics.delivered,
         attack_windows=windows,
         key_exchanges=int(getattr(key_manager, "exchanges", 0)),
         events_processed=engine.events_processed,
         wall_seconds=wall,
-        senders=senders,
+        senders=count_senders(sources),
         metrics=metrics.summary() if config.keep_samples else None,
         counters=fabric.registry.snapshot(),
     )

@@ -52,8 +52,6 @@ from dataclasses import dataclass, field
 from repro.iba.link import Link
 from repro.iba.topology import FT_AGG, FT_CORE
 from repro.sim.config import RunModes, SimConfig
-from repro.sim.counters import CounterRegistry
-from repro.sim.engine import PS_PER_US
 from repro.sim.metrics import LatencySample, MetricsSummary, StatAccumulator
 from repro.sim.partition import ShardPlan, lookahead_ps
 
@@ -119,7 +117,6 @@ class ShardResult:
 
     shard: int
     counters: dict[str, int | float]
-    kinds: dict[str, str]
     delivered: int
     drops: dict[str, int]
     senders: dict[str, int]
@@ -299,22 +296,14 @@ class ShardRuntime:
         def pack(acc: StatAccumulator) -> tuple:
             return (acc.count, acc._mean, acc._m2, acc.min, acc.max)
 
-        senders = {"best_effort": 0, "realtime": 0}
-        from repro.sim.traffic import BestEffortSource, RealtimeSource
+        from repro.sim.runner import count_senders
 
-        for src in self.sources:
-            if isinstance(src, BestEffortSource):
-                senders["best_effort"] += 1
-            elif isinstance(src, RealtimeSource):
-                senders["realtime"] += 1
-        registry = self.fabric.registry
         return ShardResult(
             shard=self.shard_id,
-            counters=registry.snapshot(),
-            kinds=registry.kinds(),
+            counters=self.fabric.registry.snapshot(),
             delivered=metrics.delivered,
             drops=dict(metrics.dropped),
-            senders=senders,
+            senders=count_senders(self.sources),
             events_processed=self.engine.events_processed,
             busy_seconds=self.busy_seconds,
             attack_windows=list(self.windows),
@@ -457,6 +446,19 @@ def _run_rounds(drivers: list, end_ps: int) -> int:
     return rounds
 
 
+def fold_counters(snapshots) -> dict[str, int | float]:
+    """Sum per-shard counter snapshots name by name, in the order given,
+    into one name-sorted snapshot; a name only some shards have is kept."""
+    total: dict[str, int | float] = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            if name in total:
+                total[name] += value
+            else:
+                total[name] = value
+    return dict(sorted(total.items()))
+
+
 def _merge_results(
     config: SimConfig,
     results: list[ShardResult],
@@ -464,11 +466,7 @@ def _merge_results(
     rounds: int,
 ):
     """Fold per-shard results into one schema-compatible SimReport."""
-    from repro.sim.runner import ClassStats, SimReport
-
-    merged = CounterRegistry(enabled=True)
-    for r in results:
-        merged.merge(CounterRegistry.from_snapshot(r.counters, r.kinds))
+    from repro.sim.runner import SimReport, class_stats
 
     drops: dict[str, int] = {}
     senders: dict[str, int] = {}
@@ -507,18 +505,7 @@ def _merge_results(
             for cls, state in r.network_acc.items():
                 network.setdefault(cls, StatAccumulator()).merge(unpack(state))
 
-    stats = {
-        cls: ClassStats(
-            queuing_us=queuing[cls].mean / PS_PER_US,
-            network_us=network[cls].mean / PS_PER_US,
-            queuing_std_us=queuing[cls].stddev / PS_PER_US,
-            network_std_us=network[cls].stddev / PS_PER_US,
-            count=max(queuing[cls].count, network[cls].count),
-        )
-        for cls in sorted(set(queuing) | set(network))
-    }
-
-    counters = merged.snapshot()
+    counters = fold_counters(r.counters for r in results)
     counters["shard.count"] = config.shards
     counters["shard.rounds"] = rounds
     counters["shard.lookahead_ps"] = lookahead_ps(config)
@@ -527,7 +514,7 @@ def _merge_results(
 
     return SimReport(
         config=config,
-        stats=stats,
+        stats=class_stats(queuing, network),
         drops=drops,
         delivered=sum(r.delivered for r in results),
         attack_windows=results[0].attack_windows,

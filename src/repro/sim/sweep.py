@@ -107,10 +107,9 @@ def run_key(modes: RunModes | None = None, **body: Any) -> str:
     the run executes under (default:
     :func:`~repro.sim.config.default_modes`) in beside the canonicalised
     *body*, so a result cached under one mode never answers a run under
-    another: the modes are meant to be bit-identical, but proving that is
-    exactly what an oracle-mode run is for, and observability-off runs
-    carry no counter snapshot.  This is the one place the modes enter a
-    cache key.
+    another: the modes are meant to be bit-identical, counters included,
+    but proving that is exactly what an oracle-mode run is for.  This is
+    the one place the modes enter a cache key.
     """
     payload = {
         "results_version": RESULTS_VERSION,

@@ -148,7 +148,7 @@ class TestLegLabels:
     def test_every_leg_is_named(self):
         result = run_scenario(small_scenario(enforcement="sif", num_attackers=1))
         legs = {name: getattr(result, name).leg for name in
-                ("reference", "fast", "heap", "obs_off", "bloom_shadow")}
+                ("reference", "fast", "heap", "bloom_shadow")}
         assert legs == {name: name for name in legs}
         assert result.heap.modes == RunModes(scheduler="heap")
 

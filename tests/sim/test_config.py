@@ -171,12 +171,10 @@ class TestEnums:
 
 class TestRunModes:
     def test_defaults(self):
-        assert RunModes() == RunModes("fast", "wheel", True)
+        assert RunModes() == RunModes("fast", "wheel")
 
     @pytest.mark.parametrize("field, value", [
         ("datapath", "turbo"),
-        ("observability", "on"),
-        ("observability", 1),
     ])
     def test_unknown_value_rejected(self, field, value):
         # unknown schedulers: test_scheduler.py::TestModeSelection
@@ -188,10 +186,4 @@ class TestRunModes:
             RunModes().scheduler = "heap"
 
     def test_default_reads_environment(self, default_env):
-        assert default_env(REPRO_SCHEDULER="heap", REPRO_OBSERVABILITY="off") == (
-            RunModes(scheduler="heap", observability=False)
-        )
-
-    def test_invalid_observability_environment_rejected(self, default_env):
-        with pytest.raises(ValueError):
-            default_env(REPRO_OBSERVABILITY="bogus")
+        assert default_env(REPRO_SCHEDULER="heap") == RunModes(scheduler="heap")

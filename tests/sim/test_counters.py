@@ -108,169 +108,41 @@ class TestCounterRegistry:
         assert not isinstance(rebound, Counter)
 
 
-class TestDisabledRegistry:
-    """The zero-cost-observability contract: a disabled registry nulls
-    plain counters but must keep *state* counters real — the simulation
-    reads those to make decisions (SIF idle-timeout deactivation)."""
+def test_counters_are_on_whatever_the_environment(default_env):
+    """Regression: ``REPRO_OBSERVABILITY=off`` used to zero every counter,
+    so Table 2's measured lookups read 0/0/0.  Counters are always on now,
+    and the variable no longer selects anything."""
+    from repro.experiments.table2_overhead import measured_lookups
+    from repro.sim.config import EnforcementMode, SimConfig
+    from repro.sim.runner import run_simulation
 
-    def test_disabled_counter_is_null(self):
-        from repro.sim.counters import CounterRegistry, NullCounter
-
-        reg = CounterRegistry(enabled=False)
-        c = reg.counter("a.b")
-        assert isinstance(c, NullCounter)
-        c.inc(5)
-        assert int(c) == 0
-        assert reg.snapshot() == {}
-
-    def test_disabled_state_counter_stays_real(self):
-        from repro.sim.counters import CounterRegistry
-
-        reg = CounterRegistry(enabled=False)
-        c = reg.state_counter("filter.sif.violation_counter")
-        c.inc(3)
-        assert int(c) == 3
-        assert reg.state_counter("filter.sif.violation_counter") is c
-        # but it must not leak into the exported namespace
-        assert reg.snapshot() == {}
-        assert reg.names() == []
-
-    def test_enabled_state_counter_is_ordinary(self):
-        from repro.sim.counters import CounterRegistry
-
-        reg = CounterRegistry()
-        c = reg.state_counter("filter.sif.violation_counter")
-        assert reg.counter("filter.sif.violation_counter") is c
-        c.inc()
-        assert reg.snapshot() == {"filter.sif.violation_counter": 1}
-
-    def test_sif_idle_deactivation_independent_of_observability(self):
-        """Regression (found by fuzzing): with a disabled registry the
-        violation counter must still advance, or SIF deactivates on the
-        first idle check and the attack outcome changes."""
-        from repro.core.enforcement import SIFPortFilter
-        from repro.iba.keys import PKey
-        from repro.sim.counters import CounterRegistry
-        from repro.sim.engine import Engine
-
-        def drops_with(enabled):
-            engine = Engine()
-            sif = SIFPortFilter(
-                engine, node_pkey_indices=[0], lookup_ns=20.0,
-                idle_timeout_us=50.0,
-                registry=CounterRegistry(enabled=enabled),
-            )
-            sif.register_invalid(PKey(0x0005), engine.now)
-            dropped = 0
-
-            class _Pkt:
-                pkey = PKey(0x0005)
-
-            def offend():
-                nonlocal dropped
-                ok, _ = sif.process(_Pkt(), engine.now)
-                dropped += not ok
-                if engine.now < 400_000_000:
-                    engine.schedule(10_000_000, offend)  # every 10 us
-
-            engine.schedule(0, offend)
-            engine.run()
-            return dropped, sif.enabled
-
-        assert drops_with(True) == drops_with(False)
+    default_env(REPRO_OBSERVABILITY="off")
+    counts = measured_lookups(sim_time_us=300)
+    assert counts["dpt"] > counts["if"] > 0
+    report = run_simulation(SimConfig(
+        sim_time_us=60.0, warmup_us=0.0, seed=1, enforcement=EnforcementMode.DPT,
+    ))
+    assert report.switch_lookups > 0
 
 
-class TestMergeAndSnapshot:
-    """Cross-shard merge contract: order-stable, kind-checked, summing."""
+@pytest.mark.parametrize("shards, expected", [
+    ([{"drops": 3}, {"drops": 4}], {"drops": 7}),
+    ([{"drops": 3}, {"drops": 4.5}, {"drops": 0.25}], {"drops": 7.75}),
+    ([{"x": 5}, {}], {"x": 5}),
+    ([{"mine": 1}, {"theirs": 2}], {"mine": 1, "theirs": 2}),
+    ([{"z.late": 1, "a.early": 2}, {"m.mid": 3, "a.early": 1}],
+     {"a.early": 3, "m.mid": 3, "z.late": 1}),
+    ([{"shared": 1, "only.0": 0}, {"shared": 10, "only.1": 1},
+      {"shared": 100, "only.2": 2}],
+     {"only.0": 0, "only.1": 1, "only.2": 2, "shared": 111}),
+], ids=["ints", "floats", "empty_shard", "one_shard_names", "sorted", "three_shards"])
+def test_shard_counter_fold(shards, expected):
+    """The sharded report's counters: same-name values sum, a name only one
+    shard has is kept, the result is name-sorted, and folding in shard
+    order is deterministic."""
+    from repro.sim.shard import fold_counters
 
-    def test_merge_empty_is_noop(self):
-        a = CounterRegistry()
-        a.counter("x").inc(5)
-        a.merge(CounterRegistry())
-        assert a.snapshot() == {"x": 5}
-
-    def test_merge_into_empty_preserves_order(self):
-        # registration order survives the merge (kinds() iterates it);
-        # the exported names()/snapshot() views stay name-sorted
-        a = CounterRegistry()
-        b = CounterRegistry()
-        for name in ("z.late", "a.early", "m.mid"):
-            b.counter(name).inc()
-        a.merge(b)
-        assert list(a.kinds()) == ["z.late", "a.early", "m.mid"]
-        assert a.names() == ["a.early", "m.mid", "z.late"]
-
-    def test_disjoint_names_append_after_existing(self):
-        a = CounterRegistry()
-        a.counter("mine").inc(1)
-        b = CounterRegistry()
-        b.counter("theirs").inc(2)
-        a.merge(b)
-        assert list(a.kinds()) == ["mine", "theirs"]
-        assert a.get("theirs") == 2
-
-    def test_same_name_sums(self):
-        a, b = CounterRegistry(), CounterRegistry()
-        a.counter("drops").inc(3)
-        b.counter("drops").inc(4)
-        b.counter("drops").inc(0.5)
-        a.merge(b)
-        assert a.get("drops") == 7.5
-
-    def test_kind_mismatch_raises(self):
-        a, b = CounterRegistry(), CounterRegistry()
-        a.counter("filter.sif.violation_counter")
-        b.state_counter("filter.sif.violation_counter")
-        with pytest.raises(ValueError, match="kind"):
-            a.merge(b)
-
-    def test_state_counters_merge_with_state(self):
-        a, b = CounterRegistry(), CounterRegistry()
-        a.state_counter("vc").inc(2)
-        b.state_counter("vc").inc(3)
-        a.merge(b)
-        assert a.get("vc") == 5
-        assert a.kinds() == {"vc": "state"}
-
-    def test_from_snapshot_round_trip(self):
-        src = CounterRegistry()
-        src.counter("pk.drops").inc(7)
-        src.state_counter("vc").inc(2)
-        rebuilt = CounterRegistry.from_snapshot(src.snapshot(), src.kinds())
-        assert rebuilt.snapshot() == src.snapshot()
-        assert rebuilt.kinds() == src.kinds()
-        assert rebuilt.names() == src.names()
-
-    def test_repeated_merge_matches_single_registry(self):
-        # snapshot -> from_snapshot -> merge equals incrementing in place
-        direct = CounterRegistry()
-        acc = CounterRegistry()
-        for val in (3, 4):
-            direct.counter("drops").inc(val)
-            part = CounterRegistry()
-            part.counter("drops").inc(val)
-            acc.merge(
-                CounterRegistry.from_snapshot(part.snapshot(), part.kinds())
-            )
-        assert acc.snapshot() == direct.snapshot()
-
-    def test_from_snapshot_defaults_to_plain_kind(self):
-        rebuilt = CounterRegistry.from_snapshot({"x": 1})
-        assert rebuilt.kinds() == {"x": "counter"}
-
-    def test_repeated_merge_is_deterministic(self):
-        # shard results folded in shard order twice produce identical
-        # registries — the invariant the report writer depends on
-        def build():
-            acc = CounterRegistry()
-            for shard, val in ((0, 1), (1, 10), (2, 100)):
-                part = CounterRegistry()
-                part.counter("shared").inc(val)
-                part.counter(f"only.{shard}").inc(shard)
-                acc.merge(part)
-            return acc
-
-        one, two = build(), build()
-        assert one.snapshot() == two.snapshot()
-        assert list(one.kinds()) == list(two.kinds())
-        assert one.get("shared") == 111
+    folded = fold_counters(shards)
+    assert folded == expected
+    assert list(folded) == sorted(folded)
+    assert fold_counters(shards) == folded

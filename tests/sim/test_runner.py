@@ -4,7 +4,7 @@ attacker selection, report fields."""
 import pytest
 
 from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
-from repro.sim.runner import SimReport, build_experiment, estimate_rtt_ps, run_simulation
+from repro.sim.runner import build_experiment, estimate_rtt_ps, run_simulation
 
 
 def build(**overrides):
@@ -185,15 +185,3 @@ class TestOfferedLoad:
         expected = cfg.best_effort_load * cfg.link_bandwidth_gbps * cfg.num_nodes
         assert report.offered_load_gbps("best_effort") == pytest.approx(expected)
         assert report.offered_load_gbps("realtime") == 0.0
-
-    def test_legacy_report_falls_back_to_config_estimate(self):
-        cfg = SimConfig(num_attackers=2)
-        report = SimReport(
-            config=cfg, stats={}, drops={}, delivered=0, attack_windows=[]
-        )
-        expected = (
-            cfg.best_effort_load
-            * cfg.link_bandwidth_gbps
-            * (cfg.num_nodes - cfg.num_attackers)
-        )
-        assert report.offered_load_gbps("best_effort") == pytest.approx(expected)

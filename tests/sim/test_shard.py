@@ -231,22 +231,3 @@ class TestSchedulerIndependence:
         assert wheel["shard.rounds"] > 0
         assert wheel == self.counters("process", "heap")
         assert wheel == self.counters("inline", "wheel")
-
-
-class TestObservabilityAcrossShards:
-    @pytest.mark.parametrize("transport", ["inline", "process"])
-    def test_observability_off_changes_only_the_bookkeeping(self, transport):
-        """Every shard builds its replica under the run's modes: with
-        observability off no shard records a component counter, and the
-        merged simulation is the same."""
-        from repro.sim.runner import run_simulation
-
-        cfg = _pod_sif_config(transport, sim_time_us=80.0, warmup_us=20.0)
-        on = run_simulation(cfg, modes=RunModes(observability=True))
-        off = run_simulation(cfg, modes=RunModes(observability=False))
-        assert on.delivered > 0 and on.drops
-        assert (off.delivered, off.drops, off.stats) == (
-            on.delivered, on.drops, on.stats
-        )
-        assert any(k.startswith(("hca.", "switch.")) for k in on.counters)
-        assert not [k for k in off.counters if k.startswith(("hca.", "switch."))]

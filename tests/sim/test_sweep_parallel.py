@@ -125,21 +125,6 @@ class TestRunCache:
         default_env(REPRO_SCHEDULER="heap")
         assert config_key(base) == heap_key
 
-    def test_cache_key_tracks_observability_mode(self, base, tmp_path, default_env):
-        """Regression: an observability-off run caches a report with an
-        empty counter snapshot, so a later observability-on sweep of the
-        same config must re-simulate rather than be served that entry."""
-        default_env(REPRO_OBSERVABILITY="off")
-        off = Sweep(base, {})
-        off.run(workers=1, cache=tmp_path)
-        assert not off.results[0].reports[0].counters
-        default_env(REPRO_OBSERVABILITY="on")
-        on = Sweep(base, {})
-        points = on.run(workers=1, cache=tmp_path)
-        assert off.stats.cache_misses == 1
-        assert on.stats.cache_misses == 1
-        assert points[0].reports[0].counters
-
     @staticmethod
     def _keys(base):
         from repro.sim import sweep as sweep_mod

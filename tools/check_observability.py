@@ -50,13 +50,18 @@ DEFAULT_FILES = (
     "src/repro/core/enforcement.py",
     "src/repro/core/auth.py",
     "src/repro/core/attacks.py",
+    "src/repro/core/bloom.py",
+    "src/repro/iba/subnet_manager.py",
+    "src/repro/iba/buffers.py",
     "src/repro/sim/engine.py",
     "src/repro/sim/scheduler.py",
     "src/repro/sim/shard.py",
+    "src/repro/sim/traffic.py",
+    "src/repro/sim/metrics.py",
 )
 
 #: Registry lookup methods that must only run at construction time.
-REGISTRY_LOOKUPS = {"counter", "gauge", "state_counter"}
+REGISTRY_LOOKUPS = {"counter", "gauge"}
 
 #: Enclosing functions that are allowed construction-time registry lookups.
 SETUP_FUNCTIONS = {"__init__"}
