@@ -4,7 +4,7 @@ Usage (installed as ``repro-sim`` or via ``python -m repro.cli``)::
 
     repro-sim run --attackers 2 --load 0.5 --enforcement sif
     repro-sim trace --jsonl events.jsonl
-    repro-sim trace --packet 42
+    repro-sim trace --packet 1
     repro-sim fig1 --panel best_effort
     repro-sim fig5
     repro-sim fig6
@@ -93,7 +93,8 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--packet", type=int, metavar="ID",
-        help="print the per-packet timeline for this packet id",
+        help="print the per-packet timeline for this packet id (ids are per "
+        "run: 1 is the run's first admitted packet); exit 1 if it has no events",
     )
     p.add_argument(
         "--max-events", type=int, default=None,
@@ -361,7 +362,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     cfg.validate()
     tracer = Tracer(max_events=args.max_events)
-    report = run_simulation(cfg, tracer=tracer)
+    fabrics = []
+    report = run_simulation(
+        cfg, tracer=tracer, setup=lambda engine, fabric: fabrics.append(fabric)
+    )
 
     if args.jsonl == "-":
         for line in tracer.jsonl_lines():
@@ -383,6 +387,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.packet is not None:
         print()
         print(packet_timeline(tracer.events, args.packet))
+        if not tracer.for_packet(args.packet):
+            print(
+                f"this run admitted packet ids 1..{fabrics[0].packet_ids.last};"
+                f" the ring buffer evicted {tracer.seen - len(tracer.events)}"
+                f" of {tracer.seen} events"
+            )
+            return 1
     return 0
 
 

@@ -220,8 +220,9 @@ def forge_packet(
 def inject_raw(hca: HCA, packet: DataPacket) -> None:
     """Push a pre-built (possibly forged) packet into an HCA send queue,
     bypassing the node's legitimate AuthService — the attacker controls its
-    own NIC."""
-    packet.t_created = hca.engine.now
+    own NIC.  The packet is admitted like any other (fresh id, ``created``
+    event), so a replayed copy is a packet of its own."""
+    hca.admit(packet)
     hca._enqueue(packet)
 
 

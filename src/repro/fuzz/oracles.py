@@ -28,12 +28,13 @@ Single-run oracles (:data:`ORACLES`):
   separately) but must never pass a packet SIF dropped.
 
 :func:`check_differential` is the two-run oracle: the same scenario on the
-``fast`` and ``reference`` datapath legs must produce identical counters,
-stats, and traces (packet ids compared relative to each run's base, since
-ids are process-globally monotonic).  The same check runs across the
-scheduler axis (``wheel`` calendar queue vs the ``heap`` oracle — the
-queue structure must not change one observable bit).  Counters are
-always on, so every leg's counter snapshot is compared in full.
+``fast`` and ``reference`` datapath legs must produce the same
+:func:`~repro.sim.sweep.report_payload` and identical raw event traces
+(packet ids are per-run labels, so they compare as they are).  The same
+check runs across the scheduler axis (``wheel`` calendar queue vs the
+``heap`` oracle — the queue structure must not change one observable
+bit).  Counters are always on, so every leg's counter snapshot is
+compared in full.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.fuzz.generators import (
 )
 from repro.iba.hca import HCA
 from repro.iba.keys import PKey, QKey
-from repro.iba.packet import DataPacket, current_packet_seq
+from repro.iba.packet import DataPacket
 from repro.iba.switch import HCA_PORT
 from repro.iba.topology import Fabric
 from repro.iba.types import QPN
@@ -60,7 +61,8 @@ from repro.sim.config import AuthMode, RunModes, SimConfig
 from repro.sim.engine import PS_PER_US
 from repro.sim.faults import FaultInjector
 from repro.sim.runner import SimReport, run_simulation
-from repro.sim.trace import NO_PACKET, Tracer
+from repro.sim.sweep import report_payload
+from repro.sim.trace import Tracer
 
 #: HCA receive-side drop counters — together with the switch drop counters
 #: these are the only exits a submitted packet has besides delivery.
@@ -97,16 +99,11 @@ class FuzzRun:
     report: SimReport
     tracer: Tracer
     fabric: Fabric
-    base_seq: int  #: packet-id high-water mark before the run started.
     tampered_ids: set[int] = field(default_factory=set)
     injected_ids: set[int] = field(default_factory=set)
     #: shadow Bloom filters installed alongside live SIF filters
     #: (``execute_scenario(..., bloom_shadow=True)``); empty otherwise.
     bloom_shadows: list["_BloomShadowFilter"] = field(default_factory=list)
-
-    def rel(self, packet_id: int) -> int:
-        """Packet id relative to this run's base (stable across runs)."""
-        return packet_id if packet_id == NO_PACKET else packet_id - self.base_seq
 
 
 def _build_injection(inj: ForgedInject, fabric: Fabric, config: SimConfig) -> DataPacket:
@@ -226,7 +223,6 @@ def execute_scenario(
     ``bloom_dominance`` oracle can compare drop decisions on the identical
     stream; it has no effect on scenarios without SIF enforcement.
     """
-    base_seq = current_packet_seq()
     tracer = Tracer()
     config = scenario.build_config()
     tampered: set[int] = set()
@@ -292,8 +288,8 @@ def execute_scenario(
 
         def fire_injection(inj: ForgedInject) -> None:
             packet = _build_injection(inj, fabric, config)
-            injected.add(packet.packet_id)
             inject_raw(fabric.hca(inj.src_lid), packet)
+            injected.add(packet.packet_id)  # admission gave it its id
 
         for inj in scenario.injections:
             engine.schedule_at(round(inj.at_us * PS_PER_US), fire_injection, inj)
@@ -323,7 +319,6 @@ def execute_scenario(
         report=report,
         tracer=tracer,
         fabric=captured["fabric"],
-        base_seq=base_seq,
         tampered_ids=tampered,
         injected_ids=injected,
         bloom_shadows=shadows,
@@ -389,15 +384,14 @@ def check_counter_trace(run: FuzzRun) -> list[Violation]:
         r.counter_total("filter.*.deactivations"),
         kinds.get("sif_deactivated", 0) + kinds.get("bloom_deactivated", 0),
     )
-    # submitted <= traced submits + raw injections (inject_raw emits no
-    # 'created' event; a submit still inside auth.prepare's pipeline delay
-    # at sim end is traced 'created' but never reached a send queue).
+    # a submit still inside auth.prepare's pipeline delay at sim end is
+    # traced 'created' but never reached a send queue
     submitted = r.counter_total("hca.*.submitted")
-    created = kinds.get("created", 0) + len(run.injected_ids)
+    created = kinds.get("created", 0)
     if submitted > created:
         out.append(Violation(
             "counter_trace", run.leg,
-            f"submitted: counter={submitted} > created+injected={created}",
+            f"submitted: counter={submitted} > created={created}",
         ))
     # reroute_buffered can drop unroutables without a trace event, so the
     # counter bounds the events rather than equalling them.
@@ -488,7 +482,7 @@ def check_auth_soundness(run: FuzzRun) -> list[Violation]:
             kind = "tampered" if event.packet_id in run.tampered_ids else "forged"
             out.append(Violation(
                 "auth_soundness", run.leg,
-                f"{kind} packet #{run.rel(event.packet_id)} delivered at"
+                f"{kind} packet #{event.packet_id} delivered at"
                 f" {event.where} ({event.time_ps}ps)",
             ))
     return out
@@ -524,7 +518,7 @@ def check_bloom_vs_sif(run: FuzzRun) -> list[Violation]:
             out.append(Violation(
                 "bloom_dominance", run.leg,
                 f"{scope}: bloom passed {len(shadow.under_filtered)} packets"
-                f" SIF dropped — first packet #{run.rel(pid)}"
+                f" SIF dropped — first packet #{pid}"
                 f" pkey=0x{pkey:04x} at {t}ps",
             ))
         sif_drops = int(shadow.sif.drops)
@@ -563,26 +557,21 @@ def check_run(run: FuzzRun) -> list[Violation]:
 # -- differential oracle ------------------------------------------------------
 
 
-def _normalized_trace(run: FuzzRun) -> list[tuple]:
-    return [
-        (e.time_ps, e.kind, e.where, run.rel(e.packet_id), e.detail)
-        for e in run.tracer.events
-    ]
-
-
 def check_differential(
     fast: FuzzRun, reference: FuzzRun, oracle: str = "differential"
 ) -> list[Violation]:
     """*fast* and *reference* must be bit-identical in everything but
-    wall-clock: full counter snapshot, per-class stats, drops, and the
-    normalized event trace.
+    wall-clock: the whole :func:`~repro.sim.sweep.report_payload` (full
+    counter snapshot, per-class stats, drops, deliveries, event count,
+    senders, attack windows, key exchanges) and the raw event trace.
 
     The same check covers every differential axis — datapath fast vs
     reference, scheduler wheel vs heap — with *oracle* naming the axis in
     any violation (``differential`` | ``scheduler_differential``)."""
     out: list[Violation] = []
 
-    fc, rc = fast.report.counters, reference.report.counters
+    fp, rp = report_payload(fast.report), report_payload(reference.report)
+    fc, rc = fp.pop("counters"), rp.pop("counters")
     diff_keys = sorted(
         k for k in (fc.keys() | rc.keys()) if fc.get(k) != rc.get(k)
     )
@@ -594,19 +583,12 @@ def check_differential(
             oracle, "differential",
             f"{len(diff_keys)} counters differ — {shown}",
         ))
-    if fast.report.stats != reference.report.stats:
+    for name in sorted(k for k in fp if fp[k] != rp[k]):
         out.append(Violation(
             oracle, "differential",
-            f"class stats differ: fast={fast.report.stats}"
-            f" ref={reference.report.stats}",
+            f"report {name} differ: fast={fp[name]} ref={rp[name]}",
         ))
-    if fast.report.drops != reference.report.drops:
-        out.append(Violation(
-            oracle, "differential",
-            f"drop taxonomies differ: fast={fast.report.drops}"
-            f" ref={reference.report.drops}",
-        ))
-    ft, rt = _normalized_trace(fast), _normalized_trace(reference)
+    ft, rt = fast.tracer.events, reference.tracer.events
     if ft != rt:
         detail = f"lengths fast={len(ft)} ref={len(rt)}"
         for i, (a, b) in enumerate(zip(ft, rt)):

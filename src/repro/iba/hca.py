@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 
 from repro.iba.keys import KeySet, PKey
 from repro.iba.link import Link
-from repro.iba.packet import DataPacket, TrapMAD
+from repro.iba.packet import DataPacket, PacketIds, TrapMAD
 from repro.iba.qp import QueuePair
 from repro.iba.types import LID, QPN, ServiceType, TrafficClass, class_for_vl
 from repro.iba.arbiter import PRIORITY_VLS
@@ -67,9 +67,12 @@ class HCA:
         trap_min_interval_us: float = 20.0,
         registry: CounterRegistry | None = None,
         tracer: Tracer | None = None,
+        packet_ids: PacketIds | None = None,
     ) -> None:
         self.engine = engine
         self.lid = lid
+        #: id source shared with the rest of the fabric (see PacketIds).
+        self.packet_ids = packet_ids if packet_ids is not None else PacketIds()
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
         # Bound once: no per-emission branch on the untraced hot path
@@ -133,10 +136,17 @@ class HCA:
 
     # --- send path -----------------------------------------------------------
 
+    def admit(self, packet: DataPacket) -> None:
+        """Send-path admission (:meth:`submit` and raw injection): stamp
+        ``t_created``, take the fabric's next id, trace ``created``."""
+        now = self.engine.now
+        packet.t_created = now
+        packet.packet_id = packet_id = self.packet_ids.next()
+        self._trace(now, "created", self._trace_name, packet_id)
+
     def submit(self, packet: DataPacket) -> None:
-        """Consumer posts a send work request.  ``t_created`` is now."""
-        packet.t_created = self.engine.now
-        self._trace(self.engine.now, "created", self._trace_name, packet.packet_id)
+        """Consumer posts a send work request."""
+        self.admit(packet)
         if self.bloom_stamper is not None:
             self.bloom_stamper(packet)
         delay = 0

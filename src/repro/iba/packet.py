@@ -21,6 +21,11 @@ ICRC/MAC is computed over) *plus* a declared ``wire_length`` used by link
 timing, so a 1024-byte-MTU packet costs Table-1 time on the wire even when
 an experiment gives it a compact synthetic payload.
 
+**Packet ids** are per-run trace labels.  A packet is built with id 0 and
+takes the next id of its fabric's :class:`PacketIds` when an HCA admits it
+to the send path, so the same input numbers the same packets on every run,
+in any process.  Nothing keys on an id; packets are identity-keyed objects.
+
 **Fast datapath (cached serialization).**  Headers are immutable in flight —
 only ``icrc``/``vcrc`` and the LRH/GRH variant bits ever change after a
 packet is stamped — so every header memoizes its packed wire bytes and
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import datapath as _datapath
 from repro.iba.keys import PKey, QKey
@@ -338,38 +343,24 @@ class GlobalRouteHeader(_CachedHeader):
         )
 
 
-_PACKET_SEQ = 0
+class PacketIds:
+    """A fabric's packet-id source: 1, 2, ... in send-path admission order,
+    shared by every HCA it builds (an HCA built on its own numbers its own
+    packets).  Ids are unique within one fabric."""
 
+    __slots__ = ("_last",)
 
-def _next_packet_id() -> int:
-    global _PACKET_SEQ
-    _PACKET_SEQ += 1
-    return _PACKET_SEQ
+    def __init__(self) -> None:
+        self._last = 0
 
+    @property
+    def last(self) -> int:
+        """The newest id handed out (= packets admitted so far)."""
+        return self._last
 
-def current_packet_seq() -> int:
-    """The process-wide packet-id high-water mark.
-
-    Packet ids are globally monotonic, so two runs in one process occupy
-    disjoint id ranges.  Consumers that diff *different runs of the same
-    scenario* (the fuzz subsystem's differential oracle) snapshot this
-    before each run and compare ids relative to their run's base.
-    """
-    return _PACKET_SEQ
-
-
-def reset_packet_seq(base: int) -> None:
-    """Rebase the packet-id sequence to *base* (next id is ``base + 1``).
-
-    Sharded workers running in **separate processes** each start their own
-    ``_PACKET_SEQ`` at 0, so packets minted on two shards would collide in
-    id-keyed structures (a switch's in-pipeline map) the moment one crosses
-    a boundary.  Each worker rebases to a disjoint range
-    (``(shard + 1) << 48``) before building its replica.  Inline sharding
-    never needs this — replicas share this module and ids stay unique.
-    """
-    global _PACKET_SEQ
-    _PACKET_SEQ = int(base)
+    def next(self) -> int:
+        self._last += 1
+        return self._last
 
 
 @dataclass(eq=False)
@@ -395,7 +386,9 @@ class DataPacket:
     icrc: int = 0
     vcrc: int = 0
     is_attack: bool = False
-    packet_id: int = field(default_factory=_next_packet_id)
+    #: Per-run trace label, given when an HCA admits the packet to its send
+    #: path (see :class:`PacketIds`); 0 = never entered a fabric.
+    packet_id: int = 0
     #: Simulation timestamps (ps); filled in by the HCA / fabric.
     t_created: int = 0
     t_injected: int = 0

@@ -82,10 +82,10 @@ class Switch:
         # equal count_head_ready() (the fuzz ``ready_index`` oracle).
         self._head_ready = [[0] * num_vls for _ in range(num_ports)]
         self._head_ready_total = [0] * num_ports
-        #: packets received but still in the routing/enforcement pipeline
-        #: stage (packet_id -> packet).  A crashed switch leaks these too —
+        #: packets (identity keys, insertion order) still in the routing/
+        #: enforcement pipeline stage.  A crashed switch leaks these too —
         #: they are physically in the input buffer even before make_ready.
-        self._in_pipeline: dict[int, DataPacket] = {}
+        self._in_pipeline: dict[DataPacket, None] = {}
         # statistics (registry-owned; see repro.sim.counters)
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
@@ -118,7 +118,7 @@ class Switch:
     def receive(self, packet: DataPacket, in_port: int) -> None:
         """Packet fully arrived at *in_port* (store-and-forward)."""
         self.inputs[in_port].begin_processing(packet.vl)
-        self._in_pipeline[packet.packet_id] = packet
+        self._in_pipeline[packet] = None
         self._trace(
             self.engine.now, "switch_rx", self.name, packet.packet_id,
             self._port_detail[in_port],
@@ -134,7 +134,7 @@ class Switch:
 
     def pipeline_packets(self) -> list[DataPacket]:
         """Packets currently in the routing/enforcement pipeline stage."""
-        return list(self._in_pipeline.values())
+        return list(self._in_pipeline)
 
     def buffered_packet_count(self) -> int:
         """Packets physically inside this switch: pipeline stage plus every
@@ -147,7 +147,7 @@ class Switch:
         return ready + len(self._in_pipeline)
 
     def _pipeline_done(self, packet: DataPacket, in_port: int, accept: bool) -> None:
-        self._in_pipeline.pop(packet.packet_id, None)
+        self._in_pipeline.pop(packet, None)
         if not accept:
             self.filtered_drops.inc()
             self._trace(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.iba.hca import HCA
 from repro.iba.link import Link
+from repro.iba.packet import PacketIds
 from repro.iba.subnet_manager import SubnetManager
 from repro.iba.switch import HCA_PORT, Switch
 from repro.iba.types import LID
@@ -58,6 +59,8 @@ class Fabric:
     registry: CounterRegistry = field(default_factory=CounterRegistry)
     #: lifecycle event bus (None = tracing off, zero overhead).
     tracer: Tracer | None = None
+    #: the run's packet-id source, shared by every HCA.
+    packet_ids: PacketIds = field(default_factory=PacketIds)
     #: mode :func:`repro.core.enforcement.install_enforcement` wired in
     #: (None until it runs).
     enforcement_installed: EnforcementMode | None = None
@@ -170,6 +173,7 @@ def build_mesh(
                 warmup_ps=config.warmup_ps,
                 registry=fabric.registry,
                 tracer=tracer,
+                packet_ids=fabric.packet_ids,
             )
             fabric.hcas[int(lid)] = hca
             fabric.ingress_of[int(lid)] = (x, y)
@@ -333,6 +337,7 @@ def build_fat_tree(
                     warmup_ps=config.warmup_ps,
                     registry=fabric.registry,
                     tracer=tracer,
+                    packet_ids=fabric.packet_ids,
                 )
                 fabric.hcas[int(lid)] = hca
                 fabric.ingress_of[int(lid)] = (FT_EDGE, pod * half + e)

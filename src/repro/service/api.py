@@ -32,13 +32,7 @@ from http.server import BaseHTTPRequestHandler
 
 from repro.fuzz.generators import Scenario, ScenarioValidationError
 from repro.service.jobqueue import BoundedJobQueue, QueueClosed, QueueFull
-from repro.service.jobstore import (
-    Job,
-    JobState,
-    JobStore,
-    report_payload,
-    scenario_key,
-)
+from repro.service.jobstore import Job, JobState, JobStore, scenario_key
 from repro.service.ratelimit import ClientRateLimiter
 from repro.service.workers import WorkerPool, execute_job
 from repro.sim.counters import CounterRegistry
@@ -47,7 +41,7 @@ from repro.sim.metrics_server import (
     JsonRequestHandler,
     version_payload,
 )
-from repro.sim.sweep import DEFAULT_CACHE_DIR, RunCache
+from repro.sim.sweep import DEFAULT_CACHE_DIR, RunCache, report_payload
 
 #: Client id header; absent clients share one "anonymous" bucket.
 CLIENT_HEADER = "X-Client-Id"

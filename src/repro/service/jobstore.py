@@ -1,4 +1,4 @@
-"""Job records, content addressing and the deterministic report body.
+"""Job records and content addressing.
 
 Results live in :class:`~repro.sim.sweep.RunCache`, the one result store:
 the service writes each finished job's :class:`~repro.sim.sweep.JobResult`
@@ -11,26 +11,21 @@ every later client; an answer that came from a sweep carries no trace.
 Scenarios that carry fault/tamper/injection schedules are not expressible
 as a bare :class:`SimConfig`, so their key hashes the whole canonical
 scenario dict (through the same :func:`~repro.sim.sweep.run_key`); they
-never collide with sweep entries.
+never collide with sweep entries.  The deterministic report body is
+:func:`repro.sim.sweep.report_payload`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import hashlib
 import itertools
-import json
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 
 from repro.fuzz.generators import Scenario
-from repro.sim.runner import SimReport
-from repro.sim.sweep import JobResult, _canonical, config_key, run_key
-
-REPORT_SCHEMA = "repro.service_report/1"
+from repro.sim.sweep import JobResult, config_key, run_key
 
 
 class JobState(str, enum.Enum):
@@ -94,49 +89,6 @@ def scenario_key(scenario: Scenario) -> str:
     if scenario.schedule_free:
         return config_key(config)
     return run_key(scenario=scenario.to_dict())
-
-
-def report_payload(report: SimReport) -> dict:
-    """Deterministic JSON body for ``GET /jobs/<id>/report``.
-
-    A pure function of the scenario: everything host-dependent
-    (``wall_seconds``) is excluded, so duplicate submissions — even ones
-    that raced and both simulated — fetch byte-identical reports.
-    """
-    return {
-        "schema": REPORT_SCHEMA,
-        "config": _canonical(dataclasses.asdict(report.config)),
-        "stats": {
-            name: {
-                "queuing_us": s.queuing_us,
-                "network_us": s.network_us,
-                "queuing_std_us": s.queuing_std_us,
-                "network_std_us": s.network_std_us,
-                "count": s.count,
-            }
-            for name, s in sorted(report.stats.items())
-        },
-        "drops": dict(sorted(report.drops.items())),
-        "delivered": report.delivered,
-        "attack_windows": [list(w) for w in report.attack_windows],
-        "switch_filtered": report.switch_filtered,
-        "switch_lookups": report.switch_lookups,
-        "sif_activations": report.sif_activations,
-        "sif_deactivations": report.sif_deactivations,
-        "traps_received": report.traps_received,
-        "traps_processed": report.traps_processed,
-        "key_exchanges": report.key_exchanges,
-        "events_processed": report.events_processed,
-        "senders": dict(sorted(report.senders.items())),
-        "counters": dict(sorted(report.counters.items())),
-    }
-
-
-def report_digest(report: SimReport) -> str:
-    """sha256 of the canonical JSON of :func:`report_payload` — the digest
-    ``repro/sim/golden.json`` pins per case."""
-    blob = json.dumps(report_payload(report), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class JobStore:

@@ -26,8 +26,8 @@ from repro.fuzz.generators import Scenario
 from repro.service.jobqueue import BoundedJobQueue
 from repro.service.jobstore import Job, JobStore
 from repro.sim.config import default_modes
-from repro.sim.metrics_server import trace_event_dict
 from repro.sim.sweep import JobResult, RunCache
+from repro.sim.trace import trace_event_dict
 
 #: Trace events kept per job result (newest wins) — bounds both the
 #: subprocess return payload and the cache entry size.

@@ -36,8 +36,7 @@ The module also exports the building blocks the job service
 (:mod:`repro.service`) embeds: :class:`JsonRequestHandler` (JSON bodies
 for every response **including errors** — a machine client never sees
 ``http.server``'s HTML error pages) and :class:`JsonHttpServer` (the
-restartable bind/serve/stop lifecycle), plus the payload helpers
-(:func:`trace_event_dict`, :func:`version_payload`).
+restartable bind/serve/stop lifecycle), plus :func:`version_payload`.
 """
 
 from __future__ import annotations
@@ -49,22 +48,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import __version__
 from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, trace_event_dict
 
 #: Newest trace events included in a ``/metrics`` response.
 TRACE_TAIL = 50
-
-
-def trace_event_dict(event) -> dict:
-    """One trace event as a JSON-ready dict (the wire shape every
-    endpoint that exports trace events shares)."""
-    return {
-        "time_ps": event.time_ps,
-        "kind": event.kind,
-        "where": event.where,
-        "packet_id": event.packet_id,
-        "detail": event.detail,
-    }
 
 
 def version_payload() -> dict:

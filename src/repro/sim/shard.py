@@ -58,10 +58,6 @@ from repro.sim.partition import ShardPlan, lookahead_ps
 #: cross-shard message kinds: (fire_ps, kind, a, b) tuples.
 _PKT, _CREDIT, _TRAP, _REGISTER = 0, 1, 2, 3
 
-#: live runtime per engine object — boundary links look their shard up here
-#: (``Link`` is slotted, so per-instance state cannot live on the link).
-_ENGINE_RUNTIME: dict[int, "ShardRuntime"] = {}
-
 
 class ShardCrashError(RuntimeError):
     """A shard worker process died mid-run (its pipe went EOF)."""
@@ -75,10 +71,11 @@ class _BoundaryLink(Link):
     """Sender half of a cross-shard link.
 
     Identical layout to :class:`~repro.iba.link.Link` (``__class__`` is
-    swapped in place after the fabric is built), except transmission
-    completion hands the packet to the synchronizer with the wire flight
-    still ahead of it — that remaining delay is the link's contribution to
-    the conservative lookahead.
+    swapped in place after the fabric is built), except its ``dst`` is the
+    sending shard's :class:`ShardRuntime` (the far-end replica is inert on
+    this shard) and transmission completion hands the packet to it with the
+    wire flight still ahead of it — that remaining delay is the link's
+    contribution to the conservative lookahead.
     """
 
     __slots__ = ()
@@ -86,7 +83,7 @@ class _BoundaryLink(Link):
     def _complete(self, packet) -> None:
         self.busy = False
         self._in_transit -= 1
-        _ENGINE_RUNTIME[id(self.engine)].post_packet(self.name, packet)
+        self.dst.post_packet(self.name, packet)
         if self.on_free is not None:
             self.on_free()
 
@@ -165,7 +162,6 @@ class ShardRuntime:
         self._out_links: dict[str, Link] = {}
         self._rewire_boundaries()
         self._rewire_sm()
-        _ENGINE_RUNTIME[id(self.engine)] = self
 
     # --- construction -----------------------------------------------------
 
@@ -183,12 +179,14 @@ class ShardRuntime:
             down = cor.out_links[core_port]  # core -> agg
             if self.shard_id == pod_shard:
                 up.__class__ = _BoundaryLink
+                up.dst = self
                 self._pkt_route[up.name] = (core_shard, up.wire_delay_ps)
                 self._out_links[up.name] = up
                 agg.in_links[agg_port] = _CreditProxy(self, down.name, core_shard)
                 self._in_map[down.name] = (agg, agg_port)
             elif self.shard_id == core_shard:
                 down.__class__ = _BoundaryLink
+                down.dst = self
                 self._pkt_route[down.name] = (pod_shard, down.wire_delay_ps)
                 self._out_links[down.name] = down
                 cor.in_links[core_port] = _CreditProxy(self, up.name, pod_shard)
@@ -312,9 +310,6 @@ class ShardRuntime:
             network_acc={c: pack(a) for c, a in metrics._network.items()},
         )
 
-    def close(self) -> None:
-        _ENGINE_RUNTIME.pop(id(self.engine), None)
-
 
 # --- transports -----------------------------------------------------------
 
@@ -336,7 +331,7 @@ class _InlineDriver:
         return self.runtime.result()
 
     def close(self) -> None:
-        self.runtime.close()
+        """An inline shard holds no process or pipe to release."""
 
 
 def _shard_worker(
@@ -346,11 +341,6 @@ def _shard_worker(
 
     The worker is forked inside :func:`~repro.sim.runner.run_simulation`,
     so it inherits the datapath the parent holds for the run."""
-    from repro.iba.packet import reset_packet_seq
-
-    # disjoint packet-id ranges per worker — ids key switch pipeline maps
-    # and must stay unique once packets cross shards
-    reset_packet_seq((shard_id + 1) << 48)
     runtime = ShardRuntime(config, shard_id, modes)
     if crash_at is not None and crash_at[0] == shard_id:
         # test hook: die without ceremony at a simulated instant, the way

@@ -34,8 +34,9 @@ under that same key, so either side answers the other.  Re-running a
 benchmark only simulates points whose configuration actually changed.
 
 Every key folds :data:`RESULTS_VERSION`, derived at import from the shapes
-of the result types and the pinned digests in ``golden.json``: a change
-to what a run computes moves a golden digest, and regenerating the table
+of the result types and the pinned report and trace digests in
+``golden.json``: a change to what a run computes or traces moves a golden
+digest, and regenerating the table
 (``python tools/golden.py --write``) invalidates every entry.
 
 Observability
@@ -70,6 +71,7 @@ from typing import Any, Callable, Protocol
 from repro.sim.config import RunModes, SimConfig, default_modes
 from repro.sim.metrics import LatencySample, MetricsSummary
 from repro.sim.runner import ClassStats, SimReport, run_simulation
+from repro.sim.trace import trace_event_dict
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
@@ -100,6 +102,11 @@ def _canonical(value: Any) -> Any:
     return value
 
 
+def _sha256_json(value: Any) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def run_key(modes: RunModes | None = None, **body: Any) -> str:
     """Stable content hash of *body* run under *modes*.
 
@@ -116,8 +123,7 @@ def run_key(modes: RunModes | None = None, **body: Any) -> str:
         **asdict(modes or default_modes()),
         **{name: _canonical(value) for name, value in body.items()},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256_json(payload)
 
 
 def config_key(config: SimConfig, modes: RunModes | None = None) -> str:
@@ -168,18 +174,71 @@ class JobResult:
     trace: tuple[dict, ...] | None = None
 
 
+#: Schema tag of :func:`report_payload` (the ``GET /jobs/<id>/report`` body).
+REPORT_SCHEMA = "repro.service_report/1"
+
+
+def report_payload(report: SimReport) -> dict:
+    """The deterministic JSON form of a report: "the same result" for the
+    golden table, the service's report body and the fuzz differential.
+    Host-dependent ``wall_seconds`` is excluded, so duplicate submissions
+    — even ones that raced and both simulated — get byte-identical reports.
+    """
+    return {
+        "schema": REPORT_SCHEMA,
+        "config": _canonical(asdict(report.config)),
+        "stats": {
+            name: {
+                "queuing_us": s.queuing_us,
+                "network_us": s.network_us,
+                "queuing_std_us": s.queuing_std_us,
+                "network_std_us": s.network_std_us,
+                "count": s.count,
+            }
+            for name, s in sorted(report.stats.items())
+        },
+        "drops": dict(sorted(report.drops.items())),
+        "delivered": report.delivered,
+        "attack_windows": [list(w) for w in report.attack_windows],
+        "switch_filtered": report.switch_filtered,
+        "switch_lookups": report.switch_lookups,
+        "sif_activations": report.sif_activations,
+        "sif_deactivations": report.sif_deactivations,
+        "traps_received": report.traps_received,
+        "traps_processed": report.traps_processed,
+        "key_exchanges": report.key_exchanges,
+        "events_processed": report.events_processed,
+        "senders": dict(sorted(report.senders.items())),
+        "counters": dict(sorted(report.counters.items())),
+    }
+
+
+def report_digest(report: SimReport) -> str:
+    """sha256 of the canonical JSON of :func:`report_payload` — the
+    ``digest`` ``golden.json`` pins per case."""
+    return _sha256_json(report_payload(report))
+
+
+def trace_digest(events) -> str:
+    """sha256 of the canonical JSON of *events* in the wire shape every
+    trace endpoint serves — the ``trace_digest`` ``golden.json`` pins per
+    case, so a change to what a cached ``JobResult.trace`` holds moves
+    :data:`RESULTS_VERSION` too."""
+    return _sha256_json([trace_event_dict(e) for e in events])
+
+
 def _results_version() -> str:
     """sha256 over the result types' field names and annotated types and
-    the golden digests: any change to either moves every cache key."""
+    the golden report and trace digests: any change to either moves every
+    cache key."""
     shapes = {
         cls.__name__: [[f.name, str(f.type)] for f in fields(cls)]
         for cls in (SimConfig, SimReport, ClassStats, MetricsSummary,
                     LatencySample, JobResult)
     }
     golden = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))
-    digests = [case["digest"] for case in golden["cases"]]
-    blob = json.dumps([shapes, digests], sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    digests = [[case["digest"], case["trace_digest"]] for case in golden["cases"]]
+    return _sha256_json([shapes, digests])
 
 
 RESULTS_VERSION = _results_version()

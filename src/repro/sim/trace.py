@@ -17,6 +17,8 @@ security control      ``trap_raised`` (HCA → SM P_Key-violation trap),
 faults                ``link_down``, ``link_up``
 ====================  ======================================================
 
+Packet ids are per-run labels (:class:`~repro.iba.packet.PacketIds`): the
+run's first admitted packet is 1, on every run of the same input.
 Control-plane events carry ``packet_id = -1``; everything has an integer
 picosecond timestamp.  ``max_events`` turns the tracer into a bounded
 ring buffer (oldest events evicted) so long production-scale runs can
@@ -69,17 +71,21 @@ class TraceEvent:
         return self.time_ps / PS_PER_US
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time_ps": self.time_ps,
-                "time_us": self.time_us,
-                "kind": self.kind,
-                "where": self.where,
-                "packet_id": self.packet_id,
-                "detail": self.detail,
-            },
-            separators=(",", ":"),
-        )
+        """One JSON Lines record: the wire shape plus ``time_us``."""
+        record = {"time_ps": self.time_ps, "time_us": self.time_us}
+        return json.dumps({**record, **trace_event_dict(self)}, separators=(",", ":"))
+
+
+def trace_event_dict(event: TraceEvent) -> dict:
+    """One trace event as a JSON-ready dict (the wire shape every
+    endpoint that exports trace events shares)."""
+    return {
+        "time_ps": event.time_ps,
+        "kind": event.kind,
+        "where": event.where,
+        "packet_id": event.packet_id,
+        "detail": event.detail,
+    }
 
 
 @dataclass
@@ -87,10 +93,6 @@ class Tracer:
     """Accumulates :class:`TraceEvent` records (list or bounded ring)."""
 
     events: "list[TraceEvent] | deque[TraceEvent]" = field(default_factory=list)
-    #: restrict recording of *packet* events to these ids (None =
-    #: everything).  Control-plane events (packet_id == NO_PACKET) are
-    #: always recorded.
-    watch: set[int] | None = None
     #: ring-buffer capacity; None = unbounded list.
     max_events: int | None = None
     #: total events offered to record() (admitted or evicted) — lets a
@@ -109,12 +111,6 @@ class Tracer:
         packet_id: int = NO_PACKET,
         detail: str = "",
     ) -> None:
-        if (
-            self.watch is not None
-            and packet_id != NO_PACKET
-            and packet_id not in self.watch
-        ):
-            return
         self.seen += 1
         self.events.append(TraceEvent(time_ps, kind, where, packet_id, detail))
 
@@ -134,13 +130,6 @@ class Tracer:
         for e in self.events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def timeline(self, packet_id: int) -> str:
-        lines = [
-            f"{e.time_us:10.3f} us  {e.kind:<12} {e.where:<16} {e.detail}"
-            for e in self.for_packet(packet_id)
-        ]
-        return "\n".join(lines)
 
     # -- export ------------------------------------------------------------
 

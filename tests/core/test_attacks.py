@@ -1,6 +1,7 @@
 """Attack models: random-P_Key generation, flooder behaviour, window
 schedules, forgery construction."""
 
+import copy
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.iba.keys import PKey, QKey
 from repro.iba.qp import QueuePair
 from repro.iba.types import LID, QPN, ServiceType
 from repro.sim.engine import PS_PER_US
+from repro.sim.trace import Tracer
 
 
 class TestRandomInvalidPKey:
@@ -113,7 +115,7 @@ class TestFlooder:
 
 
 class TestForgePacket:
-    def _attacker(self):
+    def _attacker(self, tracer=None):
         from repro.iba.hca import HCA
         from repro.sim.engine import Engine
         from repro.sim.metrics import MetricsCollector
@@ -121,7 +123,7 @@ class TestForgePacket:
         engine = Engine()
         hca = HCA(engine, LID(9), num_vls=2, vl_buffer_packets=4,
                   processing_delay_ns=0.0, credit_return_delay_ns=0.0,
-                  metrics=MetricsCollector(), warmup_ps=0)
+                  metrics=MetricsCollector(), warmup_ps=0, tracer=tracer)
         qp = QueuePair(qpn=QPN(0x109), service=ServiceType.UNRELIABLE_DATAGRAM,
                        pkey=PKey(0x8002), qkey=QKey(1))
         return hca, qp
@@ -162,3 +164,13 @@ class TestForgePacket:
         inject_raw(hca, pkt)
         assert called == []  # attacker's NIC skipped the legit auth path
         assert len(hca.send_queues[pkt.vl]) == 1 or hca.out_link is None
+
+    def test_replayed_copy_is_a_packet_of_its_own(self):
+        tracer = Tracer()
+        hca, qp = self._attacker(tracer)
+        pkt = forge_packet(hca, qp, LID(2), QPN(0x102), PKey(0x8001), QKey(0x42), 1024)
+        inject_raw(hca, pkt)
+        replayed = copy.copy(pkt)
+        inject_raw(hca, replayed)
+        assert (pkt.packet_id, replayed.packet_id) == (1, 2)
+        assert [e.packet_id for e in tracer.of_kind("created")] == [1, 2]

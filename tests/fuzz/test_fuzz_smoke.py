@@ -30,7 +30,6 @@ def test_ten_scenarios_clean_and_differentially_identical():
         )
         # all three legs actually executed (datapath x scheduler)
         assert result.reference is not None and result.heap is not None
-        assert result.heap.report.events_processed == result.fast.report.events_processed
         mode = scenario.build_config().enforcement
         if mode is EnforcementMode.SIF:
             assert result.bloom_shadow.bloom_shadows  # shadow Bloom filters ran

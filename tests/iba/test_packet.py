@@ -14,6 +14,9 @@ from repro.iba.packet import (
     TrapMAD,
 )
 from repro.iba.types import LID, QPN
+from repro.sim.config import SimConfig
+from repro.sim.runner import build_experiment
+from repro.sim.trace import Tracer
 
 from tests.conftest import make_packet
 
@@ -115,8 +118,17 @@ class TestDataPacket:
         c = make_packet(src=2, src_qp=5, psn=10)
         assert len({a.nonce, b.nonce, c.nonce}) == 3
 
-    def test_packet_ids_unique(self):
-        assert make_packet().packet_id != make_packet().packet_id
+    def test_run_numbers_its_packets_from_one(self):
+        assert make_packet().packet_id == 0  # built outside any fabric
+        cfg = SimConfig(
+            mesh_width=2, mesh_height=2, num_partitions=1, sim_time_us=100.0
+        )
+        for _ in range(2):  # every run, whatever ran before in the process
+            tracer = Tracer()
+            engine, fabric, *_ = build_experiment(cfg, tracer=tracer)
+            engine.run(until=cfg.sim_time_ps)
+            created = [e.packet_id for e in tracer.of_kind("created")]
+            assert created and created == list(range(1, fabric.packet_ids.last + 1))
 
     def test_rc_packet_has_no_deth(self):
         p = make_packet()

@@ -4,27 +4,15 @@ simulation — identical counters, identical stats, identical trace streams.
 ``RunModes(datapath=...)`` turns every fast-path cache on or off at once
 (serialization caches, prefix-folded CRCs, MAC tag memo, Bloom probe
 memo).  These tests run the same seeded scenarios under both datapaths and
-diff everything observable.  Packet ids come from a process-global sequence, so traces are
-compared after normalizing ids by order of first appearance.
+diff everything observable.  Packet ids are per-run labels, so the two
+runs' trace events compare as recorded.
 """
 
 from repro.datapath import get_datapath
 from repro.sim.config import RunModes
 from repro.sim.runner import run_simulation
+from repro.sim.sweep import report_payload
 from repro.sim.trace import Tracer
-
-
-def canonical_trace(events):
-    """Trace tuples with packet ids renumbered by order of first appearance
-    (the global packet sequence differs between two runs; nothing else may)."""
-    remap = {}
-    out = []
-    for ev in events:
-        pid = ev.packet_id
-        if pid >= 0:
-            pid = remap.setdefault(pid, len(remap))
-        out.append((ev.time_ps, ev.kind, ev.where, pid, ev.detail))
-    return out
 
 
 def run_traced(cfg, mode):
@@ -47,10 +35,8 @@ class TestFig1DoSEquivalence:
     def test_counters_and_trace_bit_identical(self):
         ref_report, ref_tracer = run_traced(self._cfg(), "reference")
         fast_report, fast_tracer = run_traced(self._cfg(), "fast")
-        assert ref_report.counters == fast_report.counters
-        assert ref_report.delivered == fast_report.delivered
-        assert ref_report.events_processed == fast_report.events_processed
-        assert canonical_trace(ref_tracer.events) == canonical_trace(fast_tracer.events)
+        assert report_payload(ref_report) == report_payload(fast_report)
+        assert ref_tracer.events == fast_tracer.events
 
     def test_fig1_run_exercises_both_paths(self):
         """Guard against a silently dead reference leg: the scenario floods
@@ -76,10 +62,8 @@ class TestMacAuthEquivalence:
     def test_mac_tag_memo_does_not_change_outcomes(self):
         ref_report, ref_tracer = run_traced(self._cfg(), "reference")
         fast_report, fast_tracer = run_traced(self._cfg(), "fast")
-        assert ref_report.counters == fast_report.counters
-        assert ref_report.delivered == fast_report.delivered
-        assert ref_report.events_processed == fast_report.events_processed
-        assert canonical_trace(ref_tracer.events) == canonical_trace(fast_tracer.events)
+        assert report_payload(ref_report) == report_payload(fast_report)
+        assert ref_tracer.events == fast_tracer.events
 
     def test_mac_run_actually_tags(self):
         report, _ = run_traced(self._cfg(), "fast")

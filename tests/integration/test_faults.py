@@ -256,7 +256,7 @@ class TestMultipleEavesdroppers:
         second = injector.tap_link(link)
         engine.run(until=cfg.sim_time_ps)
         assert len(first) > 0
-        assert [p.packet_id for p in first] == [p.packet_id for p in second]
+        assert first == second
 
     def test_captured_keys_unions_all_taps(self):
         cfg, engine, fabric, *_ = experiment()

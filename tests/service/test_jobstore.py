@@ -1,13 +1,14 @@
-"""Content addressing, deterministic reports, and the one result store
-the service shares with sweeps."""
+"""Content addressing, deterministic reports and traces, and the one
+result store the service shares with sweeps."""
 
 import dataclasses
 import json
 import threading
 
 from repro.fuzz.generators import Scenario
-from repro.service.jobstore import JobStore, report_payload, scenario_key
-from repro.sim.sweep import RunCache, Sweep, config_key
+from repro.service.jobstore import JobStore, scenario_key
+from repro.service.workers import execute_job
+from repro.sim.sweep import RunCache, Sweep, config_key, report_payload
 
 from tests.service.conftest import fake_runner, tiny_scenario_dict
 
@@ -54,6 +55,32 @@ class TestReportPayload:
         b = dataclasses.replace(a, wall_seconds=a.wall_seconds * 100)
         dump = lambda r: json.dumps(report_payload(r), sort_keys=True)  # noqa: E731
         assert dump(a) == dump(b)
+
+
+class TestDeterministicTrace:
+    """``execute_job``'s trace is a function of the scenario too, whatever
+    the worker ran before or runs beside it."""
+
+    def test_repeat_job_returns_the_same_trace(self):
+        body = tiny_scenario_dict()
+        first = execute_job(body)
+        assert first.trace and execute_job(body).trace == first.trace
+
+    def test_concurrent_jobs_number_their_packets_from_one(self):
+        body = tiny_scenario_dict(sim_time_us=100.0)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(execute_job(body)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        a, b = (r.trace for r in results)
+        created = [e["packet_id"] for e in a if e["kind"] == "created"]
+        assert a == b
+        assert created == list(range(1, len(created) + 1))
 
 
 class TestSharedRunCache:

@@ -1,8 +1,10 @@
 """Pinned golden results: every case in ``repro/sim/golden.json`` must
-reproduce its digest under every run-mode leg.
+reproduce its digests under every run-mode leg.
 
-A digest is the sha256 of the canonical JSON of ``report_payload``; the
-fast, reference-datapath and heap-scheduler legs must each match it.  When a change moves results on purpose, re-pin the table with
+``digest`` is the sha256 of the canonical JSON of ``report_payload`` and
+``trace_digest`` that of the run's trace events; the fast,
+reference-datapath and heap-scheduler legs must each match both.  When a
+change moves results on purpose, re-pin the table with
 ``python tools/golden.py --write`` and name the reason in CHANGES.md.
 """
 
@@ -11,18 +13,18 @@ import json
 import pytest
 
 from repro.fuzz.generators import Scenario
-from repro.service.jobstore import report_digest
 from repro.sim.config import RunModes
 from repro.sim.runner import run_simulation
-from repro.sim.sweep import GOLDEN_TABLE
+from repro.sim.sweep import GOLDEN_TABLE, report_digest, trace_digest
+from repro.sim.trace import Tracer
 
 CASES = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))["cases"]
 
-ORACLE_LEGS = {
+LEGS = {
+    "fast": RunModes(),
     "reference": RunModes(datapath="reference"),
     "heap": RunModes(scheduler="heap"),
 }
-
 
 def test_table_pins_six_short_schedule_free_cases():
     assert len(CASES) == 6
@@ -37,14 +39,16 @@ def test_table_pins_six_short_schedule_free_cases():
 )
 def test_digest_holds_under_every_leg(case):
     config = Scenario.from_dict(case["scenario"]).build_config()
-    fast = run_simulation(config, modes=RunModes())
-    digest = report_digest(fast)
-    for leg, modes in ORACLE_LEGS.items():
-        assert report_digest(run_simulation(config, modes=modes)) == digest, (
-            f"the {leg} leg disagrees with the fast leg"
+    pinned = {field: case[field] for field in ("digest", "trace_digest")}
+    for leg, modes in LEGS.items():
+        tracer = Tracer()
+        report = run_simulation(config, modes=modes, tracer=tracer)
+        got = {
+            "digest": report_digest(report),
+            "trace_digest": trace_digest(tracer.events),
+        }
+        assert got == pinned, (
+            f"{case['scenario']['name']} on the {leg} leg: {got} != pinned"
+            f" {pinned}. If the fast leg moved on purpose, run `python"
+            f" tools/golden.py --write` and name the reason in CHANGES.md."
         )
-    assert digest == case["digest"], (
-        f"{case['scenario']['name']}: result digest moved from "
-        f"{case['digest']} to {digest}. If the change is intended, run "
-        f"`python tools/golden.py --write` and name the reason in CHANGES.md."
-    )

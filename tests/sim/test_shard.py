@@ -114,38 +114,29 @@ class TestShardRuntime:
         # a REGISTER crossing back to the offender shard carries zero
         # residual delay: it can fire exactly at the receiver's clock
         rt = ShardRuntime(_runtime_config(), 0, default_modes())
-        try:
-            rt.advance(5_000_000)
-            rt.deliver_and_eot([(5_000_000, _REGISTER, 1, PKey(0x0001))])
-            rt.advance(5_000_000)
-            registry = rt.fabric.registry
-            assert registry.total("filter.*.activations") == 1
-        finally:
-            rt.close()
+        rt.advance(5_000_000)
+        rt.deliver_and_eot([(5_000_000, _REGISTER, 1, PKey(0x0001))])
+        rt.advance(5_000_000)
+        assert rt.fabric.registry.total("filter.*.activations") == 1
 
     def test_sm_busy_drops_lookahead(self):
         rt = ShardRuntime(_runtime_config(), 0, default_modes())
-        try:
-            rt.engine.schedule_at(1000, int)
-            assert rt.deliver_and_eot([]) == 1000 + rt.lookahead
-            rt.fabric.sm._busy = True
-            assert rt.deliver_and_eot([]) == 1000
-        finally:
-            rt.fabric.sm._busy = False
-            rt.close()
+        rt.engine.schedule_at(1000, int)
+        assert rt.deliver_and_eot([]) == 1000 + rt.lookahead
+        rt.fabric.sm._busy = True
+        assert rt.deliver_and_eot([]) == 1000
 
     def test_boundary_surgery_is_shard_local(self):
         # every boundary link name maps on exactly one of the two runtimes'
-        # sender tables, and the opposite runtime's receiver table
+        # sender tables, and the opposite runtime's receiver table, and each
+        # sender half posts through its own runtime
         r0 = ShardRuntime(_runtime_config(), 0, default_modes())
         r1 = ShardRuntime(_runtime_config(), 1, default_modes())
-        try:
-            assert set(r0._pkt_route) == set(r1._in_map)
-            assert set(r1._pkt_route) == set(r0._in_map)
-            assert not (set(r0._pkt_route) & set(r1._pkt_route))
-        finally:
-            r0.close()
-            r1.close()
+        assert set(r0._pkt_route) == set(r1._in_map)
+        assert set(r1._pkt_route) == set(r0._in_map)
+        assert not (set(r0._pkt_route) & set(r1._pkt_route))
+        for rt in (r0, r1):
+            assert all(link.dst is rt for link in rt._out_links.values())
 
 
 class TestProcessTransportCrash:

@@ -153,24 +153,26 @@ class TestRunCache:
         return self._keys(base)
 
     def test_cache_version_bump_invalidates(self, base, tmp_path, monkeypatch):
-        """Regression: a change to what a run computes must change every
-        key, so stale pickles can never hit.  RESULTS_VERSION folds the
-        pinned golden digests: re-deriving it is stable, and regenerating
-        the golden table with a moved digest moves every key (config-keyed
-        sweep entries and scenario-keyed service entries)."""
+        """Regression: a change to what a run computes or traces must
+        change every key, so stale pickles can never hit.  RESULTS_VERSION
+        folds the pinned golden report and trace digests: re-deriving it is
+        stable, and regenerating the golden table with either digest moved
+        moves every key (config-keyed sweep entries and scenario-keyed
+        service entries, whose cached trace tail a trace change stales)."""
         from repro.sim import sweep as sweep_mod
 
         current = self._keys(base)
         self._rederive(monkeypatch)
         assert self._keys(base) == current
 
-        table = json.loads(sweep_mod.GOLDEN_TABLE.read_text(encoding="utf-8"))
-        table["cases"][0]["digest"] = "0" * 64
-        edited = tmp_path / "golden.json"
-        edited.write_text(json.dumps(table), encoding="utf-8")
-        monkeypatch.setattr(sweep_mod, "GOLDEN_TABLE", edited)
-        self._rederive(monkeypatch)
-        assert all(a != b for a, b in zip(self._keys(base), current))
+        for field in ("digest", "trace_digest"):
+            table = json.loads(sweep_mod.GOLDEN_TABLE.read_text(encoding="utf-8"))
+            table["cases"][0][field] = "0" * 64
+            edited = tmp_path / f"{field}.json"
+            edited.write_text(json.dumps(table), encoding="utf-8")
+            monkeypatch.setattr(sweep_mod, "GOLDEN_TABLE", edited)
+            self._rederive(monkeypatch)
+            assert all(a != b for a, b in zip(self._keys(base), current)), field
 
     def test_cache_version_5_invalidates_pre_bloom_entries(self, base, monkeypatch):
         """Regression: pre-Bloom pickles were hashed over a config shape

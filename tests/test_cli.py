@@ -1,5 +1,7 @@
 """CLI: argument parsing, command dispatch, output contents."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -165,10 +167,22 @@ class TestTraceCommand:
         assert out.lstrip().startswith("{")
 
     def test_trace_packet_timeline(self, capsys):
-        rc = main(["trace", "--sim-time-us", "300", "--packet", "1"])
+        # twice in one process: ids are per run, so packet 1 is the run's
+        # first admitted packet both times
+        for _ in range(2):
+            rc = main(["trace", "--sim-time-us", "300", "--packet", "1"])
+            out = capsys.readouterr().out
+            assert rc == 0
+            match = re.search(r"^packet 1: (\d+) events$", out, re.MULTILINE)
+            assert match and int(match.group(1)) >= 2, out
+            assert re.search(r"^ .* created +@hca", out, re.MULTILINE)
+
+    def test_trace_unknown_packet_fails_loudly(self, capsys):
+        rc = main(["trace", "--sim-time-us", "300", "--packet", "0"])
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "packet 1" in out
+        assert rc == 1
+        assert "packet 0: no trace events" in out
+        assert re.search(r"admitted packet ids 1\.\.\d+; the ring buffer evicted 0 of", out)
 
     def test_trace_ring_buffer(self, capsys):
         rc = main(["trace", "--sim-time-us", "400", "--max-events", "50"])

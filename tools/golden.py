@@ -2,10 +2,11 @@
 """Check or regenerate the pinned golden result digests.
 
 ``src/repro/sim/golden.json`` holds six short schedule-free scenarios and,
-for each, the sha256 of the canonical JSON of
-:func:`repro.service.jobstore.report_payload` for its run under the
-default fast-path modes (``RunModes()``).  ``tests/sim/test_golden.py``
-checks the table under every run-mode leg.
+for each run under the default fast-path modes (``RunModes()``), two
+sha256 digests: ``digest`` of the canonical JSON of
+:func:`repro.sim.sweep.report_payload`, and ``trace_digest`` of the run's
+trace events (:func:`repro.sim.sweep.trace_digest`).
+``tests/sim/test_golden.py`` checks the table under every run-mode leg.
 
 Usage::
 
@@ -27,10 +28,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz.generators import Scenario  # noqa: E402
-from repro.service.jobstore import report_digest  # noqa: E402
 from repro.sim.config import RunModes  # noqa: E402
 from repro.sim.runner import run_simulation  # noqa: E402
-from repro.sim.sweep import GOLDEN_TABLE  # noqa: E402
+from repro.sim.sweep import GOLDEN_TABLE, report_digest, trace_digest  # noqa: E402
+from repro.sim.trace import Tracer  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,14 +43,20 @@ def main(argv: list[str] | None = None) -> int:
     moved = 0
     for case in table["cases"]:
         config = Scenario.from_dict(case["scenario"]).build_config()
-        digest = report_digest(run_simulation(config, modes=RunModes()))
+        tracer = Tracer()
+        report = run_simulation(config, modes=RunModes(), tracer=tracer)
+        pinned = {
+            "digest": report_digest(report),
+            "trace_digest": trace_digest(tracer.events),
+        }
         name = case["scenario"]["name"]
-        if digest != case["digest"]:
-            moved += 1
-            print(f"{name}: {case['digest']} -> {digest}")
-        else:
-            print(f"{name}: {digest} unchanged")
-        case["digest"] = digest
+        for field, digest in pinned.items():
+            if digest != case.get(field):
+                moved += 1
+                print(f"{name} {field}: {case.get(field)} -> {digest}")
+            else:
+                print(f"{name} {field}: {digest} unchanged")
+        case.update(pinned)
     if args.write:
         GOLDEN_TABLE.write_text(
             json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
