@@ -113,26 +113,31 @@ def umac_line_rate_check(
 
 
 def measure_implementations(message_size: int = 1024, repeats: int = 20) -> dict[str, float]:
-    """Wall-clock throughput (MB/s) of this repo's pure-Python primitives.
+    """Wall-clock throughput (MB/s) of this repo's from-scratch primitives.
 
     Absolute numbers are Python-speed, not silicon-speed; the meaningful
     output is the ordering, which must match Table 4's: CRC fastest,
     then the universal-hash MACs, then HMAC-MD5, then HMAC-SHA1.
     (Table-driven CRC does ~1 table op/byte; UMAC's NH does one multiply-add
     per 8 bytes; MD5/SHA1 run 64/80 compression steps per 64-byte block.)
+    It times the pure-Python oracles (``crc32_pure``, ``hmac`` over
+    ``MD5``/``SHA1``), not the C-backed functions the simulator calls:
+    C against Python would say nothing about the algorithms.
     """
-    from repro.crypto.crc32 import crc32
-    from repro.crypto.hmac import hmac_md5, hmac_sha1
+    from repro.crypto.crc32 import crc32_pure
+    from repro.crypto.hmac import hmac
+    from repro.crypto.md5 import MD5
+    from repro.crypto.sha1 import SHA1
     from repro.crypto.umac import UMAC
 
     msg = bytes(range(256)) * (message_size // 256 + 1)
     msg = msg[:message_size]
     umac = UMAC(b"0123456789abcdef")
     candidates = {
-        "CRC": lambda: crc32(msg),
+        "CRC": lambda: crc32_pure(msg),
         "UMAC": lambda: umac.hash(msg),  # the per-byte work; pad is per-nonce
-        "HMAC-MD5": lambda: hmac_md5(b"k" * 16, msg),
-        "HMAC-SHA1": lambda: hmac_sha1(b"k" * 16, msg),
+        "HMAC-MD5": lambda: hmac(b"k" * 16, msg, MD5),
+        "HMAC-SHA1": lambda: hmac(b"k" * 16, msg, SHA1),
     }
     results = {}
     for name, fn in candidates.items():

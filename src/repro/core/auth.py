@@ -35,10 +35,12 @@ reference datapath (:mod:`repro.datapath`) recomputes every tag instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro import datapath as _datapath
+from repro.crypto.cmac import AESCMAC
 from repro.crypto.hmac import hmac_md5, hmac_sha1, tag32
 from repro.crypto.pmac import PMAC
 from repro.crypto.stream import stream_mac
@@ -60,27 +62,26 @@ class AuthFunction:
     compute: Callable[[bytes, bytes, int], int]
 
 
+#: Bound on the keyed-instance memo.  One run keys a few dozen MAC
+#: instances (``mesh_umac``: 48 QP-level UMAC keys), so a run never evicts;
+#: the bound only stops long-lived sweep and service workers from keeping
+#: every key schedule they ever built.
+KEYED_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=KEYED_MEMO_SIZE)
+def _keyed(cls: type, key: bytes):
+    """The *cls* instance for *key*: UMAC/PMAC/AES-CMAC key schedules are
+    expensive, so each (algorithm, key) pair is built once."""
+    return cls(key)
+
+
 def _umac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    return _umac_instance(key).tag(message, nonce)
-
-
-# UMAC/PMAC key schedules are expensive; cache instances per key.
-_UMAC_CACHE: dict[bytes, UMAC] = {}
-_PMAC_CACHE: dict[bytes, PMAC] = {}
-
-
-def _umac_instance(key: bytes) -> UMAC:
-    inst = _UMAC_CACHE.get(key)
-    if inst is None:
-        inst = _UMAC_CACHE[key] = UMAC(key)
-    return inst
+    return _keyed(UMAC, key).tag(message, nonce)
 
 
 def _pmac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    inst = _PMAC_CACHE.get(key)
-    if inst is None:
-        inst = _PMAC_CACHE[key] = PMAC(key)
-    return inst.tag(nonce.to_bytes(8, "big") + message)
+    return _keyed(PMAC, key).tag(nonce.to_bytes(8, "big") + message)
 
 
 def _hmac_md5_compute(key: bytes, message: bytes, nonce: int) -> int:
@@ -92,15 +93,8 @@ def _hmac_sha1_compute(key: bytes, message: bytes, nonce: int) -> int:
 
 
 def _cmac_compute(key: bytes, message: bytes, nonce: int) -> int:
-    from repro.crypto.cmac import AESCMAC
+    return _keyed(AESCMAC, key).tag(nonce.to_bytes(8, "big") + message)
 
-    inst = _CMAC_CACHE.get(key)
-    if inst is None:
-        inst = _CMAC_CACHE[key] = AESCMAC(key)
-    return inst.tag(nonce.to_bytes(8, "big") + message)
-
-
-_CMAC_CACHE: dict[bytes, object] = {}
 
 #: The registry, keyed by the BTH Reserved value.  Slot 6 is taken by the
 #: Section-7 partial-digest wrapper (:mod:`repro.core.fastmac`).

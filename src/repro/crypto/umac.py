@@ -26,9 +26,15 @@ Construction (three layers, as in the original design):
    the RC6-based PRF of the original), so tags are one-time-pad-like and
    reusing the hash key stays safe as long as nonces are fresh.
 
-Key schedule: all subkeys are derived from the user key with
-:func:`repro.crypto.kdf.derive_key`, so a 16-byte secret key from the
-partition-level or QP-level key manager is all a channel adapter stores.
+Key schedule: all subkeys (1 KiB of NH key, the polynomial point and the
+pad key) are expanded from the user key by HMAC-SHA1 in counter mode
+(:func:`_derive`), so a 16-byte secret key from the partition-level or
+QP-level key manager is all a channel adapter stores.
+
+NH and the polynomial hash are written here in Python.  The HMAC-SHA1 calls
+(52 per key schedule, one per tag's pad) go through the C-backed
+:func:`repro.crypto.hmac.hmac_sha1`; the from-scratch
+``hmac(key, msg, SHA1)`` is its tested oracle.
 
 Not interoperable with RFC 4418 — the structure, tag size, and security
 bound are what the reproduction needs, per DESIGN.md §6.

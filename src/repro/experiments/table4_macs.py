@@ -2,8 +2,11 @@
 
 Reprints the paper's normalized table (from :mod:`repro.analysis.performance`),
 verifies the normalization arithmetic against the cited raw data points, and
-measures this repo's own pure-Python implementations to confirm the
+measures this repo's own from-scratch Python implementations to confirm the
 *ordering* the paper's argument needs (CRC/universal-hash fast, HMACs slow).
+The measured column times the pure-Python oracles (``crc32_pure`` and
+``hmac`` over ``MD5``/``SHA1``); the C-backed ``crc32``/``hmac_md5``/
+``hmac_sha1`` the simulator calls are not what Table 4 compares.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Request lifecycle for ``POST /jobs`` (the admission pipeline, in order)::
     size/JSON/schema validation ──> 400  (strict unknown-key rejection)
     drain in progress           ──> 503
     per-client token bucket     ──> 429 + Retry-After
-    cache lookup                ──> 200 done, "cache_hit": true
     in-flight coalescing        ──> 202 existing job id, "coalesced": true
+    cache lookup                ──> 200 done, "cache_hit": true
     bounded queue depth         ──> 429 + Retry-After on overflow
     enqueue                     ──> 202 queued
 
@@ -207,16 +207,20 @@ class JobService(JsonHttpServer):
             )
         key = scenario_key(scenario)
         with self._submit_lock:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._cache_hits.inc()
-                job = self.store.create_done(client_id, scenario, key, cached)
-                return 200, self._submit_body(job), {}
+            # In-flight before cache: a worker stores the result before it
+            # retires the job, so a job gone from the in-flight index has
+            # its result in the cache.  The other order let a job finish
+            # between the two checks and its duplicate run a second time.
             inflight = self.store.inflight_for(key)
             if inflight is not None:
                 self._coalesced.inc()
                 inflight.coalesced = True
                 return 202, self._submit_body(inflight), {}
+            cached = self.cache.get(key)
+            if cached is not None:
+                self._cache_hits.inc()
+                job = self.store.create_done(client_id, scenario, key, cached)
+                return 200, self._submit_body(job), {}
             job = self.store.create(client_id, scenario, key)
             try:
                 self.queue.push(job)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import auth
 from repro.core.auth import (
     AUTH_FUNCTIONS,
     IcrcAuthService,
@@ -64,6 +65,19 @@ class TestRegistry:
         assert 0 <= t1 <= 0xFFFFFFFF
         assert t1 == t2
         assert t1 != t3
+
+
+class TestKeyedMemo:
+    def test_memo_is_bounded(self):
+        """Key schedules are memoized per (algorithm, key), but a
+        long-lived worker that sees ever more keys keeps at most the bound."""
+        umac = AUTH_FUNCTIONS[1]
+        try:
+            for i in range(auth.KEYED_MEMO_SIZE + 8):
+                umac.compute(i.to_bytes(16, "big"), b"message", 0)
+            assert auth._keyed.cache_info().currsize <= auth.KEYED_MEMO_SIZE
+        finally:
+            auth._keyed.cache_clear()
 
 
 class TestIcrcService:

@@ -19,6 +19,18 @@ class TestPositions:
         b = bloom_positions(0x1234, b"salt", 1024, 4)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((0x1234, b"salt", 1024, 4), (832, 93, 378, 663)),
+            ((0x12345, b"", 256, 4), (250, 69, 144, 219)),
+            ((0xBEEF, b"salt", 4096, 6), (2536, 2747, 2958, 3169, 3380, 3591)),
+        ],
+    )
+    def test_known_answers(self, args, expected):
+        """Positions pinned from the pure-Python MD5."""
+        assert bloom_positions(*args) == expected
+
     def test_count_and_range(self):
         for key in range(200):
             pos = bloom_positions(key, b"s", 97, 5)

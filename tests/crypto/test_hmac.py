@@ -1,4 +1,8 @@
-"""HMAC against RFC 2202 test vectors, the stdlib, and truncation rules."""
+"""HMAC against RFC 2202 test vectors, the stdlib, and truncation rules.
+
+``hmac_md5``/``hmac_sha1`` are stdlib-backed, so the vectors run over both
+them and the from-scratch ``hmac`` over ``MD5``/``SHA1``, and the stdlib
+comparisons check the from-scratch one."""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -42,6 +46,14 @@ class TestRfc2202:
     def test_hmac_sha1(self, key, msg, expected):
         assert hmac_sha1(key, msg).hex() == expected
 
+    @pytest.mark.parametrize("key,msg,expected", RFC2202_MD5)
+    def test_reference_hmac_md5(self, key, msg, expected):
+        assert hmac(key, msg, MD5).hex() == expected
+
+    @pytest.mark.parametrize("key,msg,expected", RFC2202_SHA1)
+    def test_reference_hmac_sha1(self, key, msg, expected):
+        assert hmac(key, msg, SHA1).hex() == expected
+
 
 class TestAgainstStdlib:
     @pytest.mark.parametrize("key_len", [0, 1, 16, 63, 64, 65, 200])
@@ -49,7 +61,7 @@ class TestAgainstStdlib:
     def test_sha1_all_shapes(self, key_len, msg_len):
         key = bytes((i * 3) & 0xFF for i in range(key_len))
         msg = bytes((i * 5) & 0xFF for i in range(msg_len))
-        assert hmac_sha1(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+        assert hmac(key, msg, SHA1) == stdlib_hmac.new(key, msg, hashlib.sha1).digest()
 
     def test_md5_generic_entry_point(self):
         assert hmac(b"key", b"msg", MD5) == stdlib_hmac.new(b"key", b"msg", hashlib.md5).digest()

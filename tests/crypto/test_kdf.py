@@ -22,6 +22,24 @@ class TestDeriveKey:
         key = derive_key(b"master", b"ctx", length)
         assert len(key) == length
 
+    @pytest.mark.parametrize(
+        "master,context,length,expected",
+        [
+            (b"master-secret", b"pkey:8001", 16, "e16bf7c6c5b06fd1df2037e1248f8b49"),
+            (b"m", b"", 1, "71"),
+            (
+                b"master-secret",
+                b"qp:0101:0102:epoch0",
+                41,
+                "039ff682136cf4a9eaea2aa00fe5edb28d4164a6a44b4dd5d3a1b58ffe0606aa"
+                "8e4a6fd064bbdc8c8e",
+            ),
+        ],
+    )
+    def test_known_answers(self, master, context, length, expected):
+        """Keys pinned from the pure-Python HMAC-SHA1 expansion."""
+        assert derive_key(master, context, length).hex() == expected
+
     def test_prefix_not_shared_across_lengths(self):
         # expanding more material keeps the shared prefix consistent
         short = derive_key(b"m", b"c", 16)

@@ -1,5 +1,8 @@
 """MD5 against RFC 1321 test vectors and hashlib, plus incremental-API
-behaviour (chunking, copy, block boundaries)."""
+behaviour (chunking, copy, block boundaries).
+
+The one-shot ``md5`` is hashlib-backed; the vectors run over both it and the
+from-scratch ``MD5`` class, and the hashlib comparisons check ``MD5``."""
 
 import hashlib
 
@@ -29,16 +32,20 @@ class TestRfcVectors:
     def test_vector(self, message, expected):
         assert md5(message).hex() == expected
 
+    @pytest.mark.parametrize("message,expected", RFC1321_VECTORS)
+    def test_reference_vector(self, message, expected):
+        assert MD5(message).hexdigest() == expected
+
 
 class TestAgainstHashlib:
     @pytest.mark.parametrize("size", [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 1000, 4096])
     def test_block_boundaries(self, size):
         data = bytes(i & 0xFF for i in range(size))
-        assert md5(data) == hashlib.md5(data).digest()
+        assert MD5(data).digest() == hashlib.md5(data).digest()
 
     def test_large_input(self):
         data = b"x" * 100_000
-        assert md5(data) == hashlib.md5(data).digest()
+        assert MD5(data).digest() == hashlib.md5(data).digest()
 
 
 class TestIncremental:

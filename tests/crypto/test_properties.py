@@ -4,17 +4,23 @@ These pin the algebraic properties the paper's design depends on:
 CRC linearity (why CRC is not a MAC), MAC determinism and input
 sensitivity, hash/stdlib agreement on arbitrary inputs, RSA round trips,
 and XTEA permutation behaviour.
+
+The agreement properties check both hash paths: the stdlib-backed
+``md5``/``sha1``/``hmac_md5``/``hmac_sha1`` the simulator calls must equal
+the from-scratch ``MD5``/``SHA1``/``hmac`` oracles, which must equal the
+stdlib.
 """
 
 import hashlib
+import hmac as stdlib_hmac
 import zlib
 
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.crc32 import CRC32, crc32
-from repro.crypto.hmac import hmac_sha1
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
+from repro.crypto.hmac import hmac, hmac_md5, hmac_sha1
+from repro.crypto.md5 import MD5, md5
+from repro.crypto.sha1 import SHA1, sha1
 from repro.crypto.umac import UMAC
 from repro.crypto.xtea import XTEA
 
@@ -24,12 +30,12 @@ keys16 = st.binary(min_size=16, max_size=16)
 
 @given(small_bytes)
 def test_md5_matches_hashlib(data):
-    assert md5(data) == hashlib.md5(data).digest()
+    assert md5(data) == MD5(data).digest() == hashlib.md5(data).digest()
 
 
 @given(small_bytes)
 def test_sha1_matches_hashlib(data):
-    assert sha1(data) == hashlib.sha1(data).digest()
+    assert sha1(data) == SHA1(data).digest() == hashlib.sha1(data).digest()
 
 
 @given(small_bytes)
@@ -81,12 +87,15 @@ def test_umac_bitflip_detected(key, message, nonce, pos):
     assert mac.tag(bytes(tampered), nonce) != original
 
 
-@given(st.binary(min_size=0, max_size=128), st.binary(min_size=0, max_size=128))
+@given(st.binary(min_size=0, max_size=200), st.binary(min_size=0, max_size=300))
 @settings(max_examples=100)
 def test_hmac_matches_stdlib(key, msg):
-    import hmac as stdlib_hmac
-
-    assert hmac_sha1(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+    """Keys past 64 bytes take HMAC's hash-the-key branch; messages cross
+    block boundaries."""
+    expected_md5 = stdlib_hmac.new(key, msg, hashlib.md5).digest()
+    expected_sha1 = stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+    assert hmac_md5(key, msg) == hmac(key, msg, MD5) == expected_md5
+    assert hmac_sha1(key, msg) == hmac(key, msg, SHA1) == expected_sha1
 
 
 @given(keys16, st.binary(min_size=8, max_size=8))

@@ -1,4 +1,7 @@
-"""SHA-1 against FIPS 180-1 vectors and hashlib."""
+"""SHA-1 against FIPS 180-1 vectors and hashlib.
+
+The one-shot ``sha1`` is hashlib-backed; the vectors run over both it and
+the from-scratch ``SHA1`` class, and the hashlib comparisons check ``SHA1``."""
 
 import hashlib
 
@@ -14,6 +17,7 @@ FIPS_VECTORS = [
     ),
     (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
 ]
+MILLION_A = "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
 
 
 class TestFipsVectors:
@@ -21,16 +25,23 @@ class TestFipsVectors:
     def test_vector(self, message, expected):
         assert sha1(message).hex() == expected
 
+    @pytest.mark.parametrize("message,expected", FIPS_VECTORS)
+    def test_reference_vector(self, message, expected):
+        assert SHA1(message).hexdigest() == expected
+
     def test_million_a(self):
         # FIPS 180-1 appendix: one million repetitions of "a".
-        assert sha1(b"a" * 1_000_000).hex() == "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        assert sha1(b"a" * 1_000_000).hex() == MILLION_A
+
+    def test_reference_million_a(self):
+        assert SHA1(b"a" * 1_000_000).hexdigest() == MILLION_A
 
 
 class TestAgainstHashlib:
     @pytest.mark.parametrize("size", [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 1000, 4096])
     def test_block_boundaries(self, size):
         data = bytes((i * 7) & 0xFF for i in range(size))
-        assert sha1(data) == hashlib.sha1(data).digest()
+        assert SHA1(data).digest() == hashlib.sha1(data).digest()
 
 
 class TestIncremental:

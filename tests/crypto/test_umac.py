@@ -36,6 +36,25 @@ class TestBasicContract:
         assert UMAC.forgery_probability == 2.0**-30
 
 
+class TestKnownAnswers:
+    """Tags pinned from the pure-Python key schedule.  Golden report digests
+    cannot see a changed MAC (sender and receiver compute the same function,
+    so every counter stays equal); these can."""
+
+    @pytest.mark.parametrize(
+        "key,message,nonce,expected",
+        [
+            (b"sixteen byte key", b"", 0, 0xBE38A6D6),
+            (b"sixteen byte key", b"message", 1, 0xC55E8E94),
+            (b"k", b"abc" * 7, 2**64 - 1, 0x08CF6FFB),
+            # 1280 bytes: two NH blocks.
+            (b"\x00" * 16, bytes(range(256)) * 5, 0x0123456789ABCDEF, 0xEF64174F),
+        ],
+    )
+    def test_umac32(self, key, message, nonce, expected):
+        assert umac32(key, message, nonce) == expected
+
+
 class TestSeparation:
     def test_wrong_message_fails(self):
         mac = UMAC(KEY)

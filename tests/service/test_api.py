@@ -145,6 +145,38 @@ class TestSubmitLifecycle:
         assert snap["service.accepted"] == 1
         assert snap["service.completed"] == 1  # one simulation, not two
 
+    def test_duplicate_racing_job_completion_is_not_a_new_job(self, make_service):
+        """Regression: a duplicate that missed the cache just before the
+        running job stored its result, then found no in-flight job just
+        after, was accepted as a second job (the soak's over-count)."""
+        gate = threading.Event()
+        entered = threading.Event()
+
+        def blocking_runner(d):
+            entered.set()
+            assert gate.wait(10)
+            return fake_runner(d)
+
+        service = make_service(runner=blocking_runner, workers=1)
+        _, first, _ = service.submit("a", tiny_body(seed=5))
+        assert entered.wait(5)
+        cache_get = service.cache.get
+
+        def get_then_let_the_job_finish(key):
+            entry = cache_get(key)
+            gate.set()
+            wait_terminal(service, first["job_id"])
+            return entry
+
+        service.cache.get = get_then_let_the_job_finish
+        _, dup, _ = service.submit("b", tiny_body(seed=5))
+        gate.set()
+        wait_terminal(service, first["job_id"])
+        assert dup["job_id"] == first["job_id"] or dup["cache_hit"]
+        snap = counters(service)
+        assert snap["service.accepted"] == 1
+        assert snap["service.completed"] == 1
+
     def test_failed_job_reports_409_with_error(self, make_service):
         def exploding_runner(d):
             raise RuntimeError("kaboom")

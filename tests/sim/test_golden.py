@@ -8,10 +8,12 @@ change moves results on purpose, re-pin the table with
 ``python tools/golden.py --write`` and name the reason in CHANGES.md.
 """
 
+import importlib
 import json
 
 import pytest
 
+from repro.core.auth import _keyed as keyed_memo
 from repro.fuzz.generators import Scenario
 from repro.sim.config import RunModes
 from repro.sim.runner import run_simulation
@@ -52,3 +54,28 @@ def test_digest_holds_under_every_leg(case):
             f" {pinned}. If the fast leg moved on purpose, run `python"
             f" tools/golden.py --write` and name the reason in CHANGES.md."
         )
+
+
+#: The golden cases whose runs compute MACs or Bloom hashes.
+HASHING_CASES = ("fig6_umac_qp", "hmac_md5_partition", "bloom")
+
+
+@pytest.mark.parametrize("name", HASHING_CASES)
+def test_runs_never_reach_the_pure_compression_functions(name, monkeypatch):
+    """The simulator hashes through the C-backed ``md5``/``sha1``/
+    ``hmac_*``; the from-scratch compression functions are oracles only,
+    under both datapaths."""
+
+    def forbidden(*args):
+        raise AssertionError("a run reached a pure-Python compression function")
+
+    # repro.crypto re-exports the md5/sha1 *functions* under the module
+    # names; resolve the modules explicitly.
+    for module in ("repro.crypto.md5", "repro.crypto.sha1"):
+        monkeypatch.setattr(importlib.import_module(module), "_compress", forbidden)
+    # Rebuild every key schedule, so UMAC's set-up runs under the guard too.
+    keyed_memo.cache_clear()
+    (case,) = [c for c in CASES if c["scenario"]["name"] == name]
+    config = Scenario.from_dict(case["scenario"]).build_config()
+    for modes in (RunModes(datapath="fast"), RunModes(datapath="reference")):
+        assert report_digest(run_simulation(config, modes=modes)) == case["digest"]
