@@ -339,7 +339,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"delivered={report.delivered} switch_filtered={report.switch_filtered} "
         f"traps={report.traps_processed} key_exchanges={report.key_exchanges} "
-        f"events={report.events_processed} wall={report.wall_seconds:.2f}s"
+        f"events={report.events_processed} wall={report.wall_seconds:.2f}s "
+        f"(build={report.build_seconds:.2f}s run={report.run_seconds:.2f}s)"
     )
     return 0
 

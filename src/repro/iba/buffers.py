@@ -8,12 +8,15 @@ credit-based flow control exact.
 Packets become *ready* (eligible for output arbitration) only after the
 switch's routing/enforcement pipeline has processed them, so the FIFO keeps
 two regions: arrived-but-processing, and ready-with-assigned-output.
+
+A port has 16 VLs but traffic uses two of them, so a VL gets its own
+:class:`VLFifo` only when its first packet arrives; until then its slot
+holds :data:`IDLE_FIFO`, a shared FIFO that is always empty.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.iba.packet import DataPacket
 
@@ -24,14 +27,19 @@ class ReadyEntry:
     out_port: int
 
 
-@dataclass
 class VLFifo:
-    """One VL's FIFO at one input port."""
+    """One VL's FIFO at one input port.
 
-    capacity: int
-    ready: deque[ReadyEntry] = field(default_factory=deque)
-    #: packets that arrived but are still in the routing/enforcement stage.
-    processing: int = 0
+    ``ready`` is a plain list: it never holds more than ``capacity``
+    entries, so popping its head is cheap."""
+
+    __slots__ = ("capacity", "ready", "processing")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.ready: list[ReadyEntry] = []
+        #: packets that arrived but are still in the routing/enforcement stage.
+        self.processing = 0
 
     @property
     def occupancy(self) -> int:
@@ -41,17 +49,27 @@ class VLFifo:
         return self.ready[0] if self.ready else None
 
 
+#: The FIFO of every VL that has not carried a packet yet.  Its ``ready``
+#: is an empty tuple, so it reads as empty and cannot be appended to; the
+#: buffer swaps in a real FIFO at the VL's first ``begin_processing``.
+IDLE_FIFO = VLFifo(0)
+IDLE_FIFO.ready = ()
+
+
 class InputBuffer:
     """All VL FIFOs of one input port."""
 
-    __slots__ = ("fifos",)
+    __slots__ = ("fifos", "capacity_per_vl")
 
     def __init__(self, num_vls: int, capacity_per_vl: int) -> None:
-        self.fifos = [VLFifo(capacity_per_vl) for _ in range(num_vls)]
+        self.capacity_per_vl = capacity_per_vl
+        self.fifos = [IDLE_FIFO] * num_vls
 
     def begin_processing(self, vl: int) -> None:
         """A packet has physically arrived and entered the pipeline."""
         fifo = self.fifos[vl]
+        if fifo is IDLE_FIFO:
+            fifo = self.fifos[vl] = VLFifo(self.capacity_per_vl)
         if fifo.occupancy >= fifo.capacity:
             raise RuntimeError(
                 f"VL{vl} buffer overflow — credit accounting violated "
@@ -75,4 +93,8 @@ class InputBuffer:
         fifo.processing -= 1
 
     def pop_head(self, vl: int) -> ReadyEntry:
-        return self.fifos[vl].ready.popleft()
+        """Remove and return the VL's head entry (IndexError when empty)."""
+        ready = self.fifos[vl].ready
+        if not ready:
+            raise IndexError(f"pop_head on empty VL{vl} FIFO")
+        return ready.pop(0)

@@ -32,6 +32,9 @@ from repro.sim.engine import Engine, PS_PER_NS, PS_PER_US
 from repro.sim.metrics import LatencySample, MetricsCollector
 from repro.sim.trace import Tracer, null_trace
 
+#: Send-queue slot of a VL that has not carried a packet yet.
+_NO_QUEUE: tuple = ()
+
 
 class AuthService(Protocol):
     """Pluggable ICRC/AT machinery (implemented in :mod:`repro.core.auth`)."""
@@ -84,8 +87,11 @@ class HCA:
         self.credit_return_delay_ps = round(credit_return_delay_ns * PS_PER_NS)
         self.metrics = metrics
         self.warmup_ps = warmup_ps
-        # send side
-        self.send_queues: list[deque[DataPacket]] = [deque() for _ in range(num_vls)]
+        # send side: a VL gets its deque at its first packet; until then its
+        # slot holds the empty tuple _NO_QUEUE, which reads as an empty queue.
+        # Deques, not bounded lists: a best-effort queue grows without bound
+        # under DoS, and the injector pops its head.
+        self.send_queues: list[deque[DataPacket] | tuple] = [_NO_QUEUE] * num_vls
         self.out_link: Link | None = None
         # receive side
         self.in_link: Link | None = None
@@ -159,7 +165,10 @@ class HCA:
 
     def _enqueue(self, packet: DataPacket) -> None:
         self.submitted.inc()
-        self.send_queues[packet.vl].append(packet)
+        queue = self.send_queues[packet.vl]
+        if queue is _NO_QUEUE:
+            queue = self.send_queues[packet.vl] = deque()
+        queue.append(packet)
         self._try_inject()
 
     def queued_tx_count(self) -> int:

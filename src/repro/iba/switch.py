@@ -187,6 +187,8 @@ class Switch:
         for in_port, buffer in enumerate(self.inputs):
             upstream = self.in_links[in_port]
             for vl, fifo in enumerate(buffer.fifos):
+                if not fifo.ready:
+                    continue  # nothing to re-resolve; IDLE_FIFO must stay unwritten
                 kept = []
                 for entry in fifo.ready:
                     new_port = self.route_table.get(int(entry.packet.dst))

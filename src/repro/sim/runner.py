@@ -74,6 +74,14 @@ class SimReport:
     key_exchanges: int = 0
     events_processed: int = 0
     wall_seconds: float = 0.0
+    """Host seconds of the whole run: ``build_seconds``, ``run_seconds``
+    and the time around them.  All three are kept out of the report's
+    deterministic payload and out of the run key."""
+    build_seconds: float = 0.0
+    """Host seconds building the experiment: ``build_experiment`` and the
+    ``setup`` hook (sharded: constructing the shard drivers)."""
+    run_seconds: float = 0.0
+    """Host seconds in ``Engine.run`` (sharded: the synchronous rounds)."""
     senders: dict[str, int] = field(default_factory=dict)
     """Traffic sources actually *started* per class — nodes whose partition
     peers are all attackers never start one, so this can be less than
@@ -353,18 +361,28 @@ def build_experiment(
     )
 
     # --- legitimate traffic: same-partition peers, per Section 3.1
+    # One Peer per honest LID, shared by every source sending there, and one
+    # LID-sorted peer list per partition; a source's list is its
+    # partition's without itself.
+    attacker_set = set(attackers)
+    partition_peers = {
+        index: [
+            Peer(m, qps[m].qpn, qps[m].qkey)
+            for m in sorted(members) if m not in attacker_set
+        ]
+        for index, members in sm.partitions.items()
+    }
     sources = []
     byte_ps = config.byte_time_ps
     for lid in lids:
-        if lid in attackers:
+        if lid in attacker_set:
             continue
         if only_lids is not None and lid not in only_lids:
             continue
         index = node_partition[lid]
-        peer_lids = [m for m in sm.partitions[index] if m != lid and m not in attackers]
-        if not peer_lids:
+        peers = [p for p in partition_peers[index] if p.lid != lid]
+        if not peers:
             continue
-        peers = [Peer(m, qps[m].qpn, qps[m].qkey) for m in sorted(peer_lids)]
         hca = fabric.hca(lid)
         if config.enable_best_effort:
             src = make_open_loop_source(
@@ -394,7 +412,7 @@ def build_experiment(
         targets = (
             sorted(sm.partitions[node_partition[lid]] - {lid})
             if config.attack_valid_pkey
-            else [l for l in lids]
+            else lids
         )
         flooder = RandomPKeyFlooder(
             engine, fabric.hca(lid), qps[lid], targets,
@@ -458,6 +476,7 @@ def run_simulation(
         )
         if setup is not None:
             setup(engine, fabric)
+        t_built = time.perf_counter()
         server = None
         if metrics_port is not None:
             from repro.sim.metrics_server import MetricsServer
@@ -465,7 +484,9 @@ def run_simulation(
             server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
             server.start()
         try:
+            t_run = time.perf_counter()
             engine.run(until=config.sim_time_ps)
+            run_seconds = time.perf_counter() - t_run
         finally:
             if server is not None:
                 server.stop()
@@ -481,6 +502,8 @@ def run_simulation(
         key_exchanges=int(getattr(key_manager, "exchanges", 0)),
         events_processed=engine.events_processed,
         wall_seconds=wall,
+        build_seconds=t_built - t0,
+        run_seconds=run_seconds,
         senders=count_senders(sources),
         metrics=metrics.summary() if config.keep_samples else None,
         counters=fabric.registry.snapshot(),

@@ -454,6 +454,8 @@ def _merge_results(
     results: list[ShardResult],
     wall: float,
     rounds: int,
+    build: float,
+    run: float,
 ):
     """Fold per-shard results into one schema-compatible SimReport."""
     from repro.sim.runner import SimReport, class_stats
@@ -511,6 +513,8 @@ def _merge_results(
         key_exchanges=0,  # sharded runs require keymgmt == NONE
         events_processed=sum(r.events_processed for r in results),
         wall_seconds=wall,
+        build_seconds=build,
+        run_seconds=run,
         senders=senders,
         metrics=summary,
         counters=counters,
@@ -529,6 +533,11 @@ def run_sharded(
     Called by :func:`~repro.sim.runner.run_simulation`, which holds the
     datapath at ``modes.datapath`` around the call.
 
+    The report's ``build_seconds`` is the drivers' construction and its
+    ``run_seconds`` the synchronous rounds.  Forked process-transport
+    workers build their replicas concurrently after construction, so
+    there the replica build lands in ``run_seconds``.
+
     *transport* overrides ``config.shard_transport``; *_crash_at* is a
     test hook ``(shard, sim_time_ps)`` that kills that worker mid-run
     (process transport only).
@@ -544,11 +553,15 @@ def run_sharded(
         drivers = [
             _InlineDriver(config, s, modes, _crash_at) for s in range(config.shards)
         ]
+    t_built = time.perf_counter()
     try:
         rounds = _run_rounds(drivers, config.sim_time_ps)
+        t_ran = time.perf_counter()
         results = [driver.result() for driver in drivers]
     finally:
         for driver in drivers:
             driver.close()
     wall = time.perf_counter() - t0
-    return _merge_results(config, results, wall, rounds)
+    return _merge_results(
+        config, results, wall, rounds, build=t_built - t0, run=t_ran - t_built
+    )

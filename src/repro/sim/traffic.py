@@ -50,9 +50,16 @@ _UD_PAD = b"\x5a" * 25
 def payload_prefix(src_lid: LID, dst_lid: LID) -> bytes:
     """The per-(source, destination) constant head of the default payload.
 
-    Sources precompute this once per peer so the per-packet payload build
-    folds in only the 3 PSN bytes (see :func:`make_ud_packet`)."""
-    return int(src_lid).to_bytes(2, "big") + int(dst_lid).to_bytes(2, "big")
+    Sources keep their own LID's two bytes and each :class:`Peer` keeps its
+    LID's two, so a send joins the two halves instead of calling this, and
+    the per-packet payload build folds in only the 3 PSN bytes (see
+    :func:`make_ud_packet`)."""
+    return lid_bytes(src_lid) + lid_bytes(dst_lid)
+
+
+def lid_bytes(lid: LID) -> bytes:
+    """A LID as the two big-endian bytes it contributes to the payload."""
+    return int(lid).to_bytes(2, "big")
 
 
 def make_ud_packet(
@@ -145,14 +152,19 @@ def make_rc_packet(
 
 
 class Peer:
-    """A destination a source may send to: (lid, QPN, Q_Key)."""
+    """A destination a source may send to: (lid, QPN, Q_Key).
 
-    __slots__ = ("lid", "qpn", "qkey")
+    A peer depends only on its own node, so one fabric builds one per LID
+    and every source sending there shares it."""
+
+    __slots__ = ("lid", "qpn", "qkey", "lid_bytes")
 
     def __init__(self, lid: LID, qpn: QPN, qkey: QKey) -> None:
         self.lid = lid
         self.qpn = qpn
         self.qkey = qkey
+        #: the destination half of :func:`payload_prefix`.
+        self.lid_bytes = lid_bytes(lid)
 
 
 class BestEffortSource:
@@ -186,7 +198,7 @@ class BestEffortSource:
         wire = mtu_bytes + LOCAL_UD_OVERHEAD
         self.mean_gap_ps = wire * byte_time_ps / load
         self.generated = 0
-        self._prefixes = {p: payload_prefix(hca.lid, p.lid) for p in peers}
+        self._lid_bytes = lid_bytes(hca.lid)
 
     def start(self) -> None:
         self.engine.schedule_pooled(self._next_gap_ps(), self._arrival)
@@ -200,7 +212,7 @@ class BestEffortSource:
         pkt = make_ud_packet(
             self.hca, self.qp, peer.lid, peer.qpn, peer.qkey,
             self.pkey, TrafficClass.BEST_EFFORT, self.mtu_bytes,
-            prefix=self._prefixes[peer],
+            prefix=self._lid_bytes + peer.lid_bytes,
         )
         self.hca.submit(pkt)
         self.generated += 1
@@ -246,7 +258,7 @@ class RealtimeSource:
         self.interval_ps = round(wire * byte_time_ps / load)
         self.generated = 0
         self.throttled = 0
-        self._prefixes = {p: payload_prefix(hca.lid, p.lid) for p in peers}
+        self._lid_bytes = lid_bytes(hca.lid)
 
     def start(self) -> None:
         # Random phase so the fabric's realtime streams are not in lockstep.
@@ -265,7 +277,7 @@ class RealtimeSource:
             pkt = make_ud_packet(
                 self.hca, self.qp, peer.lid, peer.qpn, peer.qkey,
                 self.pkey, TrafficClass.REALTIME, self.mtu_bytes,
-                prefix=self._prefixes[peer],
+                prefix=self._lid_bytes + peer.lid_bytes,
             )
             self.hca.submit(pkt)
             self.generated += 1

@@ -4,7 +4,7 @@ priority, round-robin fairness)."""
 import pytest
 
 from repro.iba.arbiter import PRIORITY_VLS, VLArbiter
-from repro.iba.buffers import InputBuffer
+from repro.iba.buffers import IDLE_FIFO, InputBuffer
 from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME
 
 from tests.conftest import make_packet
@@ -54,6 +54,46 @@ class TestInputBuffer:
         buf.begin_processing(1)  # separate VL has its own capacity
         assert buf.fifos[0].occupancy == 1
         assert buf.fifos[1].occupancy == 1
+
+
+class TestPerVLAllocation:
+    """A VL gets its FIFO at its first packet; the other 15 of a 16-VL
+    port share the always-empty IDLE_FIFO."""
+
+    def test_fresh_buffer_holds_no_fifo(self):
+        buf = InputBuffer(num_vls=16, capacity_per_vl=4)
+        assert all(fifo is IDLE_FIFO for fifo in buf.fifos)
+        assert all(fifo.occupancy == 0 and fifo.head() is None for fifo in buf.fifos)
+
+    def test_only_the_used_vl_gets_a_fifo(self):
+        buf = InputBuffer(num_vls=16, capacity_per_vl=4)
+        buf.begin_processing(VL_REALTIME)
+        used = [vl for vl, fifo in enumerate(buf.fifos) if fifo is not IDLE_FIFO]
+        assert used == [VL_REALTIME]
+        assert buf.fifos[VL_REALTIME].capacity == 4
+
+    def test_fifo_order_and_overflow_on_a_lazy_vl(self):
+        buf = InputBuffer(num_vls=16, capacity_per_vl=2)
+        p1, p2 = make_packet(vl=9), make_packet(vl=9)
+        for p in (p1, p2):
+            buf.begin_processing(9)
+            buf.make_ready(p, 1)
+        with pytest.raises(RuntimeError, match="overflow"):
+            buf.begin_processing(9)
+        assert buf.pop_head(9).packet is p1
+        assert buf.pop_head(9).packet is p2
+        with pytest.raises(IndexError):
+            buf.pop_head(9)
+
+    def test_unused_vl_refuses_writes_and_pops(self):
+        buf = InputBuffer(num_vls=16, capacity_per_vl=2)
+        with pytest.raises(RuntimeError):
+            buf.make_ready(make_packet(vl=3), 0)
+        with pytest.raises(RuntimeError):
+            buf.drop_processing(3)
+        with pytest.raises(IndexError):
+            buf.pop_head(3)
+        assert IDLE_FIFO.occupancy == 0 and not IDLE_FIFO.ready
 
 
 def _buffer_with(packets):

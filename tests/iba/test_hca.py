@@ -1,6 +1,8 @@
 """HCA: send-queue priority, timestamps, receive checks (P_Key, Q_Key,
 ICRC/auth, replay), violation counters and trap emission."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.auth import IcrcAuthService
@@ -102,6 +104,29 @@ class TestSendPath:
         hca._enqueue(make_packet(vl=VL_REALTIME))
         assert hca.queue_depth(TrafficClass.BEST_EFFORT) == 2
         assert hca.queue_depth(TrafficClass.REALTIME) == 1
+
+
+class TestSendQueueAllocation:
+    def test_fresh_hca_holds_no_queue(self, engine):
+        hca = HCA(
+            engine, lid=LID(1), num_vls=16, vl_buffer_packets=4,
+            processing_delay_ns=0.0, credit_return_delay_ns=0.0,
+        )
+        assert len(hca.send_queues) == 16
+        assert not any(isinstance(q, deque) for q in hca.send_queues)
+        assert hca.queued_tx_count() == 0
+        assert hca.queue_depth(TrafficClass.REALTIME) == 0
+
+    def test_first_packet_creates_only_its_vl_queue(self, engine):
+        hca = make_hca(engine)  # no out link: everything queues
+        first, second = make_packet(vl=VL_REALTIME), make_packet(vl=VL_REALTIME)
+        hca._enqueue(first)
+        hca._enqueue(second)
+        queued = [vl for vl, q in enumerate(hca.send_queues) if isinstance(q, deque)]
+        assert queued == [VL_REALTIME]
+        assert list(hca.send_queues[VL_REALTIME]) == [first, second]
+        assert hca.queue_depth(TrafficClass.BEST_EFFORT) == 0
+        assert hca.queued_tx_count() == 2
 
 
 class TestReceiveChecks:

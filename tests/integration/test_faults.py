@@ -227,6 +227,23 @@ class TestCrashPipelineLeak:
         assert pkt.pkey in leak.pkeys
         assert pkt.qkey in leak.qkeys
 
+    def test_ready_fifo_keys_leak(self):
+        """Packets waiting in an input FIFO leak their keys, whichever VL
+        FIFO was created for them on first use."""
+        from tests.conftest import make_packet
+        from repro.iba.keys import PKey, QKey
+
+        cfg, engine, fabric, *_ = experiment(enable_best_effort=False)
+        sw = fabric.switches[(1, 1)]
+        pkt = make_packet(pkey=PKey(0x8456), qkey=QKey(0xCAFE), vl=7)
+        sw.inputs[2].begin_processing(7)
+        sw.inputs[2].make_ready(pkt, 1)
+        leaks = []
+        FaultInjector(fabric).crash_switch((1, 1), on_leak=leaks.append)
+        (leak,) = leaks
+        assert pkt.pkey in leak.pkeys
+        assert pkt.qkey in leak.qkeys
+
     def test_live_crash_leak_covers_pipeline_contents(self):
         """Whatever is in the pipeline at crash time must be in the leak."""
         cfg, engine, fabric, *_ = experiment(best_effort_load=0.4)

@@ -116,6 +116,28 @@ class TestAttackerWiring:
         for src in sources:
             assert attacker_lids.isdisjoint({int(p.lid) for p in src.peers})
 
+    def test_one_shared_peer_per_lid(self):
+        """Every source's peers are the one Peer of each LID, sorted by
+        LID: its partition's honest members except itself."""
+        cfg, engine, fabric, sources, flooders, windows, _ = build(
+            num_attackers=3, enable_best_effort=True, enable_realtime=True
+        )
+        attacker_lids = {int(f.hca.lid) for f in flooders}
+        shared = {}
+        for src in sources:
+            lid = int(src.hca.lid)
+            (index,) = fabric.sm.partitions_of(lid)
+            expected = sorted(
+                m for m in fabric.sm.partitions[index]
+                if m != lid and m not in attacker_lids
+            )
+            assert [int(p.lid) for p in src.peers] == expected
+            for peer in src.peers:
+                assert shared.setdefault(int(peer.lid), peer) is peer
+                qp = fabric.hca(peer.lid).qps[peer.qpn]
+                assert peer.qkey == qp.qkey
+        assert len(shared) == len(fabric.lids) - len(attacker_lids)
+
     def test_no_windows_without_attackers(self):
         cfg, engine, fabric, sources, flooders, windows, _ = build()
         assert windows == []
@@ -146,6 +168,22 @@ class TestReport:
         report = run_simulation(SimConfig(sim_time_us=150.0, seed=4))
         assert report.events_processed > 0
         assert report.wall_seconds > 0
+
+    def test_phase_timers_one_process(self):
+        report = run_simulation(SimConfig(sim_time_us=150.0, seed=4))
+        assert report.build_seconds > 0 and report.run_seconds > 0
+        assert report.build_seconds + report.run_seconds <= report.wall_seconds
+
+    def test_phase_timers_inline_sharded(self):
+        config = SimConfig(
+            topology="fat_tree", fat_tree_k=4, shards=2,
+            shard_transport="inline", partition_layout="pod",
+            enforcement=EnforcementMode.SIF, num_attackers=1,
+            sim_time_us=50.0, warmup_us=0.0,
+        )
+        report = run_simulation(config)
+        assert report.build_seconds > 0 and report.run_seconds > 0
+        assert report.build_seconds + report.run_seconds <= report.wall_seconds
 
     def test_report_pickles_with_windowed_stats(self):
         import pickle
@@ -185,3 +223,36 @@ class TestOfferedLoad:
         expected = cfg.best_effort_load * cfg.link_bandwidth_gbps * cfg.num_nodes
         assert report.offered_load_gbps("best_effort") == pytest.approx(expected)
         assert report.offered_load_gbps("realtime") == 0.0
+
+
+class TestBuildMemory:
+    """The build allocates in proportion to the fabric: one Peer per LID,
+    no per-pair payload prefixes, and no queue for a VL that carries no
+    packet.  The k=8 fat tree (640 switch ports, 128 HCAs, 16 VLs each)
+    retained 13.7 MiB when every (port, VL) held a deque and every
+    (source, peer) pair its own Peer and prefix, and 3.5 MiB without them
+    (CPython 3.11)."""
+
+    CEILING_MIB = 6.0
+
+    def test_k8_fat_tree_build_stays_under_ceiling(self):
+        import gc
+        import tracemalloc
+
+        def config(k):
+            return SimConfig(
+                topology="fat_tree", fat_tree_k=k, enforcement=EnforcementMode.SIF,
+                num_partitions=8, partition_layout="pod", num_attackers=8, seed=1,
+            )
+
+        build_experiment(config(4))  # first-use imports stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            built = build_experiment(config(8))
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[1].lids  # keep the fabric alive through the measurement
+        assert retained / 2**20 < self.CEILING_MIB

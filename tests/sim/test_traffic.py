@@ -21,6 +21,7 @@ from repro.sim.traffic import (
     RealtimeSource,
     make_open_loop_source,
     make_ud_packet,
+    payload_prefix,
 )
 
 BYTE_PS = 3200
@@ -40,8 +41,8 @@ class Sink:
             self.link.return_credit(packet.vl)
 
 
-def make_sender(engine, credits=64):
-    hca = HCA(engine, LID(1), num_vls=2, vl_buffer_packets=credits,
+def make_sender(engine, credits=64, lid=1):
+    hca = HCA(engine, LID(lid), num_vls=2, vl_buffer_packets=credits,
               processing_delay_ns=0.0, credit_return_delay_ns=0.0,
               metrics=MetricsCollector(), warmup_ps=0)
     sink = Sink()
@@ -85,6 +86,31 @@ class TestMakeUdPacket:
         p2 = make_ud_packet(hca, qp, LID(3), QPN(5), QKey(1), PKey(0x8001),
                             TrafficClass.BEST_EFFORT, MTU)
         assert p1.payload != p2.payload  # destination + psn baked in
+
+
+class TestSourcePayload:
+    """Sources join their own LID's two bytes to the peer's two at send
+    time; the payload must equal the one payload_prefix builds, including
+    for LIDs whose high byte is set (fat trees up to k=8 never set it)."""
+
+    @pytest.mark.parametrize("source_cls", [BestEffortSource, RealtimeSource])
+    def test_payload_for_two_byte_lids(self, engine, source_cls):
+        hca, qp, sink = make_sender(engine, lid=0x1234)
+        peer = Peer(LID(0x0456), QPN(0x102), QKey(0x42))
+        horizon = round(50 * PS_PER_US)
+        src = source_cls(
+            engine, hca, qp, [peer], PKey(0x8001), 0.5, MTU, BYTE_PS,
+            RngStreams(0).get("payload"), horizon,
+        )
+        src.start()
+        engine.run(until=horizon)
+        assert sink.received
+        for pkt in sink.received:
+            assert pkt.payload == (
+                payload_prefix(LID(0x1234), LID(0x0456))
+                + pkt.bth.psn.to_bytes(3, "big") + b"\x5a" * 25
+            )
+        assert sink.received[0].payload[:4] == bytes([0x12, 0x34, 0x04, 0x56])
 
 
 class TestBestEffortSource:
