@@ -235,10 +235,10 @@ def _add_fuzz(sub: argparse._SubParsersAction) -> None:
         description=(
             "Generates seed-deterministic scenarios (random topology, "
             "partitions, traffic, attackers, faults, wire tampering, forged "
-            "injections), runs each under the reference AND fast datapaths, "
+            "injections), runs each under the wheel AND heap schedulers, "
             "and checks the invariant catalogue: packet conservation, "
             "counter/trace consistency, SIF state-machine legality, auth "
-            "soundness, and fast-vs-reference equivalence.  Exits non-zero "
+            "soundness, and wheel-vs-heap equivalence.  Exits non-zero "
             "on any violation."
         ),
     )

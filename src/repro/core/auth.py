@@ -22,15 +22,13 @@ Two :class:`repro.iba.hca.AuthService` implementations are provided:
 :class:`IcrcAuthService` (stock IBA) and :class:`MacAuthService` (the
 proposal, parameterized by MAC algorithm and key manager).
 
-**Fast datapath.**  ``prepare``/``verify`` run over the packet's *cached*
-invariant bytes (see :mod:`repro.iba.packet`), and because sender and
-receiver handle the same packet object in this simulator, the tag computed
-at ``prepare`` time is memoized on the packet keyed by (function, key,
-message identity, nonce).  ``verify`` reuses it only when *every* component
-matches — any in-flight tamper rebuilds the invariant bytes (new identity)
-and any key/selector mismatch misses the memo, so the verification outcome
-is always exactly what a fresh MAC computation would produce.  The
-reference datapath (:mod:`repro.datapath`) recomputes every tag instead.
+**MAC tag memo.**  Sender and receiver handle the same packet object in
+this simulator, so ``prepare`` leaves the tag it computed on the packet,
+with its inputs: (function id, key, invariant bytes, nonce).  ``verify``
+reuses the tag only when all four are *equal* to its own, so the outcome
+is always what a fresh MAC computation would give: any in-flight tamper
+changes the covered bytes, and any key or selector mismatch misses.  It is
+the one cache on the datapath; a UMAC tag costs more than the comparison.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from repro import datapath as _datapath
 from repro.crypto.cmac import AESCMAC
 from repro.crypto.hmac import hmac_md5, hmac_sha1, tag32
 from repro.crypto.pmac import PMAC
@@ -201,11 +198,7 @@ class MacAuthService:
         nonce = packet.nonce
         tag = self.func.compute(key, message, nonce)
         packet.icrc = tag
-        if _datapath.fast:
-            # Keyed on the message object's *identity*: the serialization
-            # cache hands out a new bytes object whenever any covered field
-            # mutates, so a tampered packet can never hit this memo.
-            packet._auth_tag_memo = (self.func.ident, key, message, nonce, tag)
+        packet._auth_tag_memo = (self.func.ident, key, message, nonce, tag)
         self.tags_generated.inc()
         return delay + self._stage_ps
 
@@ -224,11 +217,10 @@ class MacAuthService:
         nonce = packet.nonce
         memo = packet._auth_tag_memo
         if (
-            _datapath.fast
-            and memo is not None
+            memo is not None
             and memo[0] == self.func.ident
             and memo[1] == key
-            and memo[2] is message
+            and memo[2] == message
             and memo[3] == nonce
         ):
             expected = memo[4]

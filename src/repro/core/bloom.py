@@ -18,19 +18,14 @@ positions double as the **in-packet membership tag** (the capability shape
 of arXiv 1901.00955): a sender that knows the port's secret salt packs its
 P_Key's probe positions into a small integer; the ingress filter verifies
 the tag by recomputation, so a forger without the salt cannot mint a tag
-that survives verification (probability ~``m^-k`` per guess).
-
-Fast datapath: probe positions per (salt, key) are immutable, so each
-filter memoizes them exactly like the serialization/MAC caches —
-bit-identical results; the reference datapath (:mod:`repro.datapath`)
-recomputes them on every lookup.
+that survives verification (probability ~``m^-k`` per guess).  Positions
+are recomputed on every lookup: one C-backed MD5 per key, nothing memoized.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro import datapath as _datapath
 from repro.crypto.md5 import md5
 
 
@@ -99,7 +94,6 @@ class BloomFilter:
         self.salt = bytes(salt)
         self._bits = bytearray((num_bits + 7) // 8)
         self._inserted = 0
-        self._memo: dict[int, tuple[int, ...]] = {}
 
     @property
     def inserted(self) -> int:
@@ -109,14 +103,8 @@ class BloomFilter:
     # -- hashing --------------------------------------------------------------
 
     def positions(self, key: int) -> tuple[int, ...]:
-        """Probe positions for *key* (memoized under the fast datapath)."""
-        if not _datapath.fast:
-            return bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
-        pos = self._memo.get(key)
-        if pos is None:
-            pos = bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
-            self._memo[key] = pos
-        return pos
+        """Probe positions for *key* under this filter's salt."""
+        return bloom_positions(key, self.salt, self.num_bits, self.num_hashes)
 
     def tag(self, key: int) -> int:
         """The in-packet membership tag for *key* under this filter's salt."""

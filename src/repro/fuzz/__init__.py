@@ -2,7 +2,7 @@
 
 The subsystem closes the loop the paper's evaluation leaves open: the
 simulator *claims* packet conservation, SIF state-machine legality, auth
-soundness, and fast-vs-reference datapath equivalence on every run — this
+soundness, and wheel-vs-heap scheduler equivalence on every run — this
 package makes those claims machine-checkable on *randomly generated*
 scenarios instead of hand-picked test fixtures.
 
@@ -14,8 +14,8 @@ Pipeline (see DESIGN.md §3e):
   so every scenario is a pure function of ``(master_seed, index)``.
 * :mod:`repro.fuzz.oracles` — executes a scenario under a chosen
   :class:`~repro.sim.config.RunModes` and checks the invariant catalogue,
-  including the differential oracles that replay it on every leg
-  (``reference`` datapath, ``heap`` scheduler).
+  including the differential oracle that replays it on the ``heap``
+  scheduler leg.
 * :mod:`repro.fuzz.shrink` — greedy delta debugging: minimize a failing
   scenario while the same oracle still fires.
 * :mod:`repro.fuzz.corpus` — content-addressed JSON corpus of failures

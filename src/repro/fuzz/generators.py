@@ -561,9 +561,8 @@ def apply_mutation(packet: DataPacket, mutation: str, param: int,
 
     Every path leaves the packet undeliverable: either a swapped field no
     longer matches the receiver's tables, or an ICRC/MAC-covered field
-    changed under an unchanged tag.  Header writes bump the headers'
-    mutation stamps, so the serialization/CRC/MAC caches can never serve
-    stale bytes for a tampered packet.
+    changed under an unchanged tag.  CRCs and MACs are computed from the
+    fields on every check, so a tampered packet is always seen as it is.
     """
     if mutation == "pkey_swap":
         others = tuple(p for p in ctx.valid_pkeys if p.value != packet.pkey.value)

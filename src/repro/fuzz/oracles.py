@@ -28,13 +28,11 @@ Single-run oracles (:data:`ORACLES`):
   separately) but must never pass a packet SIF dropped.
 
 :func:`check_differential` is the two-run oracle: the same scenario on the
-``fast`` and ``reference`` datapath legs must produce the same
-:func:`~repro.sim.sweep.report_payload` and identical raw event traces
-(packet ids are per-run labels, so they compare as they are).  The same
-check runs across the scheduler axis (``wheel`` calendar queue vs the
-``heap`` oracle — the queue structure must not change one observable
-bit).  Counters are always on, so every leg's counter snapshot is
-compared in full.
+``fast`` leg (``wheel`` calendar queue) and the ``heap`` oracle leg must
+produce the same :func:`~repro.sim.sweep.report_payload` and identical raw
+event traces (packet ids are per-run labels, so they compare as they are)
+— the queue structure must not change one observable bit.  Counters are
+always on, so both legs' counter snapshots are compared in full.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ class Violation:
     """One invariant failure, attributed to an oracle and the leg it ran on."""
 
     oracle: str
-    #: the :attr:`FuzzRun.leg` (``reference`` | ``fast`` | ``heap`` |
-    #: ``bloom_shadow``), or ``differential`` / ``sharded``
+    #: the :attr:`FuzzRun.leg` (``fast`` | ``heap`` | ``bloom_shadow``),
+    #: or ``differential`` / ``sharded``
     #: for a two-run oracle.
     mode: str
     message: str
@@ -199,11 +197,10 @@ class _BloomShadowFilter:
 def leg_name(modes: RunModes, bloom_shadow: bool = False) -> str:
     """The fuzz leg *modes* (plus the shadow-filter flag) amount to:
     ``fast`` for the default modes, else each departure from them joined
-    with ``+`` (``reference``, ``heap``, ``bloom_shadow``)."""
+    with ``+`` (``heap``, ``bloom_shadow``)."""
     parts = [
         name
         for name, departs in (
-            ("reference", modes.datapath == "reference"),
             ("heap", modes.scheduler == "heap"),
             ("bloom_shadow", bloom_shadow),
         )
@@ -557,43 +554,39 @@ def check_run(run: FuzzRun) -> list[Violation]:
 # -- differential oracle ------------------------------------------------------
 
 
-def check_differential(
-    fast: FuzzRun, reference: FuzzRun, oracle: str = "differential"
-) -> list[Violation]:
-    """*fast* and *reference* must be bit-identical in everything but
-    wall-clock: the whole :func:`~repro.sim.sweep.report_payload` (full
-    counter snapshot, per-class stats, drops, deliveries, event count,
-    senders, attack windows, key exchanges) and the raw event trace.
-
-    The same check covers every differential axis — datapath fast vs
-    reference, scheduler wheel vs heap — with *oracle* naming the axis in
-    any violation (``differential`` | ``scheduler_differential``)."""
+def check_differential(fast: FuzzRun, heap: FuzzRun) -> list[Violation]:
+    """*fast* (``wheel`` queue) and *heap* must be bit-identical in
+    everything but wall-clock: the whole
+    :func:`~repro.sim.sweep.report_payload` (full counter snapshot,
+    per-class stats, drops, deliveries, event count, senders, attack
+    windows, key exchanges) and the raw event trace."""
+    oracle = "scheduler_differential"
     out: list[Violation] = []
 
-    fp, rp = report_payload(fast.report), report_payload(reference.report)
-    fc, rc = fp.pop("counters"), rp.pop("counters")
+    fp, hp = report_payload(fast.report), report_payload(heap.report)
+    fc, hc = fp.pop("counters"), hp.pop("counters")
     diff_keys = sorted(
-        k for k in (fc.keys() | rc.keys()) if fc.get(k) != rc.get(k)
+        k for k in (fc.keys() | hc.keys()) if fc.get(k) != hc.get(k)
     )
     if diff_keys:
         shown = ", ".join(
-            f"{k}: fast={fc.get(k)} ref={rc.get(k)}" for k in diff_keys[:5]
+            f"{k}: fast={fc.get(k)} heap={hc.get(k)}" for k in diff_keys[:5]
         )
         out.append(Violation(
             oracle, "differential",
             f"{len(diff_keys)} counters differ — {shown}",
         ))
-    for name in sorted(k for k in fp if fp[k] != rp[k]):
+    for name in sorted(k for k in fp if fp[k] != hp[k]):
         out.append(Violation(
             oracle, "differential",
-            f"report {name} differ: fast={fp[name]} ref={rp[name]}",
+            f"report {name} differ: fast={fp[name]} heap={hp[name]}",
         ))
-    ft, rt = fast.tracer.events, reference.tracer.events
-    if ft != rt:
-        detail = f"lengths fast={len(ft)} ref={len(rt)}"
-        for i, (a, b) in enumerate(zip(ft, rt)):
+    ft, ht = fast.tracer.events, heap.tracer.events
+    if ft != ht:
+        detail = f"lengths fast={len(ft)} heap={len(ht)}"
+        for i, (a, b) in enumerate(zip(ft, ht)):
             if a != b:
-                detail = f"first divergence at event {i}: fast={a} ref={b}"
+                detail = f"first divergence at event {i}: fast={a} heap={b}"
                 break
         out.append(Violation(oracle, "differential", f"traces differ — {detail}"))
     return out
@@ -703,18 +696,16 @@ def check_shard_differential(
 
 @dataclass
 class ScenarioResult:
-    """Verdict of one scenario across every differential axis.
+    """Verdict of one scenario across every leg.
 
-    ``reference``/``fast`` are the two datapath legs (both under the
-    ``wheel`` scheduler); ``heap`` re-runs the fast datapath on the binary
-    heap oracle scheduler.
+    ``fast`` runs on the ``wheel`` scheduler; ``heap`` re-runs it on the
+    binary heap oracle scheduler.
     ``bloom_shadow`` (SIF scenarios only) re-runs with shadow Bloom filters
     riding the SIF ingress ports for the dominance oracle — its extra
     shadow-timer events exclude it from the differential comparisons."""
 
     scenario: Scenario
     violations: list[Violation]
-    reference: FuzzRun | None = None
     fast: FuzzRun | None = None
     heap: FuzzRun | None = None
     bloom_shadow: FuzzRun | None = None
@@ -725,30 +716,23 @@ class ScenarioResult:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute a scenario across all three legs and run every oracle.
+    """Execute a scenario on every leg and run every oracle.
 
-    Legs: reference datapath, fast datapath (both on the ``wheel``
-    scheduler), and fast datapath on the ``heap`` oracle scheduler.  The
-    differential oracles require them to be bit-identical in counters/
-    stats/drops/trace.  Each leg spells its modes out, so the verdict
-    never depends on the environment's default modes.
+    Legs: ``fast`` (the ``wheel`` scheduler) and ``heap`` (the oracle
+    scheduler), which the differential oracle requires to be bit-identical
+    in counters/stats/drops/trace; SIF scenarios add the ``bloom_shadow``
+    leg.  Each leg spells its modes out, so the verdict never depends on
+    the environment's default modes.
     """
     fast_modes = RunModes()
-    reference = execute_scenario(scenario, RunModes(datapath="reference"))
     fast = execute_scenario(scenario, fast_modes)
     heap = execute_scenario(scenario, RunModes(scheduler="heap"))
-    violations = (
-        check_run(reference)
-        + check_run(fast)
-        + check_run(heap)
-        + check_differential(fast, reference)
-        + check_differential(fast, heap, oracle="scheduler_differential")
-    )
+    violations = check_run(fast) + check_run(heap) + check_differential(fast, heap)
     shadow = None
     if scenario.config.get("enforcement") == "sif":
         shadow = execute_scenario(scenario, fast_modes, bloom_shadow=True)
         violations += check_run(shadow) + check_bloom_vs_sif(shadow)
     return ScenarioResult(
-        scenario=scenario, violations=violations, reference=reference, fast=fast,
-        heap=heap, bloom_shadow=shadow,
+        scenario=scenario, violations=violations, fast=fast, heap=heap,
+        bloom_shadow=shadow,
     )

@@ -11,22 +11,16 @@ IBA defines three CRCs (paper Figure 4a):
   ignores it ("the only Link packet ... is the flow control packet"), and we
   model credits abstractly, but the function is provided for completeness.
 
-**Fast datapath.**  Both CRCs exploit the cached serialization layer in
-:mod:`repro.iba.packet` plus CRC *linearity*: a CRC is a running register
-folded byte-by-byte, so ``crc(prefix + payload) == crc(payload, crc(prefix))``.
-Headers are immutable in flight, so the header-prefix CRC is computed once
-per packet and only the payload (and, for the VCRC, the 4 ICRC bytes) is
-re-folded — and a full-value cache makes repeat ``icrc()``/``vcrc()`` calls
-on an unmodified packet free.  Under the reference datapath
-(:mod:`repro.datapath`) both CRCs are recomputed over the full byte string
-every time.  The CRC-16 is table-driven (256 entries) with the original
-bit-serial form retained as a cross-check oracle (:func:`_crc16_bitwise`),
-mirroring ``crc32_bitwise``.
+The ICRC and VCRC are computed over the packet's full covered byte string on
+every call (:meth:`~repro.iba.packet.DataPacket.invariant_bytes` /
+:meth:`~repro.iba.packet.DataPacket.variant_bytes`); CRC-32 is zlib's.  The
+CRC-16 is table-driven (256 entries) with the original bit-serial form
+retained as a cross-check oracle (:func:`_crc16_bitwise`), mirroring
+``crc32_bitwise``.
 """
 
 from __future__ import annotations
 
-from repro import datapath as _datapath
 from repro.crypto.crc32 import crc32
 from repro.iba.packet import DataPacket
 
@@ -80,53 +74,13 @@ def _crc16_table(data: bytes, init: int = 0xFFFF) -> int:
 
 
 def icrc(packet: DataPacket) -> int:
-    """32-bit Invariant CRC of *packet* (over masked invariant bytes).
-
-    Fast path: the header-prefix CRC is cached on the packet (keyed by the
-    identity of the cached prefix bytes, which changes whenever any header
-    mutates) and only the payload is folded; a second call with nothing
-    changed returns the memoized value outright.
-    """
-    if not _datapath.fast:
-        return crc32(packet.invariant_bytes())
-    prefix = packet.invariant_prefix()
-    payload = packet.payload
-    cache = packet._icrc_cache
-    if cache is not None and cache[0] is prefix and cache[1] is payload:
-        return cache[2]
-    pcache = packet._icrc_prefix_cache
-    if pcache is None or pcache[0] is not prefix:
-        packet._icrc_prefix_cache = pcache = (prefix, crc32(prefix))
-    value = crc32(payload, pcache[1])
-    packet._icrc_cache = (prefix, payload, value)
-    return value
+    """32-bit Invariant CRC of *packet* (over masked invariant bytes)."""
+    return crc32(packet.invariant_bytes())
 
 
 def vcrc(packet: DataPacket) -> int:
-    """16-bit Variant CRC of *packet* as currently serialized.
-
-    Same folding trick as :func:`icrc`, with the packet's current ``icrc``
-    field folded last (the VCRC covers it).
-    """
-    if not _datapath.fast:
-        return _crc16_table(packet.variant_bytes())
-    prefix = packet.variant_prefix()
-    payload = packet.payload
-    icrc_val = packet.icrc
-    cache = packet._vcrc_cache
-    if (
-        cache is not None
-        and cache[0] is prefix
-        and cache[1] is payload
-        and cache[2] == icrc_val
-    ):
-        return cache[3]
-    pcache = packet._vcrc_prefix_cache
-    if pcache is None or pcache[0] is not prefix:
-        packet._vcrc_prefix_cache = pcache = (prefix, _crc16_table(prefix))
-    value = _crc16_table(icrc_val.to_bytes(4, "big"), _crc16_table(payload, pcache[1]))
-    packet._vcrc_cache = (prefix, payload, icrc_val, value)
-    return value
+    """16-bit Variant CRC of *packet* as currently serialized."""
+    return _crc16_table(packet.variant_bytes())
 
 
 def lpcrc(link_packet_bytes: bytes) -> int:

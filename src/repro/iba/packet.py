@@ -26,28 +26,18 @@ takes the next id of its fabric's :class:`PacketIds` when an HCA admits it
 to the send path, so the same input numbers the same packets on every run,
 in any process.  Nothing keys on an id; packets are identity-keyed objects.
 
-**Fast datapath (cached serialization).**  Headers are immutable in flight —
-only ``icrc``/``vcrc`` and the LRH/GRH variant bits ever change after a
-packet is stamped — so every header memoizes its packed wire bytes and
-invalidates only when a field actually mutates (``_CachedHeader``).  The
-packet level memoizes the joined invariant/variant header *prefixes* and the
-full covered byte strings, keyed on header mutation stamps plus payload and
-ICRC identity, which makes ``invariant_bytes()``/``variant_bytes()``
-near-free on re-verify.  The definitional ``pack()``/``pack_invariant()``
-serializers are unchanged and remain the oracle; the cached accessors are
-``packed()``/``packed_invariant()``.  ``tools/check_hot_path.py`` enforces
-that hot-path code only reaches ``pack()`` through this caching layer.
-The reference datapath (``RunModes(datapath="reference")``, see
-:mod:`repro.datapath`) bypasses every cache.
+**One datapath.**  ``invariant_bytes()``/``variant_bytes()`` serialize the
+headers from their fields on every call; nothing caches wire bytes, so a
+field write is seen by the next CRC or MAC with no invalidation step.  The
+only per-packet memo is the MAC tag :mod:`repro.core.auth` leaves on the
+packet (``_auth_tag_memo``), which is keyed on the covered bytes' value.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 
-from repro import datapath as _datapath
 from repro.iba.keys import PKey, QKey
 from repro.iba.types import LID, QPN, ServiceType, TrafficClass
 
@@ -61,54 +51,9 @@ LOCAL_UD_OVERHEAD = 8 + 12 + 8 + 4 + 2
 #: And for a connected-service packet (no DETH).
 LOCAL_RC_OVERHEAD = 8 + 12 + 4 + 2
 
-#: Global monotonic mutation stamps.  Every header-field write takes the next
-#: value, so a stamp uniquely identifies one state of one header object —
-#: packet-level caches compare stamp tuples instead of re-packing.
-_HEADER_STAMPS = itertools.count(1)
 
-class _CachedHeader:
-    """Mixin: memoize ``pack()``/``pack_invariant()`` with field-write
-    invalidation.
-
-    Any assignment to a public field bumps the header's mutation stamp;
-    ``packed()``/``packed_invariant()`` re-serialize only when the stamp
-    moved.  Underscore attributes (the cache slots themselves) never
-    invalidate."""
-
-    _stamp = 0
-    _cache_stamp = None
-    _packed = b""
-    _packed_inv = b""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name[0] != "_":
-            object.__setattr__(self, "_stamp", next(_HEADER_STAMPS))
-
-    def _refresh(self) -> None:
-        object.__setattr__(self, "_packed", self.pack())
-        object.__setattr__(self, "_packed_inv", self.pack_invariant())
-        object.__setattr__(self, "_cache_stamp", self._stamp)
-
-    def packed(self) -> bytes:
-        """Cached wire bytes (same value as :meth:`pack`)."""
-        if not _datapath.fast:
-            return self.pack()
-        if self._cache_stamp != self._stamp:
-            self._refresh()
-        return self._packed
-
-    def packed_invariant(self) -> bytes:
-        """Cached ICRC-coverage bytes (same value as :meth:`pack_invariant`)."""
-        if not _datapath.fast:
-            return self.pack_invariant()
-        if self._cache_stamp != self._stamp:
-            self._refresh()
-        return self._packed_inv
-
-
-@dataclass(init=False)
-class LocalRouteHeader(_CachedHeader):
+@dataclass
+class LocalRouteHeader:
     """LRH — link-layer routing header (8 bytes)."""
 
     vl: int
@@ -117,21 +62,6 @@ class LocalRouteHeader(_CachedHeader):
     slid: LID
     packet_length: int  #: wire length in 4-byte words, 11 bits.
     link_next_header: int = 2  #: 2 = BTH follows (IBA "LNH" for local packets).
-
-    def __init__(self, vl: int, service_level: int, dlid: LID, slid: LID,
-                 packet_length: int, link_next_header: int = 2) -> None:
-        # Hand-written so construction writes fields raw and bumps the
-        # mutation stamp once, instead of once per field through the
-        # stamped __setattr__ (packet construction is the hot path's
-        # biggest allocator; see _CachedHeader).
-        s = object.__setattr__
-        s(self, "vl", vl)
-        s(self, "service_level", service_level)
-        s(self, "dlid", dlid)
-        s(self, "slid", slid)
-        s(self, "packet_length", packet_length)
-        s(self, "link_next_header", link_next_header)
-        s(self, "_stamp", next(_HEADER_STAMPS))
 
     def pack(self) -> bytes:
         word0 = ((self.vl & 0xF) << 4) | 0x0  # LVer = 0
@@ -168,8 +98,8 @@ class LocalRouteHeader(_CachedHeader):
         )
 
 
-@dataclass(init=False)
-class BaseTransportHeader(_CachedHeader):
+@dataclass
+class BaseTransportHeader:
     """BTH — transport header (12 bytes)."""
 
     opcode: int
@@ -182,21 +112,6 @@ class BaseTransportHeader(_CachedHeader):
     solicited: bool = False
     migreq: bool = False
     pad_count: int = 0
-
-    def __init__(self, opcode: int, pkey: PKey, dest_qp: QPN, psn: int,
-                 reserved_auth: int = 0, solicited: bool = False,
-                 migreq: bool = False, pad_count: int = 0) -> None:
-        # Raw field writes + one stamp bump (see LocalRouteHeader.__init__).
-        s = object.__setattr__
-        s(self, "opcode", opcode)
-        s(self, "pkey", pkey)
-        s(self, "dest_qp", dest_qp)
-        s(self, "psn", psn)
-        s(self, "reserved_auth", reserved_auth)
-        s(self, "solicited", solicited)
-        s(self, "migreq", migreq)
-        s(self, "pad_count", pad_count)
-        s(self, "_stamp", next(_HEADER_STAMPS))
 
     def pack(self) -> bytes:
         flags = (
@@ -244,19 +159,12 @@ class BaseTransportHeader(_CachedHeader):
         )
 
 
-@dataclass(init=False)
-class DatagramExtendedHeader(_CachedHeader):
+@dataclass
+class DatagramExtendedHeader:
     """DETH — datagram extended transport header (8 bytes)."""
 
     qkey: QKey
     src_qp: QPN
-
-    def __init__(self, qkey: QKey, src_qp: QPN) -> None:
-        # Raw field writes + one stamp bump (see LocalRouteHeader.__init__).
-        s = object.__setattr__
-        s(self, "qkey", qkey)
-        s(self, "src_qp", src_qp)
-        s(self, "_stamp", next(_HEADER_STAMPS))
 
     def pack(self) -> bytes:
         return struct.pack(
@@ -280,7 +188,7 @@ class DatagramExtendedHeader(_CachedHeader):
 
 
 @dataclass
-class GlobalRouteHeader(_CachedHeader):
+class GlobalRouteHeader:
     """GRH — the optional 40-byte IPv6-style header for inter-subnet routing.
 
     ICRC coverage rule (IBA 1.1 §7.8.2): when a GRH is present the ICRC
@@ -421,69 +329,10 @@ class DataPacket:
     def vl(self) -> int:
         return self.lrh.vl
 
-    # --- cached serialization ------------------------------------------------
-    #
-    # Cache slots are class-level defaults (instances shadow them on first
-    # fill) so packet construction pays nothing.  ``_icrc*``/``_vcrc*`` slots
-    # are owned by :mod:`repro.iba.crc` (prefix-CRC folding) and
-    # ``_auth_tag_memo`` by :mod:`repro.core.auth`; they all key on the
-    # identity of the cached byte strings below, so any header/payload
-    # mutation that rebuilds the bytes also invalidates the CRC/MAC caches.
-    _inv_prefix_cache = None  #: (header_key, invariant header prefix bytes)
-    _inv_full_cache = None  #: (prefix, payload, invariant bytes)
-    _var_prefix_cache = None  #: (header_key, variant header prefix bytes)
-    _var_full_cache = None  #: (prefix, payload, icrc, variant bytes)
-    _icrc_prefix_cache = None
-    _icrc_cache = None
-    _vcrc_prefix_cache = None
-    _vcrc_cache = None
+    #: ``(function id, key, message, nonce, tag)`` of the last MAC
+    #: :meth:`repro.core.auth.MacAuthService.prepare` computed over this
+    #: packet; ``verify`` reuses the tag only when all four inputs are equal.
     _auth_tag_memo = None
-
-    def _header_key(self) -> tuple[int, int, int, int]:
-        """Mutation-stamp tuple uniquely identifying the current state of
-        every attached header (replacement included: a new header object
-        carries a fresh stamp)."""
-        grh, deth = self.grh, self.deth
-        return (
-            self.lrh._stamp,
-            grh._stamp if grh is not None else 0,
-            self.bth._stamp,
-            deth._stamp if deth is not None else 0,
-        )
-
-    def invariant_prefix(self) -> bytes:
-        """Cached invariant *header* bytes (everything the ICRC covers up to
-        but excluding the payload).  The returned object is identity-stable
-        while no header mutates — CRC folding keys on that."""
-        key = self._header_key()
-        cache = self._inv_prefix_cache
-        if cache is not None and cache[0] == key:
-            return cache[1]
-        parts = [self.lrh.packed_invariant()]
-        if self.grh is not None:
-            parts.append(self.grh.packed_invariant())
-        parts.append(self.bth.packed_invariant())
-        if self.deth is not None:
-            parts.append(self.deth.packed_invariant())
-        prefix = b"".join(parts)
-        self._inv_prefix_cache = (key, prefix)
-        return prefix
-
-    def variant_prefix(self) -> bytes:
-        """Cached as-transmitted *header* bytes (LRH through DETH)."""
-        key = self._header_key()
-        cache = self._var_prefix_cache
-        if cache is not None and cache[0] == key:
-            return cache[1]
-        parts = [self.lrh.packed()]
-        if self.grh is not None:
-            parts.append(self.grh.packed())
-        parts.append(self.bth.packed())
-        if self.deth is not None:
-            parts.append(self.deth.packed())
-        prefix = b"".join(parts)
-        self._var_prefix_cache = (key, prefix)
-        return prefix
 
     def invariant_bytes(self) -> bytes:
         """The byte string the ICRC / authentication tag covers.
@@ -493,50 +342,26 @@ class DataPacket:
         "ICRC does not change from end to end" means — and why the AT that
         replaces it is an end-to-end transport-level tag.
         """
-        if not _datapath.fast:
-            parts = [self.lrh.pack_invariant()]
-            if self.grh is not None:
-                parts.append(self.grh.pack_invariant())
-            parts.append(self.bth.pack_invariant())
-            if self.deth is not None:
-                parts.append(self.deth.pack_invariant())
-            parts.append(self.payload)
-            return b"".join(parts)
-        prefix = self.invariant_prefix()
-        payload = self.payload
-        cache = self._inv_full_cache
-        if cache is not None and cache[0] is prefix and cache[1] is payload:
-            return cache[2]
-        data = prefix + payload
-        self._inv_full_cache = (prefix, payload, data)
-        return data
+        parts = [self.lrh.pack_invariant()]
+        if self.grh is not None:
+            parts.append(self.grh.pack_invariant())
+        parts.append(self.bth.pack_invariant())
+        if self.deth is not None:
+            parts.append(self.deth.pack_invariant())
+        parts.append(self.payload)
+        return b"".join(parts)
 
     def variant_bytes(self) -> bytes:
         """Everything the VCRC covers: LRH through ICRC, as transmitted."""
-        if not _datapath.fast:
-            parts = [self.lrh.pack()]
-            if self.grh is not None:
-                parts.append(self.grh.pack())
-            parts.append(self.bth.pack())
-            if self.deth is not None:
-                parts.append(self.deth.pack())
-            parts.append(self.payload)
-            parts.append(self.icrc.to_bytes(4, "big"))
-            return b"".join(parts)
-        prefix = self.variant_prefix()
-        payload = self.payload
-        icrc = self.icrc
-        cache = self._var_full_cache
-        if (
-            cache is not None
-            and cache[0] is prefix
-            and cache[1] is payload
-            and cache[2] == icrc
-        ):
-            return cache[3]
-        data = prefix + payload + icrc.to_bytes(4, "big")
-        self._var_full_cache = (prefix, payload, icrc, data)
-        return data
+        parts = [self.lrh.pack()]
+        if self.grh is not None:
+            parts.append(self.grh.pack())
+        parts.append(self.bth.pack())
+        if self.deth is not None:
+            parts.append(self.deth.pack())
+        parts.append(self.payload)
+        parts.append(self.icrc.to_bytes(4, "big"))
+        return b"".join(parts)
 
     @property
     def nonce(self) -> int:

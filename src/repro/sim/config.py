@@ -359,9 +359,6 @@ class RunModes:
     Counters are always on; tracing is opt-in per run (a ``tracer``
     argument), not a mode (:mod:`repro.observability`).
 
-    * ``datapath`` — ``"fast"`` (serialization caches, prefix-folded CRCs,
-      the MAC tag memo and the Bloom probe memo) or ``"reference"`` (every
-      cache off; the fuzz harness's oracle leg).
     * ``scheduler`` — the event queue: ``"wheel"`` (calendar queue) or
       ``"heap"`` (the queue-ordering oracle).
 
@@ -370,13 +367,9 @@ class RunModes:
     is the only place they enter a cache key.
     """
 
-    datapath: str = "fast"
     scheduler: str = "wheel"
 
     def __post_init__(self) -> None:
-        if self.datapath not in ("fast", "reference"):
-            raise ValueError(f"unknown datapath mode {self.datapath!r}; "
-                             "choose from ('fast', 'reference')")
         if self.scheduler not in ("wheel", "heap"):
             raise ValueError(f"unknown scheduler mode {self.scheduler!r}; "
                              "choose from ('wheel', 'heap')")

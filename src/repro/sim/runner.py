@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro import datapath
 from repro.core.attacks import RandomPKeyFlooder, make_attack_windows
 from repro.core.auth import IcrcAuthService, MacAuthService, auth_function_for
 from repro.core.enforcement import install_enforcement
@@ -451,9 +450,8 @@ def run_simulation(
     :mod:`repro.sim.metrics_server`).
 
     *modes* (default: :func:`~repro.sim.config.default_modes`) is how the
-    run executes: the engine's queue, and the datapath, which is held at
-    ``modes.datapath`` for the run and restored afterwards.  Sharded runs
-    hand it to every shard.
+    run executes: the engine's queue.  Sharded runs hand it to every
+    shard.
     """
     if modes is None:
         modes = default_modes()
@@ -467,29 +465,27 @@ def run_simulation(
             )
         from repro.sim.shard import run_sharded
 
-        with datapath.held(modes):
-            return run_sharded(config, modes)
+        return run_sharded(config, modes)
     t0 = time.perf_counter()
-    with datapath.held(modes):
-        engine, fabric, sources, flooders, windows, key_manager = build_experiment(
-            config, tracer=tracer, modes=modes
-        )
-        if setup is not None:
-            setup(engine, fabric)
-        t_built = time.perf_counter()
-        server = None
-        if metrics_port is not None:
-            from repro.sim.metrics_server import MetricsServer
+    engine, fabric, sources, flooders, windows, key_manager = build_experiment(
+        config, tracer=tracer, modes=modes
+    )
+    if setup is not None:
+        setup(engine, fabric)
+    t_built = time.perf_counter()
+    server = None
+    if metrics_port is not None:
+        from repro.sim.metrics_server import MetricsServer
 
-            server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
-            server.start()
-        try:
-            t_run = time.perf_counter()
-            engine.run(until=config.sim_time_ps)
-            run_seconds = time.perf_counter() - t_run
-        finally:
-            if server is not None:
-                server.stop()
+        server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
+        server.start()
+    try:
+        t_run = time.perf_counter()
+        engine.run(until=config.sim_time_ps)
+        run_seconds = time.perf_counter() - t_run
+    finally:
+        if server is not None:
+            server.stop()
     wall = time.perf_counter() - t0
 
     metrics = fabric.metrics

@@ -337,10 +337,7 @@ class _InlineDriver:
 def _shard_worker(
     config: SimConfig, shard_id: int, modes: RunModes, conn, crash_at
 ) -> None:
-    """Process-transport worker: build one shard, serve round commands.
-
-    The worker is forked inside :func:`~repro.sim.runner.run_simulation`,
-    so it inherits the datapath the parent holds for the run."""
+    """Process-transport worker: build one shard, serve round commands."""
     runtime = ShardRuntime(config, shard_id, modes)
     if crash_at is not None and crash_at[0] == shard_id:
         # test hook: die without ceremony at a simulated instant, the way
@@ -530,8 +527,7 @@ def run_sharded(
     """Run *config* on ``config.shards`` space-partitioned engines under
     *modes* and return a merged, schema-compatible SimReport.
 
-    Called by :func:`~repro.sim.runner.run_simulation`, which holds the
-    datapath at ``modes.datapath`` around the call.
+    Called by :func:`~repro.sim.runner.run_simulation`.
 
     The report's ``build_seconds`` is the drivers' construction and its
     ``run_seconds`` the synchronous rounds.  Forked process-transport

@@ -7,6 +7,7 @@ from repro.iba.packet import (
     BaseTransportHeader,
     DataPacket,
     DatagramExtendedHeader,
+    GlobalRouteHeader,
     LocalRouteHeader,
 )
 from repro.iba.topology import build_mesh
@@ -42,6 +43,16 @@ def make_packet(
         wire_length=wire_length, service=ServiceType.UNRELIABLE_DATAGRAM,
         traffic_class=traffic_class,
     )
+
+
+def make_grh_packet() -> DataPacket:
+    """:func:`make_packet` with a GRH (inter-subnet packet)."""
+    p = make_packet()
+    p.grh = GlobalRouteHeader(
+        src_gid=bytes(range(16)), dst_gid=bytes(range(16, 32)),
+        hop_limit=64, flow_label=0x111,
+    )
+    return p
 
 
 @pytest.fixture

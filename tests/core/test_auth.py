@@ -194,3 +194,87 @@ class TestOnDemand:
         svc.prepare(p, StubHCA(1))
         p.lrh.vl = 1  # in-flight remap
         assert svc.verify(p, StubHCA(2))
+
+
+class FixedKey:
+    """Every sender and receiver holds the same 16-byte key."""
+
+    def sender_key(self, hca, packet):
+        return b"\x17" * 16, 0
+
+    def receiver_key(self, hca, packet):
+        return b"\x17" * 16
+
+
+def counting_service(ident: int) -> tuple[MacAuthService, list[int]]:
+    """A service over AUTH_FUNCTIONS[ident] whose ``compute`` calls are
+    counted in the returned one-element list."""
+    func = AUTH_FUNCTIONS[ident]
+    calls = [0]
+
+    def compute(key, message, nonce):
+        calls[0] += 1
+        return func.compute(key, message, nonce)
+
+    counted = auth.AuthFunction(func.ident, func.name, compute)
+    return MacAuthService(counted, FixedKey(), mac_stage_delay_ns=0.0), calls
+
+
+#: (name, in-flight change) — variant rewrites keep the tag, the rest break it.
+IN_FLIGHT = [
+    ("none", lambda p: None),
+    ("vl_rewrite", lambda p: setattr(p.lrh, "vl", 1)),
+    ("payload_tamper", lambda p: setattr(p, "payload", b"forged bytes")),
+    ("pkey_tamper", lambda p: setattr(p.bth, "pkey", PKey(0x8002))),
+    ("psn_tamper", lambda p: setattr(p.bth, "psn", p.bth.psn + 1)),
+    ("tag_tamper", lambda p: setattr(p, "icrc", p.icrc ^ 1)),
+]
+
+
+class TestAuthTagMemo:
+    """``prepare`` leaves its tag on the packet for ``verify``; the memo is
+    keyed on the *value* of (function id, key, covered bytes, nonce), so it
+    can only ever skip a computation whose result it already holds."""
+
+    @pytest.mark.parametrize("ident", sorted(AUTH_FUNCTIONS))
+    @pytest.mark.parametrize("change,mutate", IN_FLIGHT, ids=[c[0] for c in IN_FLIGHT])
+    def test_memo_agrees_with_fresh_computation(self, ident, change, mutate):
+        svc, _ = counting_service(ident)
+        p = make_packet(payload=b"honest bytes")
+        svc.prepare(p, None)
+        mutate(p)
+        memoized = svc.verify(p, None)
+        p._auth_tag_memo = None
+        assert svc.verify(p, None) == memoized
+        assert memoized == (change in ("none", "vl_rewrite"))
+
+    @pytest.mark.parametrize("ident", sorted(AUTH_FUNCTIONS))
+    def test_untampered_verify_computes_nothing(self, ident):
+        svc, calls = counting_service(ident)
+        p = make_packet(payload=b"honest bytes")
+        svc.prepare(p, None)
+        assert calls == [1]
+        p.payload = bytes(bytearray(p.payload))  # equal value, new object
+        assert svc.verify(p, None)
+        assert calls == [1]
+
+    def test_variant_rewrite_keeps_tag_valid(self):
+        svc, _ = counting_service(3)
+        p = make_packet()
+        svc.prepare(p, None)
+        p.lrh.vl = 1  # in-flight variant rewrite
+        assert svc.verify(p, None)
+
+    def test_invariant_tamper_fails_despite_memo(self):
+        svc, _ = counting_service(3)
+        p = make_packet()
+        svc.prepare(p, None)
+        p.bth.pkey = PKey(0x8002)
+        assert not svc.verify(p, None)
+
+    def test_payload_tamper_fails_despite_memo(self):
+        svc, _ = counting_service(3)
+        p = make_packet(payload=b"honest bytes")
+        svc.prepare(p, None)
+        p.payload = b"forged bytes"
+        assert not svc.verify(p, None)

@@ -9,8 +9,6 @@ from repro.core.bloom import (
     bloom_positions,
     pack_tag,
 )
-from repro.datapath import held
-from repro.sim.config import RunModes
 
 
 class TestPositions:
@@ -155,21 +153,3 @@ class TestFilterOps:
             BloomFilter(64, 0)
         with pytest.raises(ValueError):
             BloomFilter(64, 17)
-
-
-class TestPositionMemo:
-    def test_memo_is_bit_identical(self):
-        with held(RunModes(datapath="reference")):
-            reference = BloomFilter(256, 4, salt=b"memo")
-            ref_pos = [reference.positions(k) for k in range(64)]
-            assert not reference._memo
-        fast = BloomFilter(256, 4, salt=b"memo")
-        warm = [fast.positions(k) for k in range(64)]
-        again = [fast.positions(k) for k in range(64)]  # memo hits
-        assert ref_pos == warm == again
-
-    def test_memo_survives_clear(self):
-        filt = BloomFilter(256, 4)
-        filt.add(9)
-        filt.clear()
-        assert filt.positions(9) == bloom_positions(9, b"", 256, 4)

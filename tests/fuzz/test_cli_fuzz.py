@@ -47,7 +47,7 @@ class TestSeededFailure:
         )
         assert rc == 1
         assert "FAIL busy" in out
-        assert "[reference:broken]" in out
+        assert "[fast:broken]" in out
         assert "shrunk to:" in out
         assert "tampers=0 injections=0" in out  # minimized line
         assert "saved " in out

@@ -1,5 +1,5 @@
 """The invariant oracles: clean runs pass, seeded corruption is caught,
-and the differential oracle sees through to real fast-vs-reference drift."""
+and the differential oracle sees through to real wheel-vs-heap drift."""
 
 from repro.fuzz.oracles import (
     ORACLES,
@@ -20,20 +20,20 @@ from repro.sim.trace import TraceEvent
 from tests.fuzz.conftest import busy_scenario, small_scenario
 
 FAST = RunModes()
-REFERENCE = RunModes(datapath="reference")
+HEAP = RunModes(scheduler="heap")
 
 
 class TestCleanRuns:
     def test_clean_scenario_passes_every_oracle(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         assert check_run(run) == []
         assert run.report.delivered > 0  # the run actually did something
 
     def test_busy_scenario_passes_and_exercises_the_attack_surface(self):
         result = run_scenario(busy_scenario())
         assert result.ok, "\n".join(str(v) for v in result.violations)
-        assert result.reference.tampered_ids
-        assert result.reference.injected_ids
+        assert result.fast.tampered_ids
+        assert result.fast.injected_ids
 
     def test_oracle_catalogue_is_complete(self):
         assert set(ORACLES) == {
@@ -46,20 +46,20 @@ class TestSeededViolations:
     """Each oracle must fire when its invariant is deliberately broken."""
 
     def test_conservation_catches_counter_drift(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         run.report.counters["hca.1.submitted"] += 3
         (violation,) = check_conservation(run)
         assert violation.oracle == "conservation"
         assert "submitted" in violation.message
 
     def test_counter_trace_catches_missing_delivery_event(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         run.tracer.events.remove(run.tracer.of_kind("delivered")[0])
         violations = check_counter_trace(run)
         assert any("delivered" in v.message for v in violations)
 
     def test_counter_trace_catches_unbalanced_link_up(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="link_up", where="sw(0,0)->sw(1,0)")
         )
@@ -67,7 +67,7 @@ class TestSeededViolations:
         assert any("link_up" in v.message for v in violations)
 
     def test_sif_legality_rejects_activation_without_enforcement(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="sif_activated", where="sw(0,0).p0")
         )
@@ -77,7 +77,7 @@ class TestSeededViolations:
     def test_sif_legality_rejects_activation_before_first_trap(self):
         run = execute_scenario(
             small_scenario(enforcement="sif", num_attackers=1,
-                           num_partitions=2), REFERENCE,
+                           num_partitions=2), FAST,
         )
         run.tracer.events.append(
             TraceEvent(time_ps=0, kind="sif_activated", where="sw(0,0).p0")
@@ -86,7 +86,7 @@ class TestSeededViolations:
         assert any("no prior trap" in v.message for v in violations)
 
     def test_ready_index_catches_corrupted_count(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         assert check_ready_index(run) == []
         sw = run.fabric.all_switches()[0]
         sw._head_ready[1][0] += 1
@@ -95,7 +95,7 @@ class TestSeededViolations:
         assert sw.name in violation.message
 
     def test_auth_soundness_catches_tampered_delivery(self):
-        run = execute_scenario(small_scenario(), REFERENCE)
+        run = execute_scenario(small_scenario(), FAST)
         run.tampered_ids.add(run.tracer.of_kind("delivered")[0].packet_id)
         (violation,) = check_auth_soundness(run)
         assert violation.oracle == "auth_soundness"
@@ -105,24 +105,24 @@ class TestSeededViolations:
 class TestDifferentialOracle:
     def test_identical_runs_have_no_diff(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, REFERENCE)
         fast = execute_scenario(scenario, FAST)
-        assert check_differential(fast, reference) == []
+        heap = execute_scenario(scenario, HEAP)
+        assert check_differential(fast, heap) == []
 
     def test_counter_drift_is_reported(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, REFERENCE)
         fast = execute_scenario(scenario, FAST)
+        heap = execute_scenario(scenario, HEAP)
         fast.report.counters["hca.1.delivered"] += 1
-        violations = check_differential(fast, reference)
+        violations = check_differential(fast, heap)
         assert any("counters differ" in v.message for v in violations)
 
     def test_trace_drift_is_reported_with_divergence_point(self):
         scenario = small_scenario()
-        reference = execute_scenario(scenario, REFERENCE)
         fast = execute_scenario(scenario, FAST)
+        heap = execute_scenario(scenario, HEAP)
         fast.tracer.events.pop()
-        violations = check_differential(fast, reference)
+        violations = check_differential(fast, heap)
         assert any("traces differ" in v.message for v in violations)
 
     def test_legs_record_identical_raw_events(self):
@@ -130,24 +130,14 @@ class TestDifferentialOracle:
         result = run_scenario(busy_scenario())
         events = result.fast.tracer.events
         assert result.fast.tracer.of_kind("created")[0].packet_id == 1
-        assert result.reference.tracer.events == events
         assert result.heap.tracer.events == events
-
-
-class TestModeHygiene:
-    def test_execute_scenario_restores_datapath_mode(self):
-        from repro.datapath import get_datapath
-
-        assert get_datapath() == "fast"
-        execute_scenario(small_scenario(), REFERENCE)
-        assert get_datapath() == "fast"
 
 
 class TestLegLabels:
     def test_every_leg_is_named(self):
         result = run_scenario(small_scenario(enforcement="sif", num_attackers=1))
         legs = {name: getattr(result, name).leg for name in
-                ("reference", "fast", "heap", "bloom_shadow")}
+                ("fast", "heap", "bloom_shadow")}
         assert legs == {name: name for name in legs}
         assert result.heap.modes == RunModes(scheduler="heap")
 

@@ -3,7 +3,7 @@
 from repro.iba import crc as ibacrc
 from repro.iba.packet import DataPacket
 
-from tests.conftest import make_packet
+from tests.conftest import make_grh_packet, make_packet
 
 
 class TestICRC:
@@ -45,19 +45,9 @@ class TestICRC:
 
 
 class TestGRHCoverage:
-    def _global_packet(self):
-        from repro.iba.packet import GlobalRouteHeader
-
-        p = make_packet()
-        p.grh = GlobalRouteHeader(
-            src_gid=bytes(range(16)), dst_gid=bytes(range(16, 32)),
-            hop_limit=64, flow_label=0x111,
-        )
-        return p
-
     def test_icrc_covers_gids(self):
-        a = ibacrc.stamp(self._global_packet())
-        b = self._global_packet()
+        a = ibacrc.stamp(make_grh_packet())
+        b = make_grh_packet()
         b.grh.dst_gid = bytes(16)
         ibacrc.stamp(b)
         assert a.icrc != b.icrc
@@ -65,12 +55,12 @@ class TestGRHCoverage:
     def test_icrc_ignores_hop_limit_decrement(self):
         """A router decrements hop limit in flight; the end-to-end ICRC/AT
         must survive it (hop limit is masked like the LRH VL)."""
-        p = ibacrc.stamp(self._global_packet())
+        p = ibacrc.stamp(make_grh_packet())
         p.grh.hop_limit -= 3
         assert ibacrc.verify_icrc(p)
 
     def test_vcrc_covers_hop_limit(self):
-        p = ibacrc.stamp(self._global_packet())
+        p = ibacrc.stamp(make_grh_packet())
         p.grh.hop_limit -= 1
         assert not ibacrc.verify_vcrc(p)
 
@@ -91,7 +81,7 @@ class TestGRHCoverage:
             def __init__(self, lid):
                 self.lid = lid
 
-        p = self._global_packet()
+        p = make_grh_packet()
         svc.prepare(p, Stub(1))
         p.grh.hop_limit -= 2  # in-flight router rewrite
         assert svc.verify(p, Stub(2))
@@ -148,8 +138,7 @@ class TestCRC16Implementations:
             assert ibacrc._crc16_table(data, init) == ibacrc._crc16_bitwise(data, init)
 
     def test_continuation_fold_equals_one_shot(self):
-        """The linearity the VCRC fold relies on:
-        crc16(a+b) == crc16(b, crc16(a))."""
+        """CRC-16 linearity: crc16(a+b) == crc16(b, crc16(a))."""
         import random
 
         rng = random.Random(31)
@@ -159,14 +148,39 @@ class TestCRC16Implementations:
             folded = ibacrc._crc16_table(data[cut:], ibacrc._crc16_table(data[:cut]))
             assert folded == ibacrc._crc16_table(data)
 
-    def test_impl_switch_is_bit_identical(self):
-        """The table-driven VCRC equals the bit-serial oracle over the
-        same bytes, under both datapaths."""
-        from repro.datapath import held
-        from repro.sim.config import RunModes
+    def test_vcrc_matches_bitwise_oracle_on_packet_bytes(self):
+        packet = ibacrc.stamp(make_packet(psn=9))
+        assert ibacrc.vcrc(packet) == ibacrc._crc16_bitwise(packet.variant_bytes())
 
-        packet = make_packet(psn=9)
-        oracle = ibacrc._crc16_bitwise(packet.variant_bytes())
-        assert ibacrc.vcrc(packet) == oracle
-        with held(RunModes(datapath="reference")):
-            assert ibacrc.vcrc(make_packet(psn=9)) == oracle
+
+class TestWireKnownAnswers:
+    """Covered bytes and CRCs of two stamped packets, pinned: the direct
+    guard on serialization (no golden case carries a GRH)."""
+
+    def test_local_packet(self):
+        p = ibacrc.stamp(make_packet(psn=9))
+        assert p.invariant_bytes().hex() == (
+            "f00200020109000164008001ff000102000000090000123400000101"
+            "7061796c6f61642d6279746573"
+        )
+        assert p.variant_bytes().hex() == (
+            "000200020109000164008001000001020000000900001234000001017061796c"
+            "6f61642d6279746573dd47022c"
+        )
+        assert ibacrc.icrc(p) == 0xDD47022C
+        assert ibacrc.vcrc(p) == 0x13C3
+
+    def test_grh_packet(self):
+        p = ibacrc.stamp(make_grh_packet())
+        assert p.invariant_bytes().hex() == (
+            "f0020002010900016fffffff00001bff000102030405060708090a0b0c0d0e0f"
+            "101112131415161718191a1b1c1d1e1f64008001ff0001020000000000001234"
+            "000001017061796c6f61642d6279746573"
+        )
+        assert p.variant_bytes().hex() == (
+            "00020002010900016000011100001b40000102030405060708090a0b0c0d0e0f"
+            "101112131415161718191a1b1c1d1e1f64008001000001020000000000001234"
+            "000001017061796c6f61642d627974657369a24cb8"
+        )
+        assert ibacrc.icrc(p) == 0x69A24CB8
+        assert ibacrc.vcrc(p) == 0x383D

@@ -1,12 +1,17 @@
 """Packet formats: header serialization, invariant-field masking (the ICRC
 coverage rule the whole AT design rests on), and nonce construction."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.iba import crc as ibacrc
 from repro.iba.keys import PKey, QKey
 from repro.iba.packet import (
     BaseTransportHeader,
+    DataPacket,
     DatagramExtendedHeader,
+    GlobalRouteHeader,
     LOCAL_RC_OVERHEAD,
     LOCAL_UD_OVERHEAD,
     LocalRouteHeader,
@@ -18,7 +23,7 @@ from repro.sim.config import SimConfig
 from repro.sim.runner import build_experiment
 from repro.sim.trace import Tracer
 
-from tests.conftest import make_packet
+from tests.conftest import make_grh_packet, make_packet
 
 
 class TestLRH:
@@ -137,6 +142,85 @@ class TestDataPacket:
         assert p.src_qp is None
         # invariant bytes still computable
         assert isinstance(p.invariant_bytes(), bytes)
+
+
+def fresh_clone(p: DataPacket) -> DataPacket:
+    """An identical packet built from p's *current* field values, with
+    brand-new header objects."""
+    return replace(
+        p,
+        lrh=replace(p.lrh),
+        bth=replace(p.bth),
+        deth=replace(p.deth) if p.deth is not None else None,
+        grh=replace(p.grh) if p.grh is not None else None,
+    )
+
+
+#: (name, mutator) — one per mutable field the fabric actually touches.
+MUTATIONS = [
+    ("lrh.vl", lambda p: setattr(p.lrh, "vl", 1)),
+    ("lrh.service_level", lambda p: setattr(p.lrh, "service_level", 3)),
+    ("lrh.dlid", lambda p: setattr(p.lrh, "dlid", LID(9))),
+    ("lrh.slid", lambda p: setattr(p.lrh, "slid", LID(8))),
+    ("lrh.packet_length", lambda p: setattr(p.lrh, "packet_length", 77)),
+    ("bth.opcode", lambda p: setattr(p.bth, "opcode", 0x04)),
+    ("bth.pkey", lambda p: setattr(p.bth, "pkey", PKey(0x8002))),
+    ("bth.dest_qp", lambda p: setattr(p.bth, "dest_qp", QPN(0x200))),
+    ("bth.psn", lambda p: setattr(p.bth, "psn", p.bth.psn + 5)),
+    ("bth.reserved_auth", lambda p: setattr(p.bth, "reserved_auth", 3)),
+    ("bth.pad_count", lambda p: setattr(p.bth, "pad_count", 2)),
+    ("deth.qkey", lambda p: setattr(p.deth, "qkey", QKey(0x999))),
+    ("deth.src_qp", lambda p: setattr(p.deth, "src_qp", QPN(0x155))),
+    ("grh.hop_limit", lambda p: setattr(p.grh, "hop_limit", p.grh.hop_limit - 3)),
+    ("grh.flow_label", lambda p: setattr(p.grh, "flow_label", 0x222)),
+    ("grh.traffic_class", lambda p: setattr(p.grh, "traffic_class", 7)),
+    ("grh.dst_gid", lambda p: setattr(p.grh, "dst_gid", bytes(16))),
+    ("payload", lambda p: setattr(p, "payload", b"entirely new payload")),
+    ("icrc", lambda p: setattr(p, "icrc", p.icrc ^ 0xDEAD)),
+    (
+        "grh replacement",
+        lambda p: setattr(
+            p, "grh",
+            GlobalRouteHeader(src_gid=bytes(16), dst_gid=bytes(range(16))),
+        ),
+    ),
+    (
+        "bth replacement",
+        lambda p: setattr(
+            p, "bth",
+            BaseTransportHeader(opcode=0x64, pkey=PKey(0x8003), dest_qp=QPN(5), psn=42),
+        ),
+    ),
+    ("grh removal", lambda p: setattr(p, "grh", None)),
+]
+
+
+class TestMutation:
+    """Every field the fabric writes after a packet is stamped shows up in
+    the covered bytes and CRCs exactly as in a freshly built packet."""
+
+    @pytest.mark.parametrize("name,mutate", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+    def test_mutated_packet_matches_fresh_packet(self, name, mutate):
+        p = ibacrc.stamp(make_grh_packet())
+        before = (p.invariant_bytes(), p.variant_bytes())
+        mutate(p)
+        q = fresh_clone(p)
+        assert (p.invariant_bytes(), p.variant_bytes()) != before
+        assert p.invariant_bytes() == q.invariant_bytes()
+        assert p.variant_bytes() == q.variant_bytes()
+        assert ibacrc.icrc(p) == ibacrc.icrc(q)
+        assert ibacrc.vcrc(p) == ibacrc.vcrc(q)
+
+    def test_headers_round_trip_through_pack_after_mutation(self):
+        p = make_grh_packet()
+        p.lrh.vl = 2
+        p.bth.psn += 9
+        p.deth.qkey = QKey(0xABCD)
+        p.grh.hop_limit = 17
+        assert LocalRouteHeader.unpack(p.lrh.pack()) == p.lrh
+        assert BaseTransportHeader.unpack(p.bth.pack()) == p.bth
+        assert DatagramExtendedHeader.unpack(p.deth.pack()) == p.deth
+        assert GlobalRouteHeader.unpack(p.grh.pack()) == p.grh
 
 
 class TestConstants:

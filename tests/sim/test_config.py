@@ -171,15 +171,7 @@ class TestEnums:
 
 class TestRunModes:
     def test_defaults(self):
-        assert RunModes() == RunModes("fast", "wheel")
-
-    @pytest.mark.parametrize("field, value", [
-        ("datapath", "turbo"),
-    ])
-    def test_unknown_value_rejected(self, field, value):
-        # unknown schedulers: test_scheduler.py::TestModeSelection
-        with pytest.raises(ValueError):
-            RunModes(**{field: value})
+        assert RunModes() == RunModes("wheel")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

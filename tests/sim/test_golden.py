@@ -2,10 +2,10 @@
 reproduce its digests under every run-mode leg.
 
 ``digest`` is the sha256 of the canonical JSON of ``report_payload`` and
-``trace_digest`` that of the run's trace events; the fast,
-reference-datapath and heap-scheduler legs must each match both.  When a
-change moves results on purpose, re-pin the table with
-``python tools/golden.py --write`` and name the reason in CHANGES.md.
+``trace_digest`` that of the run's trace events; the default (wheel) and
+heap-scheduler legs must each match both.  When a change moves results
+on purpose, re-pin the table with ``python tools/golden.py --write`` and
+name the reason in CHANGES.md.
 """
 
 import importlib
@@ -24,7 +24,6 @@ CASES = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))["cases"]
 
 LEGS = {
     "fast": RunModes(),
-    "reference": RunModes(datapath="reference"),
     "heap": RunModes(scheduler="heap"),
 }
 
@@ -63,8 +62,7 @@ HASHING_CASES = ("fig6_umac_qp", "hmac_md5_partition", "bloom")
 @pytest.mark.parametrize("name", HASHING_CASES)
 def test_runs_never_reach_the_pure_compression_functions(name, monkeypatch):
     """The simulator hashes through the C-backed ``md5``/``sha1``/
-    ``hmac_*``; the from-scratch compression functions are oracles only,
-    under both datapaths."""
+    ``hmac_*``; the from-scratch compression functions are oracles only."""
 
     def forbidden(*args):
         raise AssertionError("a run reached a pure-Python compression function")
@@ -77,5 +75,4 @@ def test_runs_never_reach_the_pure_compression_functions(name, monkeypatch):
     keyed_memo.cache_clear()
     (case,) = [c for c in CASES if c["scenario"]["name"] == name]
     config = Scenario.from_dict(case["scenario"]).build_config()
-    for modes in (RunModes(datapath="fast"), RunModes(datapath="reference")):
-        assert report_digest(run_simulation(config, modes=modes)) == case["digest"]
+    assert report_digest(run_simulation(config, modes=RunModes())) == case["digest"]

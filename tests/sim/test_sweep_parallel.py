@@ -111,12 +111,6 @@ class TestRunCache:
         assert config_key(base) != config_key(base.replace(seed=2))
         assert config_key(base) != config_key(base.replace(sim_time_us=151.0))
 
-    def test_cache_key_tracks_datapath_mode(self, base):
-        """Regression: a reference-datapath debug sweep must never be
-        served fast-mode cache entries."""
-        fast_key = config_key(base, RunModes())
-        assert fast_key != config_key(base, RunModes(datapath="reference"))
-
     def test_cache_key_tracks_scheduler_mode(self, base, default_env):
         """Regression: a REPRO_SCHEDULER=heap oracle sweep must never be
         served wheel-mode cache entries."""

@@ -5,8 +5,6 @@ Runs both custom linters over their default scopes:
 
 * ``check_bare_counters`` — no bare ``self.x += 1`` statistics in iba/core;
   every counter must live in the CounterRegistry.
-* ``check_hot_path`` — hot-path code must reach serialization through the
-  caching layer (``packed()``/``invariant_bytes()``), never ``pack()``.
 * ``check_observability`` — hot-path code must go through the bound
   ``self._trace`` no-op swap and construction-time counter binding, never
   ``self.tracer.record(...)`` or per-event registry lookups.
@@ -28,12 +26,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_bare_counters  # noqa: E402
-import check_hot_path  # noqa: E402
 import check_observability  # noqa: E402
 
 LINTS = (
     ("check_bare_counters", check_bare_counters.main),
-    ("check_hot_path", check_hot_path.main),
     ("check_observability", check_observability.main),
 )
 
