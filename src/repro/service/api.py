@@ -101,6 +101,8 @@ class JobService(JsonHttpServer):
         self._rejected_503 = c("service.rejected_503")
         self._completed = c("service.completed")
         self._failed = c("service.failed")
+        self._worker_retries = self.registry.gauge("service.worker_retries")
+        self._worker_fallbacks = self.registry.gauge("service.worker_fallbacks")
         self.store = JobStore()
         self.queue = BoundedJobQueue(maxsize=self.config.queue_depth)
         self.cache = RunCache(root=self.config.cache_dir)
@@ -116,6 +118,7 @@ class JobService(JsonHttpServer):
         )
         self._draining = False
         self._submit_lock = threading.Lock()
+        self._finish_lock = threading.Lock()  # serialises _job_finished
         self._started_s = time.time()
 
     # -- lifecycle -----------------------------------------------------------
@@ -149,7 +152,10 @@ class JobService(JsonHttpServer):
         self.close()
 
     def _job_finished(self, job: Job) -> None:
-        (self._failed if job.state is JobState.FAILED else self._completed).inc()
+        with self._finish_lock:
+            (self._failed if job.state is JobState.FAILED else self._completed).inc()
+            self._worker_retries.value = self.pool.isolation.retried
+            self._worker_fallbacks.value = self.pool.isolation.in_process
 
     # -- admission pipeline ---------------------------------------------------
 

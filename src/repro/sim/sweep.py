@@ -9,18 +9,14 @@ through it.
 Execution model
 ---------------
 
-``Sweep.run(workers=N)`` dispatches the grid-point × seed runs to a
-:class:`~concurrent.futures.ProcessPoolExecutor`; ``workers=1`` (the
-default) executes in-process with no multiprocessing machinery at all.
-Both paths produce *identical* results in *identical* order: a run is a
-pure function of its resolved :class:`SimConfig`, and results are
-reassembled by grid index, never by completion order.
-
-Robustness: each run is bounded by an optional per-run ``timeout``; a
-worker crash (e.g. OOM-killed process) triggers one resubmission of the
-affected jobs to a fresh pool before giving up with
-:class:`SweepWorkerError`; if the host cannot spawn a process pool at all
-the sweep silently falls back to in-process execution.
+``Sweep.run(workers=N)`` runs each grid-point × seed run in its own forked
+child, at most ``N`` at a time; ``workers=1`` (the default) executes
+in-process with no multiprocessing machinery at all.  Both paths produce
+*identical* results in *identical* order: a run is a pure function of its
+resolved :class:`SimConfig`, and results are reassembled by grid index,
+never by completion order.  Crashes follow :mod:`repro.sim.isolation`'s
+policy: a run whose own child dies is retried once, and a second death of
+that run raises :class:`~repro.sim.isolation.WorkerCrashError`.
 
 Run cache
 ---------
@@ -62,13 +58,13 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from repro.sim.config import RunModes, SimConfig, default_modes
+from repro.sim.isolation import IsolationStats, run_isolated
 from repro.sim.metrics import LatencySample, MetricsSummary
 from repro.sim.runner import ClassStats, SimReport, run_simulation
 from repro.sim.trace import trace_event_dict
@@ -78,14 +74,6 @@ DEFAULT_CACHE_DIR = ".sweep_cache"
 #: Pinned result digests of short schedule-free runs (``tests/sim/
 #: test_golden.py`` checks them; ``tools/golden.py --write`` regenerates).
 GOLDEN_TABLE = Path(__file__).with_name("golden.json")
-
-
-class SweepWorkerError(RuntimeError):
-    """A worker process died twice running the same sweep jobs."""
-
-
-class SweepTimeoutError(TimeoutError):
-    """No run completed within the per-run timeout."""
 
 
 # --------------------------------------------------------------------------
@@ -322,15 +310,15 @@ class SweepProgress(Protocol):
 
 
 @dataclass
-class SweepStats:
-    """Aggregate counters for one ``Sweep.run()`` invocation."""
+class SweepStats(IsolationStats):
+    """Aggregate counters for one ``Sweep.run()`` invocation; ``retried``
+    and ``in_process`` are its parallel runs' :class:`IsolationStats`."""
 
     points: int = 0  #: grid points in the sweep
     runs: int = 0  #: grid-point × seed jobs
     simulated: int = 0  #: jobs actually executed (== cache misses when cached)
     cache_hits: int = 0
     cache_misses: int = 0
-    retried: int = 0  #: jobs resubmitted after a worker crash
     wall_seconds: float = 0.0  #: harness wall-clock for the whole run()
 
 
@@ -449,21 +437,19 @@ class Sweep:
         *,
         workers: int = 1,
         cache: RunCache | str | os.PathLike | bool | None = None,
-        timeout: float | None = None,
         runner: Callable[[SimConfig], SimReport] = run_simulation,
     ) -> list[SweepPoint]:
         """Execute the whole grid; returns (and stores) the results.
 
-        ``workers > 1`` fans grid-point × seed runs out to a process pool
-        (``runner`` must then be a picklable module-level callable);
-        ``workers=1`` runs everything in-process.  Result content and
-        ordering are identical either way.
+        ``workers > 1`` runs each run in its own forked child, at most
+        ``workers`` at a time; children inherit ``runner`` through the
+        fork, so only its result must pickle.  ``workers=1`` runs
+        everything in-process.  Result content and ordering are identical
+        either way.
 
         ``cache`` enables the content-addressed run cache (``True`` for
         the default ``.sweep_cache/``, or a directory path, or a
-        :class:`RunCache`).  ``timeout`` bounds each run's wall time in
-        seconds (parallel mode only — an in-process run cannot be
-        preempted).
+        :class:`RunCache`).
         """
         t0 = time.perf_counter()
         points = self.points()
@@ -544,7 +530,10 @@ class Sweep:
 
         flush_ordered()  # fully-cached prefix streams before any simulation
         if workers > 1 and jobs:
-            self._execute_parallel(jobs, workers, timeout, runner, finish_job)
+            runs = run_isolated(runner, [cfg for _, cfg in jobs], workers, self.stats)
+            with closing(runs):
+                for j, report in runs:
+                    finish_job(jobs[j][0], report)
         else:
             for idx, cfg in jobs:
                 finish_job(idx, runner(cfg))
@@ -562,79 +551,6 @@ class Sweep:
         self._ran = True
         self.stats.wall_seconds = time.perf_counter() - t0
         return self._results
-
-    def _execute_parallel(
-        self,
-        jobs: list[tuple[int, SimConfig]],
-        workers: int,
-        timeout: float | None,
-        runner: Callable[[SimConfig], SimReport],
-        finish_job: Callable[[int, SimReport], None],
-    ) -> None:
-        pending: dict[int, SimConfig] = dict(jobs)
-        attempts: dict[int, int] = {idx: 0 for idx in pending}
-        while pending:
-            try:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            except (OSError, NotImplementedError, PermissionError):
-                # host can't spawn a pool (restricted sandbox): degrade
-                # gracefully to the in-process path
-                for idx in sorted(pending):
-                    finish_job(idx, runner(pending[idx]))
-                return
-            broken = False
-            with pool:
-                futures = {}
-                try:
-                    for idx, cfg in sorted(pending.items()):
-                        futures[pool.submit(runner, cfg)] = idx
-                except BrokenProcessPool:  # a worker died mid-submission
-                    broken = True
-                not_done = set(futures)
-                while not_done and not broken:
-                    done, not_done = wait(
-                        not_done, timeout=timeout, return_when=FIRST_COMPLETED
-                    )
-                    if not done:
-                        # every worker has been busy for >= timeout with
-                        # nothing finishing: the oldest run exceeded it
-                        self._terminate_pool(pool)
-                        raise SweepTimeoutError(
-                            f"no sweep run completed within {timeout:.1f}s "
-                            f"({len(not_done)} still running)"
-                        )
-                    for future in done:
-                        idx = futures[future]
-                        try:
-                            report = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        finish_job(idx, report)
-                        del pending[idx]
-            if pending and not broken:
-                # pool exited cleanly but jobs remain: futures were lost
-                # (treated like a crash)
-                broken = True
-            if broken and pending:
-                exhausted = [idx for idx in pending if attempts[idx] >= 1]
-                if exhausted:
-                    raise SweepWorkerError(
-                        f"worker process died twice; giving up on jobs "
-                        f"{sorted(exhausted)}"
-                    )
-                for idx in pending:
-                    attempts[idx] += 1
-                self.stats.retried += len(pending)
-
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except OSError:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
 
     @property
     def results(self) -> list[SweepPoint]:

@@ -1,28 +1,28 @@
-"""Parallel sweep execution, the run cache, and crash/timeout robustness.
+"""Parallel sweep execution, the run cache, and crash robustness.
 
-The worker-crash runners live at module level so the process pool can
-pickle them by reference; they communicate across process boundaries via a
-flag file (environment-passed path) because worker state does not persist
-between attempts.
+The worker-crash runners live at module level; they communicate across
+process boundaries via flag files (environment-passed path) because a
+retried run starts in a fresh child, which keeps no state from the child
+that died.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.sim import isolation
 from repro.sim.config import RunModes, SimConfig
+from repro.sim.isolation import WorkerCrashError
 from repro.sim.runner import SimReport, run_simulation
 from repro.sim.sweep import (
     JobResult,
     RunCache,
     Sweep,
-    SweepTimeoutError,
-    SweepWorkerError,
     config_key,
     queuing_us,
 )
@@ -42,8 +42,12 @@ def _always_crash_runner(cfg):
     os._exit(13)
 
 
-def _sleepy_runner(cfg):
-    time.sleep(120)
+def _crash_once_per_seed_runner(cfg):
+    """Dies once for each of seeds 1 and 4, keeping one flag file per seed."""
+    flag = Path(os.environ[_CRASH_FLAG_ENV]) / f"seed{cfg.seed}.flag"
+    if cfg.seed in (1, 4) and not flag.exists():
+        flag.write_text("crashed")
+        os._exit(13)
     return run_simulation(cfg)
 
 
@@ -311,15 +315,42 @@ class TestRobustness:
         assert len(points) == 2
         assert all(p.reports[0].delivered > 0 for p in points)
 
+    def test_crash_is_charged_to_its_own_run(self, base, tmp_path, monkeypatch):
+        """Regression: two runs that each died once made the sweep give up
+        on runs that never died twice (a pool crash was charged to every
+        job in flight), raising a worker error after one retry round."""
+        monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
+        sweep = Sweep(base, {}, seeds=(1, 2, 3, 4))
+        (point,) = sweep.run(workers=2, runner=_crash_once_per_seed_runner)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "seed1.flag", "seed4.flag",
+        ]
+        assert [r.config.seed for r in point.reports] == [1, 2, 3, 4]
+        assert all(r.delivered > 0 for r in point.reports)
+        assert sweep.stats.retried == 2
+        assert multiprocessing.active_children() == []
+
     def test_worker_crash_twice_gives_up(self, base):
         sweep = Sweep(base, {}, seeds=(1,))
-        with pytest.raises(SweepWorkerError):
+        with pytest.raises(WorkerCrashError):
             sweep.run(workers=2, runner=_always_crash_runner)
+        assert multiprocessing.active_children() == []
 
-    def test_per_run_timeout(self, base):
-        sweep = Sweep(base, {}, seeds=(1,))
-        with pytest.raises(SweepTimeoutError):
-            sweep.run(workers=2, timeout=0.5, runner=_sleepy_runner)
+    def test_no_child_can_start_runs_in_process(self, base, monkeypatch):
+        """A host that cannot start a child still gets every run, in-process
+        and with the rows a serial sweep gives."""
+
+        def refuse(fn, item):
+            raise OSError("no processes left")
+
+        serial = Sweep(base, GRID, seeds=(1, 2))
+        serial.run(workers=1)
+        monkeypatch.setattr(isolation, "_start", refuse)
+        parallel = Sweep(base, GRID, seeds=(1, 2))
+        parallel.run(workers=2)
+        assert parallel.table(METRICS) == serial.table(METRICS)
+        assert parallel.stats.in_process == 8
+        assert parallel.stats.retried == 0
 
     def test_custom_runner_in_process(self, base):
         calls = []
