@@ -340,9 +340,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"delivered={report.delivered} switch_filtered={report.switch_filtered} "
         f"traps={report.traps_processed} key_exchanges={report.key_exchanges} "
         f"events={report.events_processed} wall={report.wall_seconds:.2f}s "
-        f"(build={report.build_seconds:.2f}s run={report.run_seconds:.2f}s)"
+        f"(build={report.build_seconds:.2f}s run={report.run_seconds:.2f}s"
+        f"{_peak_rss_field()})"
     )
     return 0
+
+
+def _peak_rss_field() -> str:
+    """`` peak_rss=<MiB>MiB``: this process's peak resident set so far, or
+    "" where the platform has no ``resource`` module.  Printed only; the
+    report (and so its digest) never carries it."""
+    try:
+        import resource
+    except ImportError:
+        return ""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is KiB on Linux and bytes on macOS.
+    mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    return f" peak_rss={mib:.1f}MiB"
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""5-port InfiniBand switch with optional per-port partition enforcement.
+"""InfiniBand switch with optional per-port partition enforcement.
 
 The data path is an input-queued, store-and-forward crossbar:
 
@@ -12,6 +12,12 @@ The data path is an input-queued, store-and-forward crossbar:
    VL arbitration (realtime VLs strictly above best-effort).
 4. Forwarding a packet frees its input slot; the credit flows back upstream
    after the credit-return delay.
+
+Routing is a linear forwarding table: ``route_table`` is one
+``bytearray`` indexed by destination LID, one output-port byte per LID,
+with :data:`NO_ROUTE` where the switch has no route.  A DLID at or past
+the table's end (a fuzz mutation, a forged header) is unroutable like any
+other missing entry.
 
 Enforcement policies are injected (``set_port_filter``), keeping this
 module substrate-only; the DPT/IF/SIF policies live in
@@ -33,6 +39,10 @@ from repro.sim.trace import Tracer, null_trace
 #: Port index that faces the attached HCA on every switch.
 HCA_PORT = 0
 
+#: Route-table byte meaning "no route to this LID".  It is also why a
+#: switch has at most 254 ports: port 255 would read as no route.
+NO_ROUTE = 0xFF
+
 
 class PortFilter(Protocol):
     """Partition-enforcement hook attached to a switch input port.
@@ -46,7 +56,7 @@ class PortFilter(Protocol):
 
 
 class Switch:
-    """One 5-port switch of the mesh."""
+    """One switch: 5 ports on the paper's mesh, k on a k-ary fat tree."""
 
     def __init__(
         self,
@@ -61,6 +71,11 @@ class Switch:
         registry: CounterRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
+        if num_ports >= NO_ROUTE:
+            raise ValueError(
+                f"switch {name!r}: num_ports={num_ports}, but ports must be "
+                f"below {NO_ROUTE} (the route table's no-route byte)"
+            )
         self.engine = engine
         self.name = name
         self.num_ports = num_ports
@@ -73,7 +88,8 @@ class Switch:
         #: in_links[p] — upstream link feeding port p (for credit returns).
         self.in_links: list[Link | None] = [None] * num_ports
         self.filters: list[PortFilter | None] = [None] * num_ports
-        self.route_table: dict[int, int] = {}  #: dest LID -> output port
+        #: route_table[dest LID] = output port, NO_ROUTE for none.
+        self.route_table = bytearray()
         self.arbiter = VLArbiter(num_vls, high_limit=arbiter_high_limit)
         # Arbitration index: _head_ready[out_port][vl] counts the input
         # FIFOs whose current *head* is ready for that (port, VL).  Most
@@ -112,6 +128,23 @@ class Switch:
 
     def set_port_filter(self, port: int, policy: PortFilter | None) -> None:
         self.filters[port] = policy
+
+    # --- routing -----------------------------------------------------------
+
+    def route(self, lid: int) -> int | None:
+        """Output port toward *lid*, or None when the table has no route."""
+        table = self.route_table
+        port = table[lid] if 0 <= lid < len(table) else NO_ROUTE
+        return None if port == NO_ROUTE else port
+
+    def set_route(self, lid: int, port: int) -> None:
+        """Route *lid* out of *port*, growing the table to reach *lid*."""
+        if lid < 0 or not 0 <= port < self.num_ports:
+            raise ValueError(f"switch {self.name!r}: no route {lid} -> port {port}")
+        table = self.route_table
+        if lid >= len(table):
+            table.extend(bytes([NO_ROUTE]) * (lid + 1 - len(table)))
+        table[lid] = port
 
     # --- data path ---------------------------------------------------------
 
@@ -156,7 +189,7 @@ class Switch:
             )
             self._release_slot(in_port, packet.vl)
             return
-        out_port = self.route_table.get(int(packet.dst))
+        out_port = self.route(packet.dst)
         if out_port is None or self.out_links[out_port] is None:
             self.unroutable_drops.inc()
             self._trace(
@@ -191,7 +224,7 @@ class Switch:
                     continue  # nothing to re-resolve; IDLE_FIFO must stay unwritten
                 kept = []
                 for entry in fifo.ready:
-                    new_port = self.route_table.get(int(entry.packet.dst))
+                    new_port = self.route(entry.packet.dst)
                     link = self.out_links[new_port] if new_port is not None else None
                     if link is None or link.failed:
                         self.unroutable_drops.inc()

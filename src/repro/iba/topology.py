@@ -8,7 +8,14 @@ dimension-ordered (X then Y), deadlock-free on a mesh.
 :func:`build_mesh` wires switches, HCAs, links (both directions), routing
 tables and returns a :class:`Fabric` handle used by the runner, the security
 layer, and tests.  :func:`build_line` gives a degenerate 1×N fabric for
-focused unit tests.
+focused unit tests, and :func:`build_fat_tree` the k-ary fat tree of the
+scale workloads.
+
+A switch's routing table is one byte per LID (``Switch.route_table``, see
+:mod:`repro.iba.switch`).  The mesh builder and the SM's fault resweep
+(:func:`recompute_routes`) write it entry by entry through
+``Switch.set_route``; the fat-tree builder fills whole tables by slice
+assignment from the LID layout, so no build step loops over LIDs per switch.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from repro.iba.hca import HCA
 from repro.iba.link import Link
 from repro.iba.packet import PacketIds
 from repro.iba.subnet_manager import SubnetManager
-from repro.iba.switch import HCA_PORT, Switch
+from repro.iba.switch import HCA_PORT, NO_ROUTE, Switch
 from repro.iba.types import LID
 from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.counters import CounterRegistry
@@ -229,7 +236,7 @@ def build_mesh(
                     port = PORT_SOUTH
                 else:
                     port = HCA_PORT
-                sw.route_table[dest] = port
+                sw.set_route(dest, port)
     return fabric
 
 
@@ -377,30 +384,29 @@ def build_fat_tree(
                 wire(agg, half + j, core, pod)
                 wire(core, pod, agg, half + j)
 
-    # routing tables (deterministic destination-hashed up-paths)
-    dests = []
-    for lid in fabric.lids:
-        lid0 = lid - 1
-        dests.append((
-            lid,
-            lid0 // (half * half),          # destination pod
-            (lid0 % (half * half)) // half,  # destination edge switch
-            lid0 % half,                     # host port on that edge switch
-            half + lid0 % half,              # up-port used toward this dest
-        ))
+    # routing tables (deterministic destination-hashed up-paths), built
+    # from the LID layout: LID 1 + pod*half^2 + edge*half + host.  The
+    # up-port toward a LID is half + host, so an edge or aggregation table
+    # is the shared "up" pattern with its own edge's hosts or pod's edges
+    # written over it; a core table sends each pod's LID range to that pod.
+    pod_size = half * half
+    up_pattern = bytes([NO_ROUTE]) + bytes(range(half, k)) * (k * half)
+    host_ports = bytes(range(half))
+    pod_edges = bytes(e for e in range(half) for _ in range(half))
+    core_pattern = bytes([NO_ROUTE]) + bytes(
+        pod for pod in range(k) for _ in range(pod_size)
+    )
     for pod in range(k):
+        first = 1 + pod * pod_size
         for i in range(half):
             edge = fabric.switches[(FT_EDGE, pod * half + i)]
+            edge.route_table = bytearray(up_pattern)
+            edge.route_table[first + i * half:first + (i + 1) * half] = host_ports
             agg = fabric.switches[(FT_AGG, pod * half + i)]
-            for lid, dpod, dedge, dhost, up in dests:
-                edge.route_table[lid] = (
-                    dhost if dpod == pod and dedge == i else up
-                )
-                agg.route_table[lid] = dedge if dpod == pod else up
+            agg.route_table = bytearray(up_pattern)
+            agg.route_table[first:first + pod_size] = pod_edges
     for c in range(half * half):
-        core = fabric.switches[(FT_CORE, c)]
-        for lid, dpod, _, _, _ in dests:
-            core.route_table[lid] = dpod
+        fabric.switches[(FT_CORE, c)].route_table = bytearray(core_pattern)
     return fabric
 
 
@@ -472,13 +478,13 @@ def recompute_routes(fabric: Fabric, avoid: set[tuple[int, int]] | None = None) 
             reverse[ncoords].append((coords, port))
 
     for sw in fabric.all_switches():
-        sw.route_table = {}
+        sw.route_table = bytearray()
     installed = 0
     for dest_lid, dest_coords in fabric.ingress_of.items():
         if dest_coords in avoid:
             continue
-        fabric.switches[dest_coords].route_table[int(dest_lid)] = (
-            fabric.ingress_port(dest_lid)
+        fabric.switches[dest_coords].set_route(
+            dest_lid, fabric.ingress_port(dest_lid)
         )
         installed += 1
         visited = {dest_coords}
@@ -488,7 +494,7 @@ def recompute_routes(fabric: Fabric, avoid: set[tuple[int, int]] | None = None) 
             for upstream, port in reverse[here]:
                 if upstream in visited:
                     continue
-                fabric.switches[upstream].route_table[int(dest_lid)] = port
+                fabric.switches[upstream].set_route(dest_lid, port)
                 visited.add(upstream)
                 frontier.append(upstream)
                 installed += 1

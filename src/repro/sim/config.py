@@ -251,6 +251,11 @@ class SimConfig:
         if self.topology == "fat_tree":
             if self.fat_tree_k < 2 or self.fat_tree_k % 2:
                 raise ValueError("fat_tree_k must be an even integer >= 2")
+            if self.fat_tree_k > 254:
+                raise ValueError(
+                    f"fat_tree_k={self.fat_tree_k} exceeds 254: a k-port "
+                    "switch's route table stores ports as bytes below 255"
+                )
         elif self.mesh_width < 1 or self.mesh_height < 1:
             raise ValueError("mesh dimensions must be >= 1")
         if not 0 <= self.num_attackers <= self.num_nodes:

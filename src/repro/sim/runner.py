@@ -35,6 +35,7 @@ from repro.sim.trace import Tracer
 from repro.sim.traffic import (
     BestEffortSource,
     Peer,
+    PeerView,
     RealtimeSource,
     make_open_loop_source,
 )
@@ -361,8 +362,8 @@ def build_experiment(
 
     # --- legitimate traffic: same-partition peers, per Section 3.1
     # One Peer per honest LID, shared by every source sending there, and one
-    # LID-sorted peer list per partition; a source's list is its
-    # partition's without itself.
+    # LID-sorted peer list per partition; a source reads its partition's
+    # list through a PeerView that skips its own LID.
     attacker_set = set(attackers)
     partition_peers = {
         index: [
@@ -379,7 +380,7 @@ def build_experiment(
         if only_lids is not None and lid not in only_lids:
             continue
         index = node_partition[lid]
-        peers = [p for p in partition_peers[index] if p.lid != lid]
+        peers = PeerView(partition_peers[index], lid)
         if not peers:
             continue
         hca = fabric.hca(lid)

@@ -23,11 +23,19 @@ elephant/mice rate mix.  All of them draw exclusively from named
 :class:`~repro.sim.rng.RngStreams` streams, so per-seed byte-determinism —
 and with it the sweep cache and the fuzz scheduler differential — is
 preserved.
+
+A source's destinations are :class:`Peer` objects, one per LID for the
+whole fabric.  The runner builds each partition's peer list once, and a
+source reads it through a :class:`PeerView` that skips the source's own
+LID, so no source holds a copy.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
+from operator import attrgetter
 
 from repro.iba.hca import HCA
 from repro.iba.keys import PKey, QKey
@@ -168,6 +176,44 @@ class Peer:
         self.lid_bytes = lid_bytes(lid)
 
 
+class PeerView:
+    """A source's peers: its partition's shared, LID-sorted peer list
+    without the source's own LID, read in place rather than copied.
+
+    Index *i* reads the shared list at *i*, or *i* + 1 from the source's
+    own position on, so ``rng.choice(view)`` (``view[randbelow(len(view))]``)
+    draws exactly what it drew from a per-source copy.  ``len``, iteration
+    and ``in`` work as on that copy; the view cannot be written to.
+    """
+
+    __slots__ = ("_peers", "_skip", "_len")
+
+    def __init__(self, peers: list[Peer], lid: int) -> None:
+        self._peers = peers
+        pos = bisect_left(peers, lid, key=attrgetter("lid"))
+        if pos < len(peers) and peers[pos].lid == lid:
+            self._skip, self._len = pos, len(peers) - 1
+        else:
+            self._skip, self._len = len(peers), len(peers)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Peer:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("peer index out of range")
+        return self._peers[i if i < self._skip else i + 1]
+
+    def __iter__(self) -> Iterator[Peer]:
+        peers, skip = self._peers, self._skip
+        return (peers[i] for i in range(len(peers)) if i != skip)
+
+    def __contains__(self, peer: object) -> bool:
+        return any(p is peer or p == peer for p in self)
+
+
 class BestEffortSource:
     """Poisson open-loop source sending to same-partition peers."""
 
@@ -176,7 +222,7 @@ class BestEffortSource:
         engine: Engine,
         hca: HCA,
         qp: QueuePair,
-        peers: list[Peer],
+        peers: Sequence[Peer],
         pkey: PKey,
         load: float,
         mtu_bytes: int,
@@ -233,7 +279,7 @@ class RealtimeSource:
         engine: Engine,
         hca: HCA,
         qp: QueuePair,
-        peers: list[Peer],
+        peers: Sequence[Peer],
         pkey: PKey,
         load: float,
         mtu_bytes: int,
@@ -440,7 +486,7 @@ def make_open_loop_source(
     engine: Engine,
     hca: HCA,
     qp: QueuePair,
-    peers: list[Peer],
+    peers: Sequence[Peer],
     pkey: PKey,
     byte_time_ps: int,
     streams,

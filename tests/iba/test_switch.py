@@ -4,7 +4,7 @@ head-of-line behaviour — on a hand-wired 2-switch chain."""
 import pytest
 
 from repro.iba.link import Link
-from repro.iba.switch import HCA_PORT, Switch
+from repro.iba.switch import HCA_PORT, NO_ROUTE, Switch
 from repro.sim.engine import Engine
 
 from tests.conftest import make_packet
@@ -31,7 +31,7 @@ def wire(engine, num_vls=2, credits=4, routing_ns=200.0):
     sw.attach_out_link(1, out)
     feed = Link(engine, "src->sw", BYTE_PS, sw, HCA_PORT, num_vls, credits)
     sw.attach_in_link(HCA_PORT, feed)
-    sw.route_table[2] = 1  # dest LID 2 via port 1
+    sw.set_route(2, 1)  # dest LID 2 via port 1
     return sw, sink, feed, out
 
 
@@ -71,6 +71,64 @@ class TestForwarding:
         # ser in (320k) + wire 10ns + routing 1us + ser out (320k) + wire
         expected_min = 2 * 100 * BYTE_PS + 1_000_000
         assert engine.now >= expected_min
+
+
+class TestRouteTable:
+    """The table is one byte per LID; NO_ROUTE marks a LID with no route."""
+
+    def test_set_route_grows_and_fills_gaps_with_no_route(self, engine):
+        sw, *_ = wire(engine)
+        assert sw.route_table == bytearray([NO_ROUTE, NO_ROUTE, 1])
+        sw.set_route(5, 0)
+        assert sw.route_table == bytearray([NO_ROUTE, NO_ROUTE, 1, NO_ROUTE, NO_ROUTE, 0])
+        assert [sw.route(lid) for lid in range(7)] == [None, None, 1, None, None, 0, None]
+
+    def test_route_outside_the_table_is_none(self, engine):
+        sw, *_ = wire(engine)
+        assert sw.route(0xBFFF) is None
+        assert sw.route(-1) is None
+
+    def test_set_route_rejects_bad_port_and_lid(self, engine):
+        sw, *_ = wire(engine)
+        with pytest.raises(ValueError):
+            sw.set_route(3, 2)  # the switch has ports 0 and 1
+        with pytest.raises(ValueError):
+            sw.set_route(-1, 1)
+        assert sw.route_table == bytearray([NO_ROUTE, NO_ROUTE, 1])
+
+    @pytest.mark.parametrize("dst", [0xBFFF, 1, 0])
+    def test_dlid_without_route_is_an_unroutable_drop(self, engine, dst):
+        """A DLID past the table's end, or on a NO_ROUTE byte, is dropped
+        and counted — never an IndexError."""
+        sw, sink, feed, _ = wire(engine)
+        before = feed.credits[0]
+        feed.send(make_packet(dst=dst, wire_length=100))
+        engine.run()
+        assert sink.received == []
+        assert sw.unroutable_drops == 1
+        assert feed.credits[0] == before
+
+    def test_reroute_drops_buffered_packet_past_the_table(self, engine):
+        sw, sink, feed, out = wire(engine)
+        out.credits[0] = 0  # the packet routes but stays buffered
+        feed.send(make_packet(dst=2, wire_length=100))
+        engine.run()
+        assert sw.buffered_packet_count() == 1
+        sw.route_table = bytearray()  # a resweep that lost every route
+        assert sw.reroute_buffered() == 1
+        assert sw.unroutable_drops == 1
+        assert sw.buffered_packet_count() == 0
+
+    def test_port_count_must_stay_below_the_no_route_byte(self, engine):
+        def make(ports):
+            return Switch(
+                engine, "big", num_ports=ports, num_vls=2, vl_buffer_packets=1,
+                routing_delay_ns=0.0, credit_return_delay_ns=0.0,
+            )
+
+        assert make(NO_ROUTE - 1).num_ports == 254
+        with pytest.raises(ValueError, match="num_ports=255"):
+            make(NO_ROUTE)
 
 
 class TestCreditConservation:
@@ -151,8 +209,8 @@ class TestPumpProgress:
         s1, s2 = Sink(), Sink()
         sw.attach_out_link(1, Link(engine, "o1", BYTE_PS, s1, 0, 2, 4))
         sw.attach_out_link(2, Link(engine, "o2", BYTE_PS, s2, 0, 2, 4))
-        sw.route_table[2] = 1
-        sw.route_table[3] = 2
+        sw.set_route(2, 1)
+        sw.set_route(3, 2)
         # Two packets on the same input VL FIFO: first to port 1, then port 2.
         sw.receive(make_packet(dst=2, wire_length=1000), 0)
         sw.receive(make_packet(dst=3, wire_length=1000), 0)

@@ -3,11 +3,15 @@ delivery."""
 
 import pytest
 
-from repro.iba.switch import HCA_PORT
+from repro.iba.switch import HCA_PORT, NO_ROUTE
 from repro.iba.topology import (
     FT_AGG,
     FT_CORE,
     FT_EDGE,
+    PORT_EAST,
+    PORT_NORTH,
+    PORT_SOUTH,
+    PORT_WEST,
     build_fabric,
     build_fat_tree,
     build_line,
@@ -244,6 +248,96 @@ class TestFatTreeRouting:
         layers = [next(c for c, s in f.switches.items() if s is sw)[0]
                   for sw in visited]
         assert layers == [FT_EDGE, FT_AGG, FT_CORE, FT_AGG, FT_EDGE]
+
+
+def old_fat_tree_routes(k, layer, index, lids):
+    """The fat tree's per-LID routing formula, one dict entry per LID."""
+    half = k // 2
+    pod, i = divmod(index, half)
+    routes = {}
+    for lid in lids:
+        lid0 = lid - 1
+        dpod = lid0 // (half * half)
+        dedge = (lid0 % (half * half)) // half
+        dhost = lid0 % half
+        up = half + lid0 % half
+        if layer == FT_EDGE:
+            routes[lid] = dhost if dpod == pod and dedge == i else up
+        elif layer == FT_AGG:
+            routes[lid] = dedge if dpod == pod else up
+        else:
+            routes[lid] = dpod
+    return routes
+
+
+def old_mesh_routes(x, y, w, h):
+    """Dimension-ordered (X then Y) routes of switch (x, y), per LID."""
+    routes = {}
+    for ty in range(h):
+        for tx in range(w):
+            if tx > x:
+                port = PORT_EAST
+            elif tx < x:
+                port = PORT_WEST
+            elif ty > y:
+                port = PORT_NORTH
+            elif ty < y:
+                port = PORT_SOUTH
+            else:
+                port = HCA_PORT
+            routes[int(node_lid(tx, ty, w))] = port
+    return routes
+
+
+def as_table(routes):
+    """A per-LID route dict as the byte table it must equal."""
+    table = bytearray([NO_ROUTE]) * (max(routes) + 1)
+    for lid, port in routes.items():
+        table[lid] = port
+    return table
+
+
+class TestRouteTableOracle:
+    """Byte route tables equal the per-LID formulas they replaced."""
+
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_fat_tree_tables_match_per_lid_formula(self, k):
+        f = fat_tree_of(k)
+        for (layer, index), sw in f.switches.items():
+            expected = old_fat_tree_routes(k, layer, index, f.lids)
+            assert sw.route_table == as_table(expected), sw.name
+            assert sw.route_table[0] == NO_ROUTE
+            assert sw.route(0) is None
+
+    @pytest.mark.parametrize("w,h", [(4, 4), (3, 5)])
+    def test_mesh_tables_match_xy_loop(self, w, h):
+        f = fabric_of(w, h)
+        for (x, y), sw in f.switches.items():
+            assert sw.route_table == as_table(old_mesh_routes(x, y, w, h)), sw.name
+            assert sw.route_table[0] == NO_ROUTE
+
+    def test_k16_tables_hold_one_byte_per_lid(self):
+        """A deterministic size bound: a regression to per-switch dicts or
+        to oversized tables breaks it."""
+        f = fat_tree_of(16)
+        assert all(type(sw.route_table) is bytearray for sw in f.switches.values())
+        total = sum(len(sw.route_table) for sw in f.switches.values())
+        assert total <= len(f.switches) * (max(f.lids) + 1)
+
+    def test_tables_are_not_shared_between_switches(self):
+        f = fat_tree_of(4)
+        tables = [sw.route_table for sw in f.switches.values()]
+        assert len({id(t) for t in tables}) == len(tables)
+
+    @pytest.mark.parametrize("topology", ["mesh", "fat_tree"])
+    def test_dlid_past_every_table_is_an_unroutable_drop(self, topology):
+        f = fabric_of(4, 4) if topology == "mesh" else fat_tree_of(4)
+        hca = f.hca(1)
+        hca.out_link.send(make_packet(src=1, dst=0xBFFF, wire_length=100))
+        f.engine.run()
+        assert f.ingress_switch(1).unroutable_drops == 1
+        assert sum(sw.forwarded for sw in f.switches.values()) == 0
+        assert hca.out_link.credits == [f.config.vl_buffer_packets] * f.config.num_vls
 
 
 class TestFatTreeDelivery:

@@ -3,7 +3,7 @@ plus goodput accounting."""
 
 import pytest
 
-from repro.iba.switch import HCA_PORT
+from repro.iba.switch import HCA_PORT, NO_ROUTE
 from repro.iba.topology import recompute_routes
 from repro.sim.config import SimConfig
 from repro.sim.engine import PS_PER_US
@@ -40,7 +40,9 @@ class TestRecomputeRoutes:
         cfg, engine, fabric, *_ = experiment()
         installed = recompute_routes(fabric, avoid={(1, 1)})
         # the crashed switch routes nothing; its node is unreachable
-        assert fabric.switches[(1, 1)].route_table == {}
+        crashed = fabric.switches[(1, 1)]
+        assert set(crashed.route_table) <= {NO_ROUTE}
+        assert all(crashed.route(lid) is None for lid in fabric.lids)
         # 15 healthy switches x 15 reachable dests
         assert installed == 15 * 15
         for coords, sw in fabric.switches.items():
@@ -48,7 +50,7 @@ class TestRecomputeRoutes:
                 continue
             # no surviving switch forwards toward the dead one's node
             dead_lid = [l for l, c in fabric.ingress_of.items() if c == (1, 1)][0]
-            assert dead_lid not in sw.route_table
+            assert sw.route(dead_lid) is None
 
     def test_skips_failed_links(self):
         cfg, engine, fabric, *_ = experiment()
@@ -61,7 +63,8 @@ class TestRecomputeRoutes:
         recompute_routes(fabric)
         # (0,0) must now reach column-1 nodes via row 1 (north first)
         lid_at_10 = [l for l, c in fabric.ingress_of.items() if c == (1, 0)][0]
-        assert sw00.route_table[lid_at_10] != PORT_EAST
+        assert sw00.route(lid_at_10) is not None
+        assert sw00.route(lid_at_10) != PORT_EAST
 
     def test_recovery_end_to_end(self):
         """Crash a switch mid-run, resweep, and verify traffic that avoids
@@ -84,8 +87,7 @@ class TestRecomputeRoutes:
         # nothing else should
         dead_lid = [l for l, c in fabric.ingress_of.items() if c == (3, 3)][0]
         for sw in fabric.all_switches():
-            for dest, port in sw.route_table.items():
-                assert dest != dead_lid
+            assert sw.route(dead_lid) is None
 
 
 class TestGoodput:

@@ -72,6 +72,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()
 
+    def test_fat_tree_k_must_fit_the_route_table_byte(self):
+        """Ports are route-table bytes and 0xFF means no route, so a k-port
+        fat-tree switch needs k <= 254."""
+        SimConfig(topology="fat_tree", fat_tree_k=254).validate()
+        with pytest.raises(ValueError, match="fat_tree_k=256 exceeds 254"):
+            SimConfig(topology="fat_tree", fat_tree_k=256).validate()
+
     def test_inpacket_tag_requires_bloom_mode(self):
         with pytest.raises(ValueError):
             SimConfig(bloom_inpacket_tag=True).validate()

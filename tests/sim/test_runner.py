@@ -138,6 +138,28 @@ class TestAttackerWiring:
                 assert peer.qkey == qp.qkey
         assert len(shared) == len(fabric.lids) - len(attacker_lids)
 
+    def test_sources_of_a_partition_read_one_shared_list(self):
+        """No per-source peer copy: each source's peers are a PeerView of
+        its partition's single list."""
+        from repro.sim.traffic import PeerView
+
+        cfg, engine, fabric, sources, *_ = build(
+            num_attackers=2, enable_best_effort=True, enable_realtime=True
+        )
+        shared = {}
+        for src in sources:
+            assert type(src.peers) is PeerView
+            (index,) = fabric.sm.partitions_of(int(src.hca.lid))
+            assert shared.setdefault(index, src.peers._peers) is src.peers._peers
+        assert len(shared) == cfg.num_partitions
+
+    def test_singleton_partitions_start_no_source(self):
+        cfg, engine, fabric, sources, *_ = build(
+            num_partitions=16, enable_best_effort=True, enable_realtime=True
+        )
+        assert all(len(m) == 1 for m in fabric.sm.partitions.values())
+        assert sources == []
+
     def test_no_windows_without_attackers(self):
         cfg, engine, fabric, sources, flooders, windows, _ = build()
         assert windows == []
@@ -227,11 +249,13 @@ class TestOfferedLoad:
 
 class TestBuildMemory:
     """The build allocates in proportion to the fabric: one Peer per LID,
-    no per-pair payload prefixes, and no queue for a VL that carries no
-    packet.  The k=8 fat tree (640 switch ports, 128 HCAs, 16 VLs each)
-    retained 13.7 MiB when every (port, VL) held a deque and every
-    (source, peer) pair its own Peer and prefix, and 3.5 MiB without them
-    (CPython 3.11)."""
+    one peer list per partition that sources only read, no per-pair
+    payload prefixes, no queue for a VL that carries no packet, and one
+    route byte per LID per switch.  The k=8 fat tree (640 switch ports,
+    128 HCAs, 16 VLs each) retained 13.7 MiB when every (port, VL) held a
+    deque and every (source, peer) pair its own Peer and prefix, 3.5 MiB
+    without them, and 3.2 MiB once route dicts became byte tables and
+    sources stopped copying their peer lists (CPython 3.11)."""
 
     CEILING_MIB = 6.0
 

@@ -1,5 +1,7 @@
 """Traffic generators: rates, packet construction, realtime backoff."""
 
+import random
+
 import pytest
 
 from repro.iba.hca import HCA
@@ -18,6 +20,7 @@ from repro.sim.traffic import (
     IncastSource,
     MMPPSource,
     Peer,
+    PeerView,
     RealtimeSource,
     make_open_loop_source,
     make_ud_packet,
@@ -56,6 +59,71 @@ def make_sender(engine, credits=64, lid=1):
 
 
 PEERS = [Peer(LID(2), QPN(0x102), QKey(0x42))]
+
+
+def peer_list(lids):
+    return [Peer(LID(lid), QPN(0x100 + lid), QKey(lid)) for lid in lids]
+
+
+class TestPeerView:
+    """A source reads its partition's shared list minus its own LID, and
+    must see exactly the per-source copy it replaced."""
+
+    SHARED = peer_list([2, 3, 5, 8, 13, 21])
+
+    @pytest.mark.parametrize("own", [2, 8, 21, 4, 1, 99],
+                             ids=["first", "middle", "last", "absent-inside",
+                                  "absent-below", "absent-above"])
+    def test_reads_like_the_copy(self, own):
+        view = PeerView(self.SHARED, own)
+        copy = [p for p in self.SHARED if p.lid != own]
+        assert len(view) == len(copy)
+        assert list(view) == copy
+        assert [view[i] for i in range(len(copy))] == copy
+        back = range(1, len(copy) + 1)
+        assert [view[-i] for i in back] == [copy[-i] for i in back]
+        for bad in (len(copy), -len(copy) - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert all(p in view for p in copy)
+        assert all(p not in view for p in self.SHARED if p.lid == own)
+        assert min(view, key=lambda p: int(p.lid)) is min(copy, key=lambda p: int(p.lid))
+
+    @pytest.mark.parametrize("own", [2, 8, 21, 4])
+    def test_choice_draws_match_the_copy_draw_for_draw(self, own):
+        view = PeerView(self.SHARED, own)
+        copy = [p for p in self.SHARED if p.lid != own]
+        seed = 1000 + own
+        via_view, via_copy = random.Random(seed), random.Random(seed)
+        assert [via_view.choice(view) for _ in range(10_000)] == [
+            via_copy.choice(copy) for _ in range(10_000)
+        ]
+        assert via_view.random() == via_copy.random()  # same stream state after
+
+    def test_singleton_partition_view_is_empty(self):
+        view = PeerView(peer_list([7]), 7)
+        assert len(view) == 0 and not view and list(view) == []
+        with pytest.raises(IndexError):
+            random.Random(1).choice(view)
+
+    def test_views_share_one_list(self):
+        shared = peer_list([1, 2, 3])
+        a, b = PeerView(shared, 1), PeerView(shared, 3)
+        assert list(a)[0] is list(b)[1] is shared[1]
+        with pytest.raises(TypeError):
+            a[0] = shared[0]  # read-only
+
+    def test_incast_victim_unchanged(self, engine):
+        shared = peer_list([2, 5, 7])
+        cfg = TestMakeOpenLoopSource().config(traffic_model="incast")
+        for own, victim_lid in ((2, 5), (5, 2), (7, 2)):
+            hca, qp, _ = make_sender(engine)
+            src = make_open_loop_source(
+                cfg, engine, hca, qp, PeerView(shared, own), PKey(0x8001),
+                BYTE_PS, RngStreams(9), LID(own),
+            )
+            assert int(src.victim.lid) == victim_lid
+            assert src.victim in src.peers
 
 
 class TestMakeUdPacket:

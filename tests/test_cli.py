@@ -59,6 +59,34 @@ class TestCommands:
         assert "best_effort" in out and "queuing" in out
         assert "delivered=" in out
 
+    def test_run_prints_peak_rss_beside_phase_times(self, capsys):
+        rc = main(["run", "--sim-time-us", "50", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        match = re.search(
+            r"\(build=\d+\.\d\ds run=\d+\.\d\ds peak_rss=(\d+\.\d)MiB\)$",
+            out.strip(),
+        )
+        assert match, out
+        assert float(match.group(1)) > 0
+
+    def test_run_omits_peak_rss_without_resource_module(self, capsys, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "resource", None)  # import fails
+        rc = main(["run", "--sim-time-us", "50", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "peak_rss" not in out
+        assert re.search(r"\(build=\d+\.\d\ds run=\d+\.\d\ds\)$", out.strip()), out
+
+    def test_peak_rss_is_not_part_of_the_report(self):
+        from dataclasses import fields
+
+        from repro.sim.runner import SimReport
+
+        assert not [f.name for f in fields(SimReport) if "rss" in f.name]
+
     def test_run_with_attack_and_sif(self, capsys):
         rc = main([
             "run", "--sim-time-us", "300", "--attackers", "1",
