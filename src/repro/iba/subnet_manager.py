@@ -87,7 +87,7 @@ class SubnetManager:
         self._queue.append(trap)
         if not self._busy:
             self._busy = True
-            self.engine.schedule(self.processing_ps, self._process_next)
+            self._schedule_next()
 
     def _process_next(self) -> None:
         if not self._queue:
@@ -100,9 +100,15 @@ class SubnetManager:
             hook(trap.bad_pkey, self.engine.now)
             self.registrations.inc()
         if self._queue:
-            self.engine.schedule(self.processing_ps, self._process_next)
+            self._schedule_next()
         else:
             self._busy = False
+
+    def _schedule_next(self) -> None:
+        """Schedule the processing step of the trap at the queue's head.
+        Traps are processed in arrival order, so that head is the trap the
+        step will pop (the sharded engine posts its registration here)."""
+        self.engine.schedule(self.processing_ps, self._process_next)
 
     # --- management-plane access control (Table 3 threat surface) ----------------
 

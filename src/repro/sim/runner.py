@@ -7,7 +7,11 @@ This is the function every figure/table benchmark calls.  One
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.attacks import RandomPKeyFlooder, make_attack_windows
@@ -431,6 +435,97 @@ def build_experiment(
     return engine, fabric, sources, flooders, windows, key_manager
 
 
+# --- the cyclic collector around a run -------------------------------------
+# A k=16 fabric is over a hundred thousand container objects, built at once
+# and alive until its run returns, so a collection during the build or the run
+# traverses all of them and frees none.  A run therefore pauses collection
+# while it builds, and freezes what exists *before* it re-enables the
+# collector: freezing also zeroes the young generation's count, so the first
+# collection after the build does not scan the whole fabric.  The run's own
+# garbage is still collected, and the frozen objects rejoin the oldest
+# generation when the run returns or raises.  Only a full collection frees
+# them there, and the next run would freeze them again, so a scope that opens
+# after another has left first collects once: a dead fabric is freed when the
+# next run starts, not held frozen through it.
+# Runs on several threads share this state: the first scope in records the
+# caller's collector, none re-enables it while another is still building, and
+# each unfreezes as it leaves, so a finished run's fabric is not held frozen
+# past its run.
+
+_scope_lock = threading.Lock()
+_scopes = 0  # scopes entered and not yet left
+_building = 0  # of those, scopes that have not called built()
+_caller = (True, True)  # (collector was enabled, nothing was frozen)
+_unfrozen = False  # a scope has unfrozen objects since the last collection
+
+
+@contextmanager
+def _collector_scope():
+    """Own the cyclic collector for one run; yields ``built()``, to call
+    once the run's long-lived objects exist.
+
+    Collection is paused until ``built()``, which freezes every tracked
+    object and re-enables the collector; leaving the scope unfreezes them.
+    Entering after an earlier scope has left runs one full collection
+    first, so what that scope unfroze is not frozen again if it is dead.
+    A collector the caller disabled stays disabled, and nothing is frozen
+    or unfrozen when the caller had frozen objects.  :func:`run_simulation`
+    and the sharded engine (:mod:`repro.sim.shard`) are its only users.
+    """
+    global _scopes, _building, _caller, _unfrozen
+    with _scope_lock:
+        if _scopes == 0:
+            _caller = (gc.isenabled(), gc.get_freeze_count() == 0)
+        if _unfrozen and _caller[0]:
+            gc.collect()
+            _unfrozen = False
+        _scopes += 1
+        _building += 1
+        gc.disable()
+    building = True
+
+    def built() -> None:
+        nonlocal building
+        global _building
+        with _scope_lock:
+            building = False
+            _building -= 1
+            if _caller[1]:
+                gc.freeze()
+            if _caller[0] and _building == 0:
+                gc.enable()
+
+    try:
+        yield built
+    finally:
+        with _scope_lock:
+            if building:
+                _building -= 1
+            _scopes -= 1
+            if _caller[1]:
+                gc.unfreeze()
+                _unfrozen = True
+            if _caller[0] and _building == 0:
+                gc.enable()
+
+
+def _reset_collector_after_fork() -> None:
+    # A forked child runs none of its parent's scopes (shard workers and
+    # isolated sweep runs start their own): hand it the caller's collector
+    # and a lock no parent thread can be holding.
+    global _scope_lock, _scopes, _building
+    _scope_lock = threading.Lock()
+    if _scopes:
+        _scopes = _building = 0
+        if _caller[1]:
+            gc.unfreeze()
+        if _caller[0]:
+            gc.enable()
+
+
+os.register_at_fork(after_in_child=_reset_collector_after_fork)
+
+
 def run_simulation(
     config: SimConfig,
     tracer: Tracer | None = None,
@@ -467,26 +562,28 @@ def run_simulation(
         from repro.sim.shard import run_sharded
 
         return run_sharded(config, modes)
-    t0 = time.perf_counter()
-    engine, fabric, sources, flooders, windows, key_manager = build_experiment(
-        config, tracer=tracer, modes=modes
-    )
-    if setup is not None:
-        setup(engine, fabric)
-    t_built = time.perf_counter()
-    server = None
-    if metrics_port is not None:
-        from repro.sim.metrics_server import MetricsServer
+    t0 = time.perf_counter()  # before the scope: its collection is the run's cost
+    with _collector_scope() as built:
+        engine, fabric, sources, flooders, windows, key_manager = build_experiment(
+            config, tracer=tracer, modes=modes
+        )
+        if setup is not None:
+            setup(engine, fabric)
+        built()
+        t_built = time.perf_counter()
+        server = None
+        if metrics_port is not None:
+            from repro.sim.metrics_server import MetricsServer
 
-        server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
-        server.start()
-    try:
-        t_run = time.perf_counter()
-        engine.run(until=config.sim_time_ps)
-        run_seconds = time.perf_counter() - t_run
-    finally:
-        if server is not None:
-            server.stop()
+            server = MetricsServer(engine, fabric.registry, tracer, port=metrics_port)
+            server.start()
+        try:
+            t_run = time.perf_counter()
+            engine.run(until=config.sim_time_ps)
+            run_seconds = time.perf_counter() - t_run
+        finally:
+            if server is not None:
+                server.stop()
     wall = time.perf_counter() - t0
 
     metrics = fabric.metrics

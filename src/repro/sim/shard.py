@@ -17,9 +17,11 @@ bit-for-bit), then performs boundary surgery:
   single-process return time;
 * SM control traffic is routed through the designated **SM shard** (shard
   0): remote HCAs' trap sinks count locally and post the trap MAD with the
-  management-VL transit as its delay, and the SM's registration hooks for
-  remote offenders post back to the offender's shard, which applies the
-  registration to its own (owned) ingress filter at the same instant.
+  management-VL transit as its delay.  A registration for a remote
+  offender is posted back to the offender's shard when the SM schedules
+  the processing step that issues it (the step pops the head of an
+  in-order queue, so its trap and instant are known then); the offender's
+  shard applies it to its own (owned) ingress filter at the step's instant.
 
 Synchronization is conservative (null-message/CMB style), synchronous
 rounds: each round delivers pending messages, collects every shard's
@@ -27,15 +29,12 @@ rounds: each round delivers pending messages, collects every shard's
 pending event, ``L`` the lookahead of :func:`~repro.sim.partition.
 lookahead_ps`), and advances every shard inclusively to ``min(EOT)``.
 Safety: every cross-shard message fires at least ``L`` after the event
-that emits it, and every event processed in a round is at or after that
-shard's ``t_next`` — so nothing can arrive before a receiver's new clock.
-The one zero-delay emission — a filter registration, issued inside the
-SM's trap processing — is covered by dropping the SM shard's lookahead to
-zero while its trap queue is busy (processing steps are ``processing_ps``
-apart, which is folded into ``L``, so a freshly started chain is covered
-too).  An empty shard reports no constraint at all: messages delivered to
-it re-enter the EOT computation before anyone advances, so it cannot stall
-its neighbors and cannot be overrun.
+that emits it (a registration fires ``processing_ps`` after it is posted,
+and ``processing_ps`` is folded into ``L``), and every event processed in a
+round is at or after that shard's ``t_next`` — so nothing can arrive
+before a receiver's new clock.  An empty shard reports no constraint at
+all: messages delivered to it re-enter the EOT computation before anyone
+advances, so it cannot stall its neighbors and cannot be overrun.
 
 The single-process engine stays the bit-exact oracle; a sharded run matches
 it on counter totals and delivery stats for **shard-safe scenarios** (see
@@ -50,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.iba.link import Link
+from repro.iba.subnet_manager import SubnetManager
 from repro.iba.topology import FT_AGG, FT_CORE
 from repro.sim.config import RunModes, SimConfig
 from repro.sim.metrics import LatencySample, MetricsSummary, StatAccumulator
@@ -86,6 +86,13 @@ class _BoundaryLink(Link):
         self.dst.post_packet(self.name, packet)
         if self.on_free is not None:
             self.on_free()
+
+
+def _registered_ahead(pkey, now_ps: int) -> None:
+    """The SM shard's registration hook for an offender on another shard:
+    the REGISTER message was posted when the processing step was scheduled
+    (:meth:`ShardRuntime._schedule_sm_step`), so the step has nothing left
+    to do.  The SM still counts the registration."""
 
 
 class _CreditProxy:
@@ -160,6 +167,8 @@ class ShardRuntime:
         self._in_map: dict[str, tuple] = {}
         #: boundary-link name -> owned sender-half Link (credit returns).
         self._out_links: dict[str, Link] = {}
+        #: SM shard only: offender LID on another shard -> that shard.
+        self._remote_offenders: dict[int, int] = {}
         self._rewire_boundaries()
         self._rewire_sm()
 
@@ -203,9 +212,9 @@ class ShardRuntime:
         for lid in list(sm.registration_hooks):
             offender_shard = plan.shard_of_lid(lid)
             if offender_shard != self.shard_id:
-                sm.registration_hooks[lid] = self._register_poster(
-                    lid, offender_shard
-                )
+                sm.registration_hooks[lid] = _registered_ahead
+                self._remote_offenders[lid] = offender_shard
+        sm._schedule_next = self._schedule_sm_step
 
     def _remote_trap(self, trap) -> None:
         # mirrors SubnetManager.submit_trap: count at the reporter's side,
@@ -220,11 +229,19 @@ class ShardRuntime:
             0,
         )
 
-    def _register_poster(self, lid: int, offender_shard: int):
-        def poster(pkey, now_ps: int) -> None:
-            self.post(offender_shard, now_ps, _REGISTER, lid, pkey)
-
-        return poster
+    def _schedule_sm_step(self) -> None:
+        # SubnetManager._schedule_next, plus the step's registration posted
+        # now: the step pops the queue's head, so its offender and instant
+        # are known one processing step ahead.  A step past the horizon
+        # never runs, so it issues no registration.
+        sm = self.fabric.sm
+        SubnetManager._schedule_next(sm)
+        trap = sm._queue[0]
+        lid = int(trap.offender)
+        offender_shard = self._remote_offenders.get(lid)
+        fire = self.engine.now + sm.processing_ps
+        if offender_shard is not None and fire <= self.config.sim_time_ps:
+            self.post(offender_shard, fire, _REGISTER, lid, trap.bad_pkey)
 
     # --- message plane ----------------------------------------------------
 
@@ -259,10 +276,6 @@ class ShardRuntime:
         t_next = engine.peek_time()
         if t_next is None:
             return None  # nothing pending: nothing to emit, no constraint
-        if self.fabric.sm._busy:
-            # a trap-processing step is pending; it emits registrations
-            # with zero residual delay, so no lookahead may be added
-            return t_next
         return t_next + self.lookahead
 
     def advance(self, target: int) -> tuple[list[tuple[int, tuple]], float]:
@@ -337,27 +350,34 @@ class _InlineDriver:
 def _shard_worker(
     config: SimConfig, shard_id: int, modes: RunModes, conn, crash_at
 ) -> None:
-    """Process-transport worker: build one shard, serve round commands."""
-    runtime = ShardRuntime(config, shard_id, modes)
-    if crash_at is not None and crash_at[0] == shard_id:
-        # test hook: die without ceremony at a simulated instant, the way
-        # an OOM-killed or segfaulted worker would
-        runtime.engine.schedule_at(crash_at[1], os._exit, 1)
-    try:
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "sync":
-                conn.send(runtime.deliver_and_eot(cmd[1]))
-            elif op == "advance":
-                conn.send(runtime.advance(cmd[1]))
-            else:  # "finish"
-                conn.send(runtime.result())
-                return
-    except EOFError:
-        return
-    finally:
-        conn.close()
+    """Process-transport worker: build one shard, serve round commands.
+
+    The worker owns its own collector scope: whatever collector state it
+    inherited at fork, its replica is built with collection paused."""
+    from repro.sim.runner import _collector_scope
+
+    with _collector_scope() as built:
+        runtime = ShardRuntime(config, shard_id, modes)
+        built()
+        if crash_at is not None and crash_at[0] == shard_id:
+            # test hook: die without ceremony at a simulated instant, the
+            # way an OOM-killed or segfaulted worker would
+            runtime.engine.schedule_at(crash_at[1], os._exit, 1)
+        try:
+            while True:
+                cmd = conn.recv()
+                op = cmd[0]
+                if op == "sync":
+                    conn.send(runtime.deliver_and_eot(cmd[1]))
+                elif op == "advance":
+                    conn.send(runtime.advance(cmd[1]))
+                else:  # "finish"
+                    conn.send(runtime.result())
+                    return
+        except EOFError:
+            return
+        finally:
+            conn.close()
 
 
 class _ProcessDriver:
@@ -538,25 +558,23 @@ def run_sharded(
     test hook ``(shard, sim_time_ps)`` that kills that worker mid-run
     (process transport only).
     """
+    from repro.sim.runner import _collector_scope
+
     config.validate()
     transport = transport or config.shard_transport
+    driver_cls = _ProcessDriver if transport == "process" else _InlineDriver
     t0 = time.perf_counter()
-    if transport == "process":
-        drivers = [
-            _ProcessDriver(config, s, modes, _crash_at) for s in range(config.shards)
-        ]
-    else:
-        drivers = [
-            _InlineDriver(config, s, modes, _crash_at) for s in range(config.shards)
-        ]
-    t_built = time.perf_counter()
-    try:
-        rounds = _run_rounds(drivers, config.sim_time_ps)
-        t_ran = time.perf_counter()
-        results = [driver.result() for driver in drivers]
-    finally:
-        for driver in drivers:
-            driver.close()
+    with _collector_scope() as built:
+        drivers = [driver_cls(config, s, modes, _crash_at) for s in range(config.shards)]
+        built()
+        t_built = time.perf_counter()
+        try:
+            rounds = _run_rounds(drivers, config.sim_time_ps)
+            t_ran = time.perf_counter()
+            results = [driver.result() for driver in drivers]
+        finally:
+            for driver in drivers:
+                driver.close()
     wall = time.perf_counter() - t0
     return _merge_results(
         config, results, wall, rounds, build=t_built - t0, run=t_ran - t_built

@@ -1,10 +1,13 @@
 """Sharded-engine edge cases: the conservative-synchronization coordinator
 (lookahead horizon, empty shards, termination), runtime message handling at
-the window boundary, the SM-busy lookahead exception, and worker crashes."""
+the window boundary, registrations posted one SM processing step ahead, and
+worker crashes."""
 
 import pytest
 
 from repro.iba.keys import PKey
+from repro.iba.packet import TrapMAD
+from repro.iba.types import LID
 from repro.sim.config import EnforcementMode, RunModes, SimConfig, default_modes
 from repro.sim.engine import PS_PER_US
 from repro.sim.shard import (
@@ -119,12 +122,47 @@ class TestShardRuntime:
         rt.advance(5_000_000)
         assert rt.fabric.registry.total("filter.*.activations") == 1
 
-    def test_sm_busy_drops_lookahead(self):
+    def test_busy_sm_keeps_lookahead_and_posts_register_ahead(self):
+        # the SM shard posts a remote offender's REGISTER when it schedules
+        # the processing step, firing at that step's instant, so a busy SM
+        # keeps t_next + L and the step itself posts nothing
         rt = ShardRuntime(_runtime_config(), 0, default_modes())
+        sm = rt.fabric.sm
+        remote = min(lid for lid in sm.registration_hooks
+                     if rt.plan.shard_of_lid(lid) != 0)
+        local = min(rt.owned)
+        pkey = PKey(0x0005)
         rt.engine.schedule_at(1000, int)
         assert rt.deliver_and_eot([]) == 1000 + rt.lookahead
-        rt.fabric.sm._busy = True
-        assert rt.deliver_and_eot([]) == 1000
+        sm._arrive(TrapMAD(reporter=LID(local), offender=LID(remote), bad_pkey=pkey))
+        assert sm._busy
+        step = sm.processing_ps
+        assert rt.outgoing == [
+            (rt.plan.shard_of_lid(remote), (step, _REGISTER, remote, pkey))
+        ]
+        assert rt.deliver_and_eot([]) == 1000 + rt.lookahead
+        out, _busy = rt.advance(step)
+        assert out == [(rt.plan.shard_of_lid(remote), (step, _REGISTER, remote, pkey))]
+        assert sm.registrations.value == 1
+        assert not sm._busy
+        assert rt.fabric.registry.total("filter.*.activations") == 0  # not ours
+
+    def test_local_offender_and_late_step_post_nothing(self):
+        # a local offender registers on this shard's own filter at the
+        # step; a step past the horizon never runs, so it posts nothing
+        cfg = _runtime_config()
+        rt = ShardRuntime(cfg, 0, default_modes())
+        sm = rt.fabric.sm
+        local = min(rt.owned)
+        sm._arrive(TrapMAD(reporter=LID(local), offender=LID(local), bad_pkey=PKey(5)))
+        assert rt.outgoing == []
+        rt.advance(sm.processing_ps)
+        assert rt.fabric.registry.total("filter.*.activations") == 1
+        remote = min(lid for lid in sm.registration_hooks
+                     if rt.plan.shard_of_lid(lid) != 0)
+        rt.advance(cfg.sim_time_ps - 1)
+        sm._arrive(TrapMAD(reporter=LID(local), offender=LID(remote), bad_pkey=PKey(5)))
+        assert rt.outgoing == []
 
     def test_boundary_surgery_is_shard_local(self):
         # every boundary link name maps on exactly one of the two runtimes'
