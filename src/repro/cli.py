@@ -235,11 +235,11 @@ def _add_fuzz(sub: argparse._SubParsersAction) -> None:
         description=(
             "Generates seed-deterministic scenarios (random topology, "
             "partitions, traffic, attackers, faults, wire tampering, forged "
-            "injections), runs each under the wheel AND heap schedulers, "
-            "and checks the invariant catalogue: packet conservation, "
-            "counter/trace consistency, SIF state-machine legality, auth "
-            "soundness, and wheel-vs-heap equivalence.  Exits non-zero "
-            "on any violation."
+            "injections), runs each one, and checks the invariant "
+            "catalogue: packet conservation, counter/trace consistency, "
+            "SIF state-machine legality, and auth soundness (SIF scenarios "
+            "also re-run with a shadow Bloom filter).  Exits non-zero on "
+            "any violation."
         ),
     )
     p.add_argument("--runs", type=int, default=25, help="scenarios to generate")
@@ -625,7 +625,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
                     _time.sleep(args.linger_s)
             except KeyboardInterrupt:
                 print(
-                    f"interrupted at t={engine.now_ps / 1e6:.1f} us: "
+                    f"interrupted at t={engine.now_us:.1f} us: "
                     f"events={engine.events_processed}"
                 )
     finally:

@@ -444,7 +444,7 @@ def bloom_port_filter(
     """The Bloom ingress filter *cfg* configures for the port named *scope*.
 
     The port's secret salt for the in-packet tag is a domain-separated KDF
-    over *scope*, so every run (and every differential leg of the same run)
+    over *scope*, so every run (and every fuzz leg of the same run)
     derives identical salts without consuming any simulation randomness."""
     from repro.crypto.kdf import derive_key
 

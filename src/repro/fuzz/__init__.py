@@ -1,8 +1,8 @@
 """Differential fuzzing & invariant checking for the whole simulator.
 
 The subsystem closes the loop the paper's evaluation leaves open: the
-simulator *claims* packet conservation, SIF state-machine legality, auth
-soundness, and wheel-vs-heap scheduler equivalence on every run — this
+simulator *claims* packet conservation, SIF state-machine legality, and
+auth soundness on every run — this
 package makes those claims machine-checkable on *randomly generated*
 scenarios instead of hand-picked test fixtures.
 
@@ -12,10 +12,9 @@ Pipeline (see DESIGN.md §3e):
   topology/partition/traffic/attacker draws) plus mutation-based packet
   tampering and forged-packet injection, all on :class:`~repro.sim.rng.RngStreams`
   so every scenario is a pure function of ``(master_seed, index)``.
-* :mod:`repro.fuzz.oracles` — executes a scenario under a chosen
-  :class:`~repro.sim.config.RunModes` and checks the invariant catalogue,
-  including the differential oracle that replays it on the ``heap``
-  scheduler leg.
+* :mod:`repro.fuzz.oracles` — executes a scenario and checks the invariant
+  catalogue, plus the sharded-vs-single-process differential for
+  schedule-free scenarios.
 * :mod:`repro.fuzz.shrink` — greedy delta debugging: minimize a failing
   scenario while the same oracle still fires.
 * :mod:`repro.fuzz.corpus` — content-addressed JSON corpus of failures
@@ -35,7 +34,6 @@ from repro.fuzz.oracles import (  # noqa: F401
     FuzzRun,
     ScenarioResult,
     Violation,
-    check_differential,
     check_run,
     execute_scenario,
     run_scenario,

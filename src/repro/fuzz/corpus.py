@@ -3,7 +3,7 @@
 A corpus directory is flat: one ``<sha256-prefix>.json`` per failing
 scenario.  The filename is the hash of the entry's canonical JSON, so
 re-running the same fuzz campaign writes the same file — no timestamps, no
-collisions across scheduler legs, byte-for-byte deterministic, and the same
+collisions across legs, byte-for-byte deterministic, and the same
 failure found twice dedupes itself.
 
 Entry layout (``repro.fuzz_corpus/1``)::

@@ -7,8 +7,7 @@ plus schedules of link faults, switch crashes, mid-link packet tampering,
 and forged-packet injections.  Scenarios are a pure function of
 ``(master_seed, index)`` — every random draw flows through one
 :class:`~repro.sim.rng.RngStreams` stream — so the same pair always yields
-byte-identical scenarios, which is what makes corpus entries replayable and
-the differential oracle meaningful.
+byte-identical scenarios, which is what makes corpus entries replayable.
 
 Mutation catalogue (:data:`MUTATIONS`): every mutation is chosen so a
 tampered packet is *guaranteed undeliverable* — either a security checkpoint
@@ -339,24 +338,16 @@ def _validate_scenario_dict(d: object) -> None:
 
 
 def mesh_link_names(width: int, height: int) -> list[str]:
-    """Every directed link name of a width×height mesh, in the same
-    deterministic order :meth:`~repro.iba.topology.Fabric.all_links` yields
-    (a unit test pins the two enumerations together)."""
-    from repro.iba.topology import _DIRS, node_lid
+    """Every directed link name of a width×height mesh, in
+    :meth:`~repro.iba.topology.Fabric.all_links` order."""
+    from repro.iba.topology import build_mesh
+    from repro.sim.config import SimConfig
+    from repro.sim.engine import Engine
+    from repro.sim.metrics import MetricsCollector
 
-    names: list[str] = []
-    coords = [(x, y) for y in range(height) for x in range(width)]
-    # HCA up-links, in LID order
-    for x, y in sorted(coords, key=lambda c: int(node_lid(c[0], c[1], width))):
-        names.append(f"hca{int(node_lid(x, y, width))}->sw({x},{y})")
-    # per-switch out-links, in coordinate order: HCA down-link then mesh ports
-    for x, y in sorted(coords):
-        names.append(f"sw({x},{y})->hca{int(node_lid(x, y, width))}")
-        for _port, (dx, dy) in _DIRS.items():
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height:
-                names.append(f"sw({x},{y})->sw({nx},{ny})")
-    return names
+    config = SimConfig(mesh_width=width, mesh_height=height, num_partitions=1)
+    fabric = build_mesh(Engine(), config, MetricsCollector())
+    return [link.name for link in fabric.all_links()]
 
 
 def generate_scenario(master_seed: int, index: int) -> Scenario:
@@ -407,7 +398,7 @@ def generate_scenario(master_seed: int, index: int) -> Scenario:
 
     # Open-loop traffic family: every model's parameters are drawn so its
     # characteristic behaviour fits the short 120-200 µs fuzz horizon (the
-    # conservation/differential oracles must hold under bursty arrivals too).
+    # conservation oracle must hold under bursty arrivals too).
     traffic_model = rng.choice(
         ("poisson", "poisson", "mmpp", "flash_crowd", "incast", "elephant_mice")
     )

@@ -1,10 +1,10 @@
 """Scenario execution and the invariant catalogue (DESIGN.md §3e).
 
-:func:`execute_scenario` runs one :class:`~repro.fuzz.generators.Scenario`
-under a chosen :class:`~repro.sim.config.RunModes`, installing its faults,
-wire tamperers, and forged injections through ``run_simulation``'s
-``setup`` hook, and returns a :class:`FuzzRun` bundling the report, the
-full trace, the live fabric, and the identity sets the oracles need.
+:func:`execute_scenario` runs one :class:`~repro.fuzz.generators.Scenario`,
+installing its faults, wire tamperers, and forged injections through
+``run_simulation``'s ``setup`` hook, and returns a :class:`FuzzRun`
+bundling the report, the full trace, the live fabric, and the identity
+sets the oracles need.
 
 Single-run oracles (:data:`ORACLES`):
 
@@ -27,12 +27,9 @@ Single-run oracles (:data:`ORACLES`):
   stream as the live SIF filter may over-filter (false positives, counted
   separately) but must never pass a packet SIF dropped.
 
-:func:`check_differential` is the two-run oracle: the same scenario on the
-``fast`` leg (``wheel`` calendar queue) and the ``heap`` oracle leg must
-produce the same :func:`~repro.sim.sweep.report_payload` and identical raw
-event traces (packet ids are per-run labels, so they compare as they are)
-— the queue structure must not change one observable bit.  Counters are
-always on, so both legs' counter snapshots are compared in full.
+:func:`check_shard_differential` is the two-run oracle: a schedule-free
+scenario run single-process and sharded (:func:`execute_sharded`) must
+agree on counter totals, drops, deliveries and the sorted delivery record.
 """
 
 from __future__ import annotations
@@ -55,11 +52,10 @@ from repro.iba.packet import DataPacket
 from repro.iba.switch import HCA_PORT
 from repro.iba.topology import Fabric
 from repro.iba.types import QPN
-from repro.sim.config import AuthMode, RunModes, SimConfig
+from repro.sim.config import AuthMode, SimConfig
 from repro.sim.engine import PS_PER_US
 from repro.sim.faults import FaultInjector
 from repro.sim.runner import SimReport, run_simulation
-from repro.sim.sweep import report_payload
 from repro.sim.trace import Tracer
 
 #: HCA receive-side drop counters — together with the switch drop counters
@@ -77,9 +73,8 @@ class Violation:
     """One invariant failure, attributed to an oracle and the leg it ran on."""
 
     oracle: str
-    #: the :attr:`FuzzRun.leg` (``fast`` | ``heap`` | ``bloom_shadow``),
-    #: or ``differential`` / ``sharded``
-    #: for a two-run oracle.
+    #: the :attr:`FuzzRun.leg` (``fast`` | ``bloom_shadow``), or
+    #: ``sharded`` for the two-run oracle.
     mode: str
     message: str
 
@@ -92,8 +87,7 @@ class FuzzRun:
     """Everything one scenario execution leaves behind for the oracles."""
 
     scenario: Scenario
-    modes: RunModes
-    leg: str  #: which fuzz leg this run is — see :func:`leg_name`.
+    leg: str  #: ``bloom_shadow`` for a shadow-filter run, else ``fast``.
     report: SimReport
     tracer: Tracer
     fabric: Fabric
@@ -166,8 +160,8 @@ class _BloomShadowFilter:
     packet-for-packet: closed-loop sources change their traffic the moment
     one drop decision differs.)  The shadow uses a private counter registry
     and no tracer, so the run's report and trace stay those of a plain SIF
-    run — but its idle-check timers do add engine events, which is why a
-    shadow leg is never differentially compared against the plain legs.
+    run — but its idle-check timers do add engine events, so its event
+    count is not a plain run's.
     """
 
     def __init__(self, sif: SIFPortFilter, bloom: BloomPortFilter) -> None:
@@ -194,25 +188,8 @@ class _BloomShadowFilter:
         return getattr(self.sif, name)
 
 
-def leg_name(modes: RunModes, bloom_shadow: bool = False) -> str:
-    """The fuzz leg *modes* (plus the shadow-filter flag) amount to:
-    ``fast`` for the default modes, else each departure from them joined
-    with ``+`` (``heap``, ``bloom_shadow``)."""
-    parts = [
-        name
-        for name, departs in (
-            ("heap", modes.scheduler == "heap"),
-            ("bloom_shadow", bloom_shadow),
-        )
-        if departs
-    ]
-    return "+".join(parts) or "fast"
-
-
-def execute_scenario(
-    scenario: Scenario, modes: RunModes, bloom_shadow: bool = False
-) -> FuzzRun:
-    """Run *scenario* under *modes* (see :func:`run_simulation`).
+def execute_scenario(scenario: Scenario, bloom_shadow: bool = False) -> FuzzRun:
+    """Run *scenario* (see :func:`run_simulation`).
 
     *bloom_shadow* wraps every installed SIF ingress filter in a
     :class:`_BloomShadowFilter` (sized by the scenario's ``bloom_bits`` /
@@ -308,11 +285,10 @@ def execute_scenario(
                 fabric.sm.registration_hooks[int(lid)] = shadow.register_invalid
                 shadows.append(shadow)
 
-    report = run_simulation(config, tracer=tracer, setup=setup, modes=modes)
+    report = run_simulation(config, tracer=tracer, setup=setup)
     return FuzzRun(
         scenario=scenario,
-        modes=modes,
-        leg=leg_name(modes, bloom_shadow),
+        leg="bloom_shadow" if bloom_shadow else "fast",
         report=report,
         tracer=tracer,
         fabric=captured["fabric"],
@@ -551,47 +527,6 @@ def check_run(run: FuzzRun) -> list[Violation]:
     return out
 
 
-# -- differential oracle ------------------------------------------------------
-
-
-def check_differential(fast: FuzzRun, heap: FuzzRun) -> list[Violation]:
-    """*fast* (``wheel`` queue) and *heap* must be bit-identical in
-    everything but wall-clock: the whole
-    :func:`~repro.sim.sweep.report_payload` (full counter snapshot,
-    per-class stats, drops, deliveries, event count, senders, attack
-    windows, key exchanges) and the raw event trace."""
-    oracle = "scheduler_differential"
-    out: list[Violation] = []
-
-    fp, hp = report_payload(fast.report), report_payload(heap.report)
-    fc, hc = fp.pop("counters"), hp.pop("counters")
-    diff_keys = sorted(
-        k for k in (fc.keys() | hc.keys()) if fc.get(k) != hc.get(k)
-    )
-    if diff_keys:
-        shown = ", ".join(
-            f"{k}: fast={fc.get(k)} heap={hc.get(k)}" for k in diff_keys[:5]
-        )
-        out.append(Violation(
-            oracle, "differential",
-            f"{len(diff_keys)} counters differ — {shown}",
-        ))
-    for name in sorted(k for k in fp if fp[k] != hp[k]):
-        out.append(Violation(
-            oracle, "differential",
-            f"report {name} differ: fast={fp[name]} heap={hp[name]}",
-        ))
-    ft, ht = fast.tracer.events, heap.tracer.events
-    if ft != ht:
-        detail = f"lengths fast={len(ft)} heap={len(ht)}"
-        for i, (a, b) in enumerate(zip(ft, ht)):
-            if a != b:
-                detail = f"first divergence at event {i}: fast={a} heap={b}"
-                break
-        out.append(Violation(oracle, "differential", f"traces differ — {detail}"))
-    return out
-
-
 # -- sharded-engine differential ----------------------------------------------
 
 
@@ -698,16 +633,13 @@ def check_shard_differential(
 class ScenarioResult:
     """Verdict of one scenario across every leg.
 
-    ``fast`` runs on the ``wheel`` scheduler; ``heap`` re-runs it on the
-    binary heap oracle scheduler.
-    ``bloom_shadow`` (SIF scenarios only) re-runs with shadow Bloom filters
-    riding the SIF ingress ports for the dominance oracle — its extra
-    shadow-timer events exclude it from the differential comparisons."""
+    ``fast`` is the plain run; ``bloom_shadow`` (SIF scenarios only)
+    re-runs it with shadow Bloom filters riding the SIF ingress ports for
+    the dominance oracle."""
 
     scenario: Scenario
     violations: list[Violation]
     fast: FuzzRun | None = None
-    heap: FuzzRun | None = None
     bloom_shadow: FuzzRun | None = None
 
     @property
@@ -718,21 +650,15 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario on every leg and run every oracle.
 
-    Legs: ``fast`` (the ``wheel`` scheduler) and ``heap`` (the oracle
-    scheduler), which the differential oracle requires to be bit-identical
-    in counters/stats/drops/trace; SIF scenarios add the ``bloom_shadow``
-    leg.  Each leg spells its modes out, so the verdict never depends on
-    the environment's default modes.
+    Legs: ``fast``, and for SIF scenarios the ``bloom_shadow`` leg.
     """
-    fast_modes = RunModes()
-    fast = execute_scenario(scenario, fast_modes)
-    heap = execute_scenario(scenario, RunModes(scheduler="heap"))
-    violations = check_run(fast) + check_run(heap) + check_differential(fast, heap)
+    fast = execute_scenario(scenario)
+    violations = check_run(fast)
     shadow = None
     if scenario.config.get("enforcement") == "sif":
-        shadow = execute_scenario(scenario, fast_modes, bloom_shadow=True)
+        shadow = execute_scenario(scenario, bloom_shadow=True)
         violations += check_run(shadow) + check_bloom_vs_sif(shadow)
     return ScenarioResult(
-        scenario=scenario, violations=violations, fast=fast, heap=heap,
+        scenario=scenario, violations=violations, fast=fast,
         bloom_shadow=shadow,
     )

@@ -79,7 +79,7 @@ class HCA:
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
         # Bound once: no per-emission branch on the untraced hot path
-        # (see repro.observability).
+        # (see DESIGN.md §3f).
         self._trace = tracer.record if tracer is not None else null_trace
         self._trace_name = f"hca{int(lid)}"
         self.num_vls = num_vls

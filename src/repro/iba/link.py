@@ -89,7 +89,7 @@ class Link:
         self.registry = registry if registry is not None else CounterRegistry()
         self.tracer = tracer
         # Bound once here so the untraced hot path pays a no-op call, not a
-        # per-call branch (see repro.observability).
+        # per-call branch (see DESIGN.md §3f).
         self._trace = tracer.record if tracer is not None else null_trace
         self.packets_sent = self.registry.counter(f"link.{name}.packets_sent")
         self.bytes_sent = self.registry.counter(f"link.{name}.bytes_sent")

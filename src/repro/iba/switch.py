@@ -108,7 +108,7 @@ class Switch:
         # Trace emission is a call through _trace — bound once here to the
         # real recorder or a no-op — with the per-port detail strings
         # precomputed, so the untraced hot path neither branches nor
-        # formats (see repro.observability).
+        # formats (see DESIGN.md §3f).
         self._trace = tracer.record if tracer is not None else null_trace
         self._port_detail = [f"port {p}" for p in range(num_ports)]
         self.forwarded = self.registry.counter(f"switch.{name}.forwarded")

@@ -78,7 +78,7 @@ class Job:
 
 
 def scenario_key(scenario: Scenario) -> str:
-    """Stable content hash of a scenario under the current run modes.
+    """Stable content hash of a scenario.
 
     A schedule-free scenario keys exactly like the sweep layer keys its
     resolved config (:func:`~repro.sim.sweep.config_key`), so the memo

@@ -21,7 +21,6 @@ from typing import Callable
 from repro.fuzz.generators import Scenario
 from repro.service.jobqueue import BoundedJobQueue
 from repro.service.jobstore import Job, JobStore
-from repro.sim.config import default_modes
 from repro.sim.isolation import ChildTraceback, IsolationStats, run_isolated
 from repro.sim.sweep import JobResult, RunCache
 from repro.sim.trace import trace_event_dict
@@ -36,7 +35,7 @@ def execute_job(scenario_dict: dict) -> JobResult:
     from repro.fuzz.oracles import execute_scenario
 
     scenario = Scenario.from_dict(scenario_dict)
-    run = execute_scenario(scenario, default_modes())
+    run = execute_scenario(scenario)
     trace = tuple(
         trace_event_dict(e) for e in list(run.tracer.events)[-TRACE_KEEP:]
     )

@@ -20,7 +20,7 @@ from repro.sim.metrics import (
     MetricsCollector,
     MetricsSummary,
 )
-from repro.sim.config import SimConfig, RunModes, EnforcementMode, AuthMode, KeyMgmtMode
+from repro.sim.config import SimConfig, EnforcementMode, AuthMode, KeyMgmtMode
 
 _LAZY_RUNNER = ("SimReport", "run_simulation", "build_experiment")
 _LAZY_SWEEP = ("Sweep", "SweepPoint", "RunCache", "SweepStats", "PointProgress")
@@ -54,7 +54,6 @@ __all__ = [
     "MetricsCollector",
     "MetricsSummary",
     "SimConfig",
-    "RunModes",
     "EnforcementMode",
     "AuthMode",
     "KeyMgmtMode",

@@ -18,8 +18,6 @@ and converts.
 from __future__ import annotations
 
 import enum
-import functools
-import os
 from dataclasses import dataclass, field
 
 from repro.sim.engine import PS_PER_US
@@ -353,37 +351,3 @@ class SimConfig:
         cfg = dataclasses.replace(self, **kwargs)
         cfg.validate()
         return cfg
-
-
-@dataclass(frozen=True)
-class RunModes:
-    """How a run executes, as opposed to what it simulates (:class:`SimConfig`).
-
-    Every combination produces the identical simulation, counters
-    included; the non-default values exist as differential oracles.
-    Counters are always on; tracing is opt-in per run (a ``tracer``
-    argument), not a mode (:mod:`repro.observability`).
-
-    * ``scheduler`` — the event queue: ``"wheel"`` (calendar queue) or
-      ``"heap"`` (the queue-ordering oracle).
-
-    :func:`~repro.sim.runner.run_simulation` takes one of these and is the
-    only place a run's modes are applied; :func:`~repro.sim.sweep.run_key`
-    is the only place they enter a cache key.
-    """
-
-    scheduler: str = "wheel"
-
-    def __post_init__(self) -> None:
-        if self.scheduler not in ("wheel", "heap"):
-            raise ValueError(f"unknown scheduler mode {self.scheduler!r}; "
-                             "choose from ('wheel', 'heap')")
-
-
-@functools.cache
-def default_modes() -> RunModes:
-    """The modes a run takes when it is given none, read once per process
-    from ``REPRO_SCHEDULER`` (``wheel`` | ``heap``); unset means the
-    default.  Every sweep worker, shard worker and service job reads the
-    same environment as the process that started it, so they all agree."""
-    return RunModes(scheduler=os.environ.get("REPRO_SCHEDULER") or "wheel")

@@ -24,8 +24,8 @@ verbatim; only the *producers* change, from ``self.x += 1`` to
 bare-integer stat sneaks back into ``iba/`` or ``core/``.
 
 Counters are always on: there is no disabled registry, so every report's
-snapshot is the run's full statistical state, whatever its run modes.
-Tracing, by contrast, is opt-in per run (see :mod:`repro.observability`).
+snapshot is the run's full statistical state.
+Tracing, by contrast, is opt-in per run (see DESIGN.md §3f).
 """
 
 from __future__ import annotations

@@ -10,21 +10,16 @@ matters because DoS experiments schedule thousands of same-instant events
 (credit returns, arbitration passes) whose relative order must not depend on
 queue internals.
 
-The queue structure itself is pluggable (:mod:`repro.sim.scheduler`): a
-binary heap kept as the oracle, or a calendar queue for fat-tree-scale runs.
-Both produce the identical (time, priority, seq) pop order; an engine
-fixes its queue at construction (``Engine(scheduler=...)``, else the
-default ``RunModes``).  Under either queue the
-engine recycles fire-and-forget events through a free list
+The queue is one binary heap (``heapq``) of ``(time, priority, seq, event)``
+entries.  The engine recycles fire-and-forget events through a free list
 (:meth:`Engine.schedule_pooled`) so the steady-state hot path allocates
 nothing per event.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable
-
-from repro.sim.scheduler import get_scheduler, make_scheduler
 
 #: Picoseconds per microsecond — metrics convert through this.
 PS_PER_US = 1_000_000
@@ -74,14 +69,11 @@ class Engine:
     ['a', 'b']
     """
 
-    __slots__ = ("_sched", "_push", "_now", "_seq", "_processed", "_pool",
-                 "scheduler_mode")
+    __slots__ = ("_q", "_now", "_seq", "_processed", "_pool")
 
-    def __init__(self, scheduler: str | None = None) -> None:
-        #: which queue family this engine runs on (fixed at construction).
-        self.scheduler_mode = scheduler if scheduler is not None else get_scheduler()
-        self._sched = make_scheduler(self.scheduler_mode)
-        self._push = self._sched.push  # bound once; schedule paths are hot
+    def __init__(self) -> None:
+        #: the event queue: a heap of (time, priority, seq, Event) entries.
+        self._q: list[tuple[int, int, int, Event]] = []
         self._now = 0
         self._seq = 0
         self._processed = 0
@@ -105,7 +97,7 @@ class Engine:
     @property
     def pending_count(self) -> int:
         """Entries currently queued (live + not-yet-discarded cancelled)."""
-        return len(self._sched)
+        return len(self._q)
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any, priority: int = 0) -> Event:
         """Schedule *fn(*args)* to run *delay* picoseconds from now."""
@@ -115,7 +107,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time, priority, seq, fn, args)
-        self._push((time, priority, seq, ev))
+        heappush(self._q, (time, priority, seq, ev))
         return ev
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any, priority: int = 0) -> Event:
@@ -126,7 +118,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time, priority, seq, fn, args)
-        self._push((time, priority, seq, ev))
+        heappush(self._q, (time, priority, seq, ev))
         return ev
 
     def schedule_pooled(self, delay: int, fn: Callable[..., None], *args: Any,
@@ -153,20 +145,29 @@ class Engine:
         else:
             ev = Event(time, priority, seq, fn, args)
             ev.pooled = True
-        self._push((time, priority, seq, ev))
+        heappush(self._q, (time, priority, seq, ev))
+
+    def _head(self) -> tuple[int, int, int, Event] | None:
+        """The next live entry, discarding cancelled ones as they surface."""
+        q = self._q
+        while q:
+            entry = q[0]
+            if not entry[3].cancelled:
+                return entry
+            heappop(q)
+        return None
 
     def peek_time(self) -> int | None:
         """Time of the next live event, or None if the queue is drained."""
-        head = self._sched.peek()
+        head = self._head()
         return head[0] if head is not None else None
 
     def step(self) -> bool:
         """Run the next event.  Returns False when no events remain."""
-        sched = self._sched
-        head = sched.peek()
+        head = self._head()
         if head is None:
             return False
-        sched.pop_head()
+        heappop(self._q)
         ev = head[3]
         self._now = head[0]
         ev.fn(*ev.args)
@@ -188,17 +189,38 @@ class Engine:
         clock stays at the last processed event, so another ``run(until=...)``
         call resumes exactly where the budget ran out instead of silently
         skipping over the unprocessed events' timestamps.
+
+        Cancelled entries are discarded as they surface and never count
+        against *max_events*; pooled events go back on the free list after
+        firing.
         """
-        # The loop itself lives on the scheduler (``drain``) so each queue
-        # family runs its own fused peek/pop hot path — the heap pops
-        # inline, the wheel walks its current bucket with a local cursor.
-        # Cancelled entries are discarded as they surface and never count
-        # against *max_events*; pooled events go back on the engine's free
-        # list after firing.
-        budget_hit = self._sched.drain(self, until, max_events)
+        q = self._q
+        pool = self._pool
+        count = 0
+        budget = -1 if max_events is None else max_events
+        pending = None  # time of the live entry a spent budget left queued
+        while q:
+            entry = q[0]
+            ev = entry[3]
+            if ev.cancelled:
+                heappop(q)
+                continue
+            if count == budget:
+                pending = entry[0]
+                break
+            t = entry[0]
+            if until is not None and t > until:
+                break
+            heappop(q)
+            self._now = t
+            ev.fn(*ev.args)
+            self._processed += 1
+            count += 1
+            if ev.pooled:
+                ev.fn = None
+                ev.args = ()
+                pool.append(ev)
         if until is not None and self._now < until:
-            if budget_hit:
-                nxt = self.peek_time()
-                if nxt is not None and nxt <= until:
-                    return  # pending work before `until` — clock must not jump it
+            if pending is not None and pending <= until:
+                return  # pending work before `until` — clock must not jump it
             self._now = until

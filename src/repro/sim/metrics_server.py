@@ -211,7 +211,6 @@ class MetricsServer(JsonHttpServer):
             "now_us": engine.now_us,
             "events_processed": engine.events_processed,
             "pending_events": engine.pending_count,
-            "scheduler": engine.scheduler_mode,
             "counters": self._registry.snapshot(),
         }
         if self._tracer is not None:

@@ -28,9 +28,7 @@ from repro.sim.config import (
     AuthMode,
     EnforcementMode,
     KeyMgmtMode,
-    RunModes,
     SimConfig,
-    default_modes,
 )
 from repro.sim.engine import Engine, PS_PER_US
 from repro.sim.metrics import MetricsCollector, MetricsSummary, StatAccumulator
@@ -232,15 +230,12 @@ def build_experiment(
     config: SimConfig,
     tracer: Tracer | None = None,
     only_lids: set[int] | None = None,
-    modes: RunModes | None = None,
 ):
     """Construct (engine, fabric, sources, attackers) without running.
 
     Split from :func:`run_simulation` so tests can poke at intermediate
     state and examples can drive the fabric interactively.  *tracer*
     (optional) is wired into every component as the lifecycle event bus.
-    *modes* picks the engine's queue (default:
-    :func:`~repro.sim.config.default_modes`).
 
     *only_lids* restricts which nodes get **active** traffic sources and
     flooders; the fabric, partitions, QPs, and attack schedule are still
@@ -250,9 +245,7 @@ def build_experiment(
     shard and passes each replica its owned LIDs here.
     """
     config.validate()
-    if modes is None:
-        modes = default_modes()
-    engine = Engine(modes.scheduler)
+    engine = Engine()
     metrics = MetricsCollector(keep_samples=config.keep_samples)
     fabric = build_fabric(engine, config, metrics, tracer=tracer)
     streams = RngStreams(config.seed)
@@ -531,7 +524,6 @@ def run_simulation(
     tracer: Tracer | None = None,
     setup=None,
     metrics_port: int | None = None,
-    modes: RunModes | None = None,
 ) -> SimReport:
     """Run one experiment end to end and return its report.
 
@@ -544,13 +536,7 @@ def run_simulation(
     *metrics_port* (optional) serves live counter/trace snapshots over
     HTTP for the duration of the run (0 = ephemeral port; see
     :mod:`repro.sim.metrics_server`).
-
-    *modes* (default: :func:`~repro.sim.config.default_modes`) is how the
-    run executes: the engine's queue.  Sharded runs hand it to every
-    shard.
     """
-    if modes is None:
-        modes = default_modes()
     if config.shards > 1:
         config.validate()
         if tracer is not None or setup is not None or metrics_port is not None:
@@ -561,11 +547,11 @@ def run_simulation(
             )
         from repro.sim.shard import run_sharded
 
-        return run_sharded(config, modes)
+        return run_sharded(config)
     t0 = time.perf_counter()  # before the scope: its collection is the run's cost
     with _collector_scope() as built:
         engine, fabric, sources, flooders, windows, key_manager = build_experiment(
-            config, tracer=tracer, modes=modes
+            config, tracer=tracer
         )
         if setup is not None:
             setup(engine, fabric)

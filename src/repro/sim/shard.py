@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from repro.iba.link import Link
 from repro.iba.subnet_manager import SubnetManager
 from repro.iba.topology import FT_AGG, FT_CORE
-from repro.sim.config import RunModes, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.metrics import LatencySample, MetricsSummary, StatAccumulator
 from repro.sim.partition import ShardPlan, lookahead_ps
 
@@ -138,7 +138,7 @@ class ShardResult:
 class ShardRuntime:
     """One shard: a full-fabric replica plus its boundary machinery."""
 
-    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes) -> None:
+    def __init__(self, config: SimConfig, shard_id: int) -> None:
         from repro.sim.runner import build_experiment
 
         self.config = config
@@ -152,7 +152,7 @@ class ShardRuntime:
             self.flooders,
             self.windows,
             _key_manager,
-        ) = build_experiment(config, only_lids=self.owned, modes=modes)
+        ) = build_experiment(config, only_lids=self.owned)
         sm = self.fabric.sm
         self.lookahead = min(lookahead_ps(config), sm.processing_ps)
         #: messages emitted since the last advance: (dst_shard, msg) pairs.
@@ -330,9 +330,8 @@ class ShardRuntime:
 class _InlineDriver:
     """All shards in this process — deterministic and 1-core friendly."""
 
-    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes,
-                 crash_at=None) -> None:
-        self.runtime = ShardRuntime(config, shard_id, modes)
+    def __init__(self, config: SimConfig, shard_id: int, crash_at=None) -> None:
+        self.runtime = ShardRuntime(config, shard_id)
 
     def deliver_and_eot(self, msgs):
         return self.runtime.deliver_and_eot(msgs)
@@ -347,9 +346,7 @@ class _InlineDriver:
         """An inline shard holds no process or pipe to release."""
 
 
-def _shard_worker(
-    config: SimConfig, shard_id: int, modes: RunModes, conn, crash_at
-) -> None:
+def _shard_worker(config: SimConfig, shard_id: int, conn, crash_at) -> None:
     """Process-transport worker: build one shard, serve round commands.
 
     The worker owns its own collector scope: whatever collector state it
@@ -357,7 +354,7 @@ def _shard_worker(
     from repro.sim.runner import _collector_scope
 
     with _collector_scope() as built:
-        runtime = ShardRuntime(config, shard_id, modes)
+        runtime = ShardRuntime(config, shard_id)
         built()
         if crash_at is not None and crash_at[0] == shard_id:
             # test hook: die without ceremony at a simulated instant, the
@@ -383,8 +380,7 @@ def _shard_worker(
 class _ProcessDriver:
     """Parent-side proxy for one forked shard worker."""
 
-    def __init__(self, config: SimConfig, shard_id: int, modes: RunModes,
-                 crash_at=None) -> None:
+    def __init__(self, config: SimConfig, shard_id: int, crash_at=None) -> None:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
@@ -392,7 +388,7 @@ class _ProcessDriver:
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_shard_worker,
-            args=(config, shard_id, modes, child, crash_at),
+            args=(config, shard_id, child, crash_at),
             daemon=True,
         )
         self.proc.start()
@@ -540,12 +536,11 @@ def _merge_results(
 
 def run_sharded(
     config: SimConfig,
-    modes: RunModes,
     transport: str | None = None,
     _crash_at: tuple[int, int] | None = None,
 ):
-    """Run *config* on ``config.shards`` space-partitioned engines under
-    *modes* and return a merged, schema-compatible SimReport.
+    """Run *config* on ``config.shards`` space-partitioned engines and
+    return a merged, schema-compatible SimReport.
 
     Called by :func:`~repro.sim.runner.run_simulation`.
 
@@ -565,7 +560,7 @@ def run_sharded(
     driver_cls = _ProcessDriver if transport == "process" else _InlineDriver
     t0 = time.perf_counter()
     with _collector_scope() as built:
-        drivers = [driver_cls(config, s, modes, _crash_at) for s in range(config.shards)]
+        drivers = [driver_cls(config, s, _crash_at) for s in range(config.shards)]
         built()
         t_built = time.perf_counter()
         try:

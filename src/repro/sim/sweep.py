@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from repro.sim.config import RunModes, SimConfig, default_modes
+from repro.sim.config import SimConfig
 from repro.sim.isolation import IsolationStats, run_isolated
 from repro.sim.metrics import LatencySample, MetricsSummary
 from repro.sim.runner import ClassStats, SimReport, run_simulation
@@ -95,34 +95,28 @@ def _sha256_json(value: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_key(modes: RunModes | None = None, **body: Any) -> str:
-    """Stable content hash of *body* run under *modes*.
+def run_key(**body: Any) -> str:
+    """Stable content hash of *body*.
 
-    The payload folds :data:`RESULTS_VERSION` and the :class:`RunModes`
-    the run executes under (default:
-    :func:`~repro.sim.config.default_modes`) in beside the canonicalised
-    *body*, so a result cached under one mode never answers a run under
-    another: the modes are meant to be bit-identical, counters included,
-    but proving that is exactly what an oracle-mode run is for.  This is
-    the one place the modes enter a cache key.
+    The payload folds :data:`RESULTS_VERSION` in beside the canonicalised
+    *body*, so a result cached by an older simulator never answers a run
+    whose results have moved since.
     """
     payload = {
         "results_version": RESULTS_VERSION,
-        **asdict(modes or default_modes()),
         **{name: _canonical(value) for name, value in body.items()},
     }
     return _sha256_json(payload)
 
 
-def config_key(config: SimConfig, modes: RunModes | None = None) -> str:
+def config_key(config: SimConfig) -> str:
     """Stable content hash of a fully-resolved :class:`SimConfig`.
 
-    Two configs hash equal iff every field (including the seed) is equal
-    *and* the runs would execute under the same run modes
-    (:func:`run_key`); the JSON canonicalisation makes the key
-    independent of field order, enum identity, and tuple-vs-list spelling.
+    Two configs hash equal iff every field (including the seed) is equal;
+    the JSON canonicalisation (:func:`run_key`) makes the key independent
+    of field order, enum identity, and tuple-vs-list spelling.
     """
-    return run_key(modes, config=asdict(config))
+    return run_key(config=asdict(config))
 
 
 def atomic_pickle(target: Path, obj: Any) -> None:
@@ -168,7 +162,7 @@ REPORT_SCHEMA = "repro.service_report/1"
 
 def report_payload(report: SimReport) -> dict:
     """The deterministic JSON form of a report: "the same result" for the
-    golden table, the service's report body and the fuzz differential.
+    golden table and the service's report body.
     Host-dependent ``wall_seconds`` is excluded, so duplicate submissions
     — even ones that raced and both simulated — get byte-identical reports.
     """

@@ -54,7 +54,7 @@ def null_trace(
     ``tracer.record`` when tracing is on, to this function when it is off —
     so the untraced fast path pays one no-op call instead of a branch per
     emission site (the zero-cost-observability contract; see
-    :mod:`repro.observability` and ``tools/check_observability.py``).
+    DESIGN.md §3f and ``tools/check_observability.py``).
     """
 
 

@@ -21,7 +21,7 @@ Beyond plain Poisson, the best-effort side has an **open-loop family**
 on/off bursts, a flash-crowd rate step, synchronized incast fan-in, and an
 elephant/mice rate mix.  All of them draw exclusively from named
 :class:`~repro.sim.rng.RngStreams` streams, so per-seed byte-determinism —
-and with it the sweep cache and the fuzz scheduler differential — is
+and with it the sweep cache and the golden digests — is
 preserved.
 
 A source's destinations are :class:`Peer` objects, one per LID for the

@@ -85,20 +85,3 @@ def tiny_fabric(engine, tiny_config):
 def paper_config():
     """The paper's 16-node testbed at light load, short horizon."""
     return SimConfig(sim_time_us=400.0, warmup_us=20.0, seed=7, best_effort_load=0.3)
-
-
-@pytest.fixture
-def default_env(monkeypatch):
-    """Start the default run modes afresh from the given ``REPRO_*``
-    variables, as a new process would; the real default returns after."""
-    from repro.sim.config import default_modes
-
-    def start(**variables):
-        for name, value in variables.items():
-            monkeypatch.setenv(name, value)
-        default_modes.cache_clear()
-        return default_modes()
-
-    yield start
-    monkeypatch.undo()
-    default_modes.cache_clear()

@@ -13,7 +13,6 @@ import pytest
 
 from repro.fuzz.generators import generate_scenario
 from repro.fuzz.oracles import check_bloom_vs_sif, check_run, execute_scenario
-from repro.sim.config import RunModes
 
 from tests.fuzz.conftest import small_scenario
 
@@ -39,9 +38,7 @@ class TestBloomDominance:
         the identically-fed Bloom filter, not one packet under-filtered."""
         total_sif_drops = total_bloom_drops = total_fp = 0
         for seed in range(10):
-            run = execute_scenario(
-                _sif_scenario(seed), RunModes(), bloom_shadow=True
-            )
+            run = execute_scenario(_sif_scenario(seed), bloom_shadow=True)
             violations = check_run(run) + check_bloom_vs_sif(run)
             assert not violations, (
                 f"seed {seed}:\n" + "\n".join(str(v) for v in violations)
@@ -59,13 +56,11 @@ class TestBloomDominance:
         assert 0 <= total_fp <= total_bloom_drops
 
     def test_shadow_leg_off_by_default(self):
-        run = execute_scenario(_sif_scenario(3), RunModes())
+        run = execute_scenario(_sif_scenario(3))
         assert run.bloom_shadows == []
 
     def test_non_sif_scenario_installs_no_shadows(self):
-        run = execute_scenario(
-            small_scenario(enforcement="if"), RunModes(), bloom_shadow=True
-        )
+        run = execute_scenario(small_scenario(enforcement="if"), bloom_shadow=True)
         assert run.bloom_shadows == []
 
     def test_generated_sif_scenarios_also_clean(self):
@@ -79,7 +74,7 @@ class TestBloomDominance:
             if scenario.config.get("enforcement") != "sif":
                 continue
             checked += 1
-            run = execute_scenario(scenario, RunModes(), bloom_shadow=True)
+            run = execute_scenario(scenario, bloom_shadow=True)
             violations = check_bloom_vs_sif(run)
             assert not violations, (
                 f"{scenario.summary()}\n"

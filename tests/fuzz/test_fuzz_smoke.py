@@ -1,7 +1,6 @@
 """tier2_fuzz smoke: the first ten generated scenarios, plus the first IF
-and the first SIF one, through every invariant oracle and every
-differential axis — scheduler wheel vs heap (the differential-identity
-acceptance check) — and, for SIF, the Bloom shadow leg.
+and the first SIF one, through every invariant oracle and, for SIF, the
+Bloom shadow leg.
 
 Select with ``pytest -m tier2_fuzz``; also runs in the tier-1 suite."""
 
@@ -17,7 +16,7 @@ pytestmark = pytest.mark.tier2_fuzz
 INDICES = (*range(10), 10, 16)
 
 
-def test_ten_scenarios_clean_and_differentially_identical():
+def test_ten_scenarios_clean():
     tampered = injected = 0
     modes = set()
     for index in INDICES:
@@ -27,8 +26,7 @@ def test_ten_scenarios_clean_and_differentially_identical():
             f"{scenario.summary()}\n"
             + "\n".join(str(v) for v in result.violations)
         )
-        # both scheduler legs actually executed
-        assert result.fast is not None and result.heap is not None
+        assert result.fast is not None
         mode = scenario.build_config().enforcement
         if mode is EnforcementMode.SIF:
             assert result.bloom_shadow.bloom_shadows  # shadow Bloom filters ran

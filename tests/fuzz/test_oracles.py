@@ -1,5 +1,5 @@
 """The invariant oracles: clean runs pass, seeded corruption is caught,
-and the differential oracle sees through to real wheel-vs-heap drift."""
+and every violation names the leg it ran on."""
 
 from repro.fuzz.oracles import (
     ORACLES,
@@ -7,25 +7,20 @@ from repro.fuzz.oracles import (
     check_auth_soundness,
     check_conservation,
     check_counter_trace,
-    check_differential,
     check_ready_index,
     check_run,
     check_sif_legality,
     execute_scenario,
     run_scenario,
 )
-from repro.sim.config import RunModes
 from repro.sim.trace import TraceEvent
 
 from tests.fuzz.conftest import busy_scenario, small_scenario
 
-FAST = RunModes()
-HEAP = RunModes(scheduler="heap")
-
 
 class TestCleanRuns:
     def test_clean_scenario_passes_every_oracle(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         assert check_run(run) == []
         assert run.report.delivered > 0  # the run actually did something
 
@@ -46,20 +41,20 @@ class TestSeededViolations:
     """Each oracle must fire when its invariant is deliberately broken."""
 
     def test_conservation_catches_counter_drift(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         run.report.counters["hca.1.submitted"] += 3
         (violation,) = check_conservation(run)
         assert violation.oracle == "conservation"
         assert "submitted" in violation.message
 
     def test_counter_trace_catches_missing_delivery_event(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         run.tracer.events.remove(run.tracer.of_kind("delivered")[0])
         violations = check_counter_trace(run)
         assert any("delivered" in v.message for v in violations)
 
     def test_counter_trace_catches_unbalanced_link_up(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="link_up", where="sw(0,0)->sw(1,0)")
         )
@@ -67,7 +62,7 @@ class TestSeededViolations:
         assert any("link_up" in v.message for v in violations)
 
     def test_sif_legality_rejects_activation_without_enforcement(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         run.tracer.events.append(
             TraceEvent(time_ps=1, kind="sif_activated", where="sw(0,0).p0")
         )
@@ -77,7 +72,7 @@ class TestSeededViolations:
     def test_sif_legality_rejects_activation_before_first_trap(self):
         run = execute_scenario(
             small_scenario(enforcement="sif", num_attackers=1,
-                           num_partitions=2), FAST,
+                           num_partitions=2),
         )
         run.tracer.events.append(
             TraceEvent(time_ps=0, kind="sif_activated", where="sw(0,0).p0")
@@ -86,7 +81,7 @@ class TestSeededViolations:
         assert any("no prior trap" in v.message for v in violations)
 
     def test_ready_index_catches_corrupted_count(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         assert check_ready_index(run) == []
         sw = run.fabric.all_switches()[0]
         sw._head_ready[1][0] += 1
@@ -95,65 +90,33 @@ class TestSeededViolations:
         assert sw.name in violation.message
 
     def test_auth_soundness_catches_tampered_delivery(self):
-        run = execute_scenario(small_scenario(), FAST)
+        run = execute_scenario(small_scenario())
         run.tampered_ids.add(run.tracer.of_kind("delivered")[0].packet_id)
         (violation,) = check_auth_soundness(run)
         assert violation.oracle == "auth_soundness"
         assert "tampered" in violation.message
 
 
-class TestDifferentialOracle:
-    def test_identical_runs_have_no_diff(self):
-        scenario = small_scenario()
-        fast = execute_scenario(scenario, FAST)
-        heap = execute_scenario(scenario, HEAP)
-        assert check_differential(fast, heap) == []
-
-    def test_counter_drift_is_reported(self):
-        scenario = small_scenario()
-        fast = execute_scenario(scenario, FAST)
-        heap = execute_scenario(scenario, HEAP)
-        fast.report.counters["hca.1.delivered"] += 1
-        violations = check_differential(fast, heap)
-        assert any("counters differ" in v.message for v in violations)
-
-    def test_trace_drift_is_reported_with_divergence_point(self):
-        scenario = small_scenario()
-        fast = execute_scenario(scenario, FAST)
-        heap = execute_scenario(scenario, HEAP)
-        fast.tracer.events.pop()
-        violations = check_differential(fast, heap)
-        assert any("traces differ" in v.message for v in violations)
-
-    def test_legs_record_identical_raw_events(self):
-        # packet ids are per run, so the legs' traces match as recorded
-        result = run_scenario(busy_scenario())
-        events = result.fast.tracer.events
-        assert result.fast.tracer.of_kind("created")[0].packet_id == 1
-        assert result.heap.tracer.events == events
-
-
 class TestLegLabels:
     def test_every_leg_is_named(self):
         result = run_scenario(small_scenario(enforcement="sif", num_attackers=1))
         legs = {name: getattr(result, name).leg for name in
-                ("fast", "heap", "bloom_shadow")}
+                ("fast", "bloom_shadow")}
         assert legs == {name: name for name in legs}
-        assert result.heap.modes == RunModes(scheduler="heap")
 
-    def test_heap_only_violation_is_labelled_heap(self, monkeypatch):
-        """A violation only the heap leg produces names that leg, in the
+    def test_shadow_only_violation_is_labelled_bloom_shadow(self, monkeypatch):
+        """A violation only the shadow leg produces names that leg, in the
         printed form and in the corpus entry."""
         from repro.fuzz.corpus import entry_from_result
 
-        def heap_only(run):
-            if run.fabric.all_switches()[0].engine.scheduler_mode != "heap":
+        def shadow_only(run):
+            if not run.bloom_shadows:
                 return []
-            return [Violation("conservation", run.leg, "heap queue only")]
+            return [Violation("conservation", run.leg, "shadow leg only")]
 
-        monkeypatch.setitem(ORACLES, "heap_only", heap_only)
-        result = run_scenario(small_scenario())
+        monkeypatch.setitem(ORACLES, "shadow_only", shadow_only)
+        result = run_scenario(small_scenario(enforcement="sif", num_attackers=1))
         assert [str(v) for v in result.violations] == [
-            "[heap:conservation] heap queue only"
+            "[bloom_shadow:conservation] shadow leg only"
         ]
-        assert entry_from_result(result)["violations"][0]["mode"] == "heap"
+        assert entry_from_result(result)["violations"][0]["mode"] == "bloom_shadow"

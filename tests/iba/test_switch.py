@@ -221,15 +221,14 @@ class TestPumpProgress:
 
 class TestReadyHeadIndex:
     """The arbitration index: _head_ready[port][vl] must always equal a
-    from-scratch recount of the input FIFO heads, under both queues."""
+    from-scratch recount of the input FIFO heads."""
 
     @staticmethod
     def assert_index_consistent(sw):
         maintained = (sw._head_ready, sw._head_ready_total)
         assert maintained == sw.count_head_ready(), sw.name
 
-    @pytest.mark.parametrize("mode", ["wheel", "heap"])
-    def test_index_matches_recount_through_congested_run(self, mode):
+    def test_index_matches_recount_through_congested_run(self):
         """All-pairs burst through a 3x3 mesh with tiny buffers: pause the
         run repeatedly and require the maintained counts to equal a fresh
         recount on every switch — mid-congestion, not just at quiescence."""
@@ -237,7 +236,7 @@ class TestReadyHeadIndex:
         from repro.sim.config import SimConfig
         from repro.sim.metrics import MetricsCollector
 
-        engine = Engine(scheduler=mode)
+        engine = Engine()
         cfg = SimConfig(mesh_width=3, mesh_height=3, num_partitions=1,
                         vl_buffer_packets=2,
                         enable_realtime=False, enable_best_effort=False)
@@ -258,15 +257,14 @@ class TestReadyHeadIndex:
             self.assert_index_consistent(sw)
             assert sw._head_ready_total == [0] * sw.num_ports
 
-    @pytest.mark.parametrize("mode", ["wheel", "heap"])
-    def test_reroute_rebuilds_index(self, mode):
+    def test_reroute_rebuilds_index(self):
         """reroute_buffered edits ready FIFOs in place; the index must be
         recounted against the new route table."""
         from repro.iba.topology import build_mesh, recompute_routes
         from repro.sim.config import SimConfig
         from repro.sim.metrics import MetricsCollector
 
-        engine = Engine(scheduler=mode)
+        engine = Engine()
         cfg = SimConfig(mesh_width=3, mesh_height=3, num_partitions=1,
                         vl_buffer_packets=2,
                         enable_realtime=False, enable_best_effort=False)

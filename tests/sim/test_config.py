@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, RunModes, SimConfig
+from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
 
 
 class TestTable1Defaults:
@@ -174,15 +174,3 @@ class TestEnums:
 
     def test_keymgmt_values(self):
         assert {m.value for m in KeyMgmtMode} == {"none", "partition", "qp"}
-
-
-class TestRunModes:
-    def test_defaults(self):
-        assert RunModes() == RunModes("wheel")
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            RunModes().scheduler = "heap"
-
-    def test_default_reads_environment(self, default_env):
-        assert default_env(REPRO_SCHEDULER="heap") == RunModes(scheduler="heap")

@@ -108,7 +108,7 @@ class TestCounterRegistry:
         assert not isinstance(rebound, Counter)
 
 
-def test_counters_are_on_whatever_the_environment(default_env):
+def test_counters_are_on_whatever_the_environment(monkeypatch):
     """Regression: ``REPRO_OBSERVABILITY=off`` used to zero every counter,
     so Table 2's measured lookups read 0/0/0.  Counters are always on now,
     and the variable no longer selects anything."""
@@ -116,7 +116,7 @@ def test_counters_are_on_whatever_the_environment(default_env):
     from repro.sim.config import EnforcementMode, SimConfig
     from repro.sim.runner import run_simulation
 
-    default_env(REPRO_OBSERVABILITY="off")
+    monkeypatch.setenv("REPRO_OBSERVABILITY", "off")
     counts = measured_lookups(sim_time_us=300)
     assert counts["dpt"] > counts["if"] > 0
     report = run_simulation(SimConfig(

@@ -1,4 +1,11 @@
-"""Discrete-event engine: ordering, determinism, cancellation, run bounds."""
+"""Discrete-event engine: ordering, determinism, cancellation, run bounds.
+
+The randomized tests drive the same seeded workload through the engine and
+through :class:`ModelQueue`, a brute-force model of its queue order, and
+require identical firing logs.
+"""
+
+import random
 
 import pytest
 
@@ -68,6 +75,51 @@ class TestScheduling:
         eng.run()
         assert hits == [("outer", 5), ("inner", 15)]
 
+    def test_callback_push_into_current_instant(self):
+        """An event scheduled at delay 0 from inside a callback fires
+        before events stamped later."""
+        eng = Engine()
+        log = []
+
+        def outer():
+            log.append("outer")
+            eng.schedule(0, log.append, "inner")
+
+        eng.schedule(50, outer)
+        eng.schedule(51, log.append, "later")
+        eng.run()
+        assert log == ["outer", "inner", "later"]
+
+    def test_same_instant_ties_keep_order_across_schedule_and_schedule_at(self):
+        eng = Engine()
+        log = []
+        eng.run(until=40)
+        for i in range(6):
+            if i % 2:
+                eng.schedule_at(100, log.append, i)
+            else:
+                eng.schedule(60, log.append, i)
+        eng.run()
+        assert log == list(range(6))
+
+    def test_priority_then_seq_orders_mixed_ties(self):
+        eng = Engine()
+        log = []
+        prios = (2, 0, 1, 0, 2, 1)
+        for i, prio in enumerate(prios):
+            eng.schedule(100, log.append, i, priority=prio)
+        eng.run()
+        assert log == sorted(range(6), key=lambda i: (prios[i], i))
+
+    def test_far_apart_times_pop_in_time_order(self):
+        eng = Engine()
+        log = []
+        times = [9 << 13, 2 << 13, 123, (7 << 13) + 5, 0, (1 << 22) + 17]
+        for t in times:
+            eng.schedule_at(t, log.append, t)
+        eng.run()
+        assert log == sorted(times)
+
 
 class TestRunControl:
     def test_run_until_inclusive(self):
@@ -102,8 +154,57 @@ class TestRunControl:
         eng.run(max_events=3)
         assert hits == [0, 1, 2]
 
+    def test_budget_stops_among_same_instant_events(self):
+        eng = Engine()
+        log = []
+        for i in range(5):
+            eng.schedule(100, log.append, i)
+        eng.run(max_events=2)
+        assert log == [0, 1]
+        assert eng.pending_count == 3
+        eng.run()
+        assert log == [0, 1, 2, 3, 4]
+
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
+
+    def test_until_between_two_events_stops_clock_at_until(self):
+        eng = Engine()
+        log = []
+        eng.schedule(10, log.append, "early")
+        eng.schedule(20, log.append, "late")
+        eng.run(until=15)
+        assert log == ["early"]
+        assert eng.now == 15
+        eng.run()
+        assert log == ["early", "late"]
+
+    def test_until_equal_to_only_event_fires_it(self):
+        eng = Engine()
+        log = []
+        eng.schedule(100, log.append, "edge")
+        eng.run(until=100)
+        assert log == ["edge"]
+
+    def test_run_on_empty_queue_processes_nothing(self):
+        eng = Engine()
+        eng.run(until=500)
+        assert eng.now == 500
+        assert eng.events_processed == 0
+
+    def test_budget_cut_before_until_then_resume_reaches_until(self):
+        """A budget cut with work pending at or before `until` holds the
+        clock at the last processed event; the resumed run ends at `until`."""
+        eng = Engine()
+        log = []
+        for t in (10, 20, 30):
+            eng.schedule_at(t, log.append, t)
+        eng.run(until=100, max_events=2)
+        assert log == [10, 20]
+        assert eng.now == 20
+        eng.run(until=100)
+        assert log == [10, 20, 30]
+        assert eng.now == 100
 
     def test_events_processed_counter(self):
         eng = Engine()
@@ -129,6 +230,32 @@ class TestCancellation:
         eng.schedule(200, lambda: None)
         ev.cancel()
         assert eng.peek_time() == 200
+
+    def test_cancel_from_earlier_callback_skips_victim(self):
+        eng = Engine()
+        log = []
+        victim = eng.schedule(100, log.append, "victim")
+        eng.schedule(99, victim.cancel)
+        eng.schedule(101, log.append, "after")
+        eng.run()
+        assert log == ["after"]
+
+    def test_cancelled_between_live_events_does_not_consume_budget(self):
+        eng = Engine()
+        log = []
+        eng.schedule(10, log.append, "a")
+        dead = eng.schedule(20, log.append, "dead")
+        eng.schedule(30, log.append, "b")
+        dead.cancel()
+        eng.run(max_events=2)
+        assert log == ["a", "b"]
+
+    def test_cancelled_not_counted_in_events_processed(self):
+        eng = Engine()
+        eng.schedule(10, lambda: None).cancel()
+        eng.schedule(20, lambda: None)
+        eng.run()
+        assert eng.events_processed == 1
 
 
 class TestUnits:
@@ -258,3 +385,158 @@ class TestRunBudgetClockSemantics:
             eng.schedule((i + 1) * 10, lambda: None)
         eng.run(max_events=2)
         assert eng.now == 20
+
+
+class TestEventPooling:
+    def test_recycles_pooled_events(self):
+        eng = Engine()
+        eng.schedule_pooled(10, lambda: None)
+        eng.run()
+        assert len(eng._pool) == 1
+        recycled = eng._pool[0]
+        assert recycled.pooled and recycled.fn is None and recycled.args == ()
+        eng.schedule_pooled(10, lambda: None)
+        assert not eng._pool, "free list entry must be reused"
+        eng.run()
+        assert eng._pool[0] is recycled
+
+    def test_pooled_ordering_matches_schedule(self):
+        """schedule_pooled consumes a seq like schedule — interleaving the
+        two must preserve FIFO among same-instant events."""
+        eng = Engine()
+        log = []
+        eng.schedule(100, log.append, 0)
+        eng.schedule_pooled(100, log.append, 1)
+        eng.schedule(100, log.append, 2)
+        eng.schedule_pooled(100, log.append, 3)
+        eng.run()
+        assert log == [0, 1, 2, 3]
+
+    def test_step_recycles_pooled_events_too(self):
+        eng = Engine()
+        eng.schedule_pooled(10, lambda: None)
+        assert eng.step() is True
+        assert len(eng._pool) == 1
+
+
+class ModelQueue:
+    """Brute-force model of :class:`Engine`'s queue: a plain list of live
+    ``(time, priority, seq, fn, args)`` entries, sorted at every pop, with
+    cancelled entries removed at once.  Same clock rules as
+    :meth:`Engine.run`."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.events_processed = 0
+        self._seq = 0
+        self._live: list[tuple] = []
+
+    def schedule_at(self, time, fn, *args, priority=0):
+        entry = (time, priority, self._seq, fn, args)
+        self._seq += 1
+        self._live.append(entry)
+        return _ModelHandle(self._live, entry)
+
+    def schedule(self, delay, fn, *args, priority=0):
+        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
+
+    schedule_pooled = schedule
+
+    def peek_time(self):
+        return min(self._live)[0] if self._live else None
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self._live:
+            self._live.sort()
+            time, _, _, fn, args = self._live[0]
+            if fired == max_events:
+                if until is not None and time <= until:
+                    return  # the clock must not jump pending work
+                break
+            if until is not None and time > until:
+                break
+            del self._live[0]
+            self.now = time
+            fn(*args)
+            self.events_processed += 1
+            fired += 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+class _ModelHandle:
+    def __init__(self, live, entry) -> None:
+        self._live = live
+        self._entry = entry
+
+    def cancel(self) -> None:
+        if self._entry in self._live:
+            self._live.remove(self._entry)
+
+
+#: Delay mix: same-instant ties, short and medium offsets, and far enough
+#: out that many events are pending at once.
+DELAYS = (0, 0, 1, 7, 8191, 8192, 8193, 40_960, 40_000, 1 << 20, (1 << 22) + 17)
+
+
+def chaos_log(eng, seed, chunked=False, initial=40, budget=600):
+    """Drive a seeded self-rescheduling workload with cancellations
+    through *eng*; return the firing log, event count and final clock.
+
+    Callbacks draw from the shared RNG at fire time, so a single
+    out-of-order pop desynchronizes the log.  *chunked* runs it in
+    ``run(until=...)``, ``run(max_events=...)`` and combined slices,
+    scheduling from outside between them (as the sharded engine delivers
+    cross-shard messages).
+    """
+    rng = random.Random(seed)
+    log = []
+    handles = []
+    remaining = [budget]
+    ids = iter(range(10**6))
+
+    def fire(tag):
+        log.append((eng.now, tag))
+        for _ in range(rng.randrange(0, 3)):
+            if remaining[0] <= 0:
+                break
+            remaining[0] -= 1
+            delay = rng.choice(DELAYS)
+            prio = rng.choice((0, 0, 0, 1))
+            tag2 = f"e{next(ids)}"
+            if rng.random() < 0.25:
+                handles.append(eng.schedule(delay, fire, tag2, priority=prio))
+            else:
+                eng.schedule_pooled(delay, fire, tag2, priority=prio)
+        if handles and rng.random() < 0.3:
+            handles.pop(rng.randrange(len(handles))).cancel()
+
+    for i in range(initial):
+        remaining[0] -= 1
+        eng.schedule(rng.choice(DELAYS), fire, f"s{i}")
+    horizon = 0
+    while chunked and eng.peek_time() is not None:
+        horizon = max(horizon, eng.now) + rng.choice(DELAYS) + 1
+        kind = rng.randrange(3)  # until only, budget only, or both
+        eng.run(until=None if kind == 1 else horizon,
+                max_events=None if kind == 0 else rng.randrange(1, 17))
+        if remaining[0] > 0:
+            remaining[0] -= 1
+            eng.schedule_at(eng.now + rng.choice(DELAYS), fire, f"x{len(log)}")
+    eng.run()
+    return log, eng.events_processed, eng.now
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_queue_matches_model_chaos(seed):
+    log, processed, now = chaos_log(Engine(), seed)
+    assert log, "workload must actually fire events"
+    assert (log, processed, now) == chaos_log(ModelQueue(), seed)
+
+
+@pytest.mark.parametrize("seed", [3, 99])
+def test_queue_matches_model_under_chunked_runs(seed):
+    log, processed, now = chaos_log(Engine(), seed, chunked=True)
+    assert len(log) > 100
+    assert (log, processed, now) == chaos_log(ModelQueue(), seed, chunked=True)

@@ -1,11 +1,10 @@
 """Pinned golden results: every case in ``repro/sim/golden.json`` must
-reproduce its digests under every run-mode leg.
+reproduce its digests.
 
 ``digest`` is the sha256 of the canonical JSON of ``report_payload`` and
-``trace_digest`` that of the run's trace events; the default (wheel) and
-heap-scheduler legs must each match both.  When a change moves results
-on purpose, re-pin the table with ``python tools/golden.py --write`` and
-name the reason in CHANGES.md.
+``trace_digest`` that of the run's trace events.  When a change moves
+results on purpose, re-pin the table with ``python tools/golden.py
+--write`` and name the reason in CHANGES.md.
 """
 
 import importlib
@@ -15,17 +14,12 @@ import pytest
 
 from repro.core.auth import _keyed as keyed_memo
 from repro.fuzz.generators import Scenario
-from repro.sim.config import RunModes
 from repro.sim.runner import run_simulation
 from repro.sim.sweep import GOLDEN_TABLE, report_digest, trace_digest
 from repro.sim.trace import Tracer
 
 CASES = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))["cases"]
 
-LEGS = {
-    "fast": RunModes(),
-    "heap": RunModes(scheduler="heap"),
-}
 
 def test_table_pins_six_short_schedule_free_cases():
     assert len(CASES) == 6
@@ -38,21 +32,20 @@ def test_table_pins_six_short_schedule_free_cases():
 @pytest.mark.parametrize(
     "case", CASES, ids=[case["scenario"]["name"] for case in CASES]
 )
-def test_digest_holds_under_every_leg(case):
+def test_digest_holds(case):
     config = Scenario.from_dict(case["scenario"]).build_config()
     pinned = {field: case[field] for field in ("digest", "trace_digest")}
-    for leg, modes in LEGS.items():
-        tracer = Tracer()
-        report = run_simulation(config, modes=modes, tracer=tracer)
-        got = {
-            "digest": report_digest(report),
-            "trace_digest": trace_digest(tracer.events),
-        }
-        assert got == pinned, (
-            f"{case['scenario']['name']} on the {leg} leg: {got} != pinned"
-            f" {pinned}. If the fast leg moved on purpose, run `python"
-            f" tools/golden.py --write` and name the reason in CHANGES.md."
-        )
+    tracer = Tracer()
+    report = run_simulation(config, tracer=tracer)
+    got = {
+        "digest": report_digest(report),
+        "trace_digest": trace_digest(tracer.events),
+    }
+    assert got == pinned, (
+        f"{case['scenario']['name']}: {got} != pinned {pinned}. If it moved"
+        f" on purpose, run `python tools/golden.py --write` and name the"
+        f" reason in CHANGES.md."
+    )
 
 
 #: The golden cases whose runs compute MACs or Bloom hashes.
@@ -75,4 +68,4 @@ def test_runs_never_reach_the_pure_compression_functions(name, monkeypatch):
     keyed_memo.cache_clear()
     (case,) = [c for c in CASES if c["scenario"]["name"] == name]
     config = Scenario.from_dict(case["scenario"]).build_config()
-    assert report_digest(run_simulation(config, modes=RunModes())) == case["digest"]
+    assert report_digest(run_simulation(config)) == case["digest"]

@@ -11,8 +11,9 @@ import urllib.request
 
 import pytest
 
+from repro.sim import metrics_server
 from repro.sim.counters import CounterRegistry
-from repro.sim.engine import Engine
+from repro.sim.engine import PS_PER_US, Engine
 from repro.sim.metrics_server import MetricsServer
 from repro.sim.trace import Tracer
 
@@ -55,7 +56,6 @@ class TestEndpoints:
             assert seen[0]["events_processed"] < seen[-1]["events_processed"]
             assert seen[-1]["counters"]["test.ticks"] == 30
             assert seen[-1]["pending_events"] >= 1
-            assert seen[-1]["scheduler"] == engine.scheduler_mode
             assert seen[-1]["trace_tail"][0]["kind"] == "boot"
 
     def test_counters_endpoint_is_counters_only(self, sim):
@@ -153,3 +153,38 @@ class TestLifecycle:
             assert get_json(url + "/healthz") == {"ok": True}
         finally:
             server.stop()
+
+
+class TestRunSimulation:
+    def test_metrics_port_serves_the_run_and_stops_after(self, monkeypatch):
+        """``run_simulation(metrics_port=0)`` serves the live engine while
+        it runs — a callback inside the run polls it — and stops after."""
+        from repro.sim.config import SimConfig
+        from repro.sim.runner import run_simulation
+
+        servers = []
+
+        class Recorded(MetricsServer):
+            def start(self):
+                servers.append(self)
+                return super().start()
+
+        monkeypatch.setattr(metrics_server, "MetricsServer", Recorded)
+        seen = []
+
+        def setup(engine, fabric):
+            engine.schedule_at(
+                20 * PS_PER_US,
+                lambda: seen.append(get_json(servers[0].url + "/metrics")),
+            )
+
+        cfg = SimConfig(mesh_width=2, mesh_height=2, num_partitions=2,
+                        sim_time_us=40.0, warmup_us=0.0)
+        report = run_simulation(cfg, setup=setup, metrics_port=0)
+        (snap,) = seen
+        assert snap["now_ps"] == 20 * PS_PER_US
+        assert 0 < snap["events_processed"] < report.events_processed
+        (server,) = servers
+        assert not server.running
+        with pytest.raises(urllib.error.URLError):
+            get_json(server.url + "/healthz")

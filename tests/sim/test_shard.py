@@ -8,7 +8,7 @@ import pytest
 from repro.iba.keys import PKey
 from repro.iba.packet import TrapMAD
 from repro.iba.types import LID
-from repro.sim.config import EnforcementMode, RunModes, SimConfig, default_modes
+from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.engine import PS_PER_US
 from repro.sim.shard import (
     _REGISTER,
@@ -116,7 +116,7 @@ class TestShardRuntime:
     def test_register_at_current_clock_is_legal(self):
         # a REGISTER crossing back to the offender shard carries zero
         # residual delay: it can fire exactly at the receiver's clock
-        rt = ShardRuntime(_runtime_config(), 0, default_modes())
+        rt = ShardRuntime(_runtime_config(), 0)
         rt.advance(5_000_000)
         rt.deliver_and_eot([(5_000_000, _REGISTER, 1, PKey(0x0001))])
         rt.advance(5_000_000)
@@ -126,7 +126,7 @@ class TestShardRuntime:
         # the SM shard posts a remote offender's REGISTER when it schedules
         # the processing step, firing at that step's instant, so a busy SM
         # keeps t_next + L and the step itself posts nothing
-        rt = ShardRuntime(_runtime_config(), 0, default_modes())
+        rt = ShardRuntime(_runtime_config(), 0)
         sm = rt.fabric.sm
         remote = min(lid for lid in sm.registration_hooks
                      if rt.plan.shard_of_lid(lid) != 0)
@@ -151,7 +151,7 @@ class TestShardRuntime:
         # a local offender registers on this shard's own filter at the
         # step; a step past the horizon never runs, so it posts nothing
         cfg = _runtime_config()
-        rt = ShardRuntime(cfg, 0, default_modes())
+        rt = ShardRuntime(cfg, 0)
         sm = rt.fabric.sm
         local = min(rt.owned)
         sm._arrive(TrapMAD(reporter=LID(local), offender=LID(local), bad_pkey=PKey(5)))
@@ -168,8 +168,8 @@ class TestShardRuntime:
         # every boundary link name maps on exactly one of the two runtimes'
         # sender tables, and the opposite runtime's receiver table, and each
         # sender half posts through its own runtime
-        r0 = ShardRuntime(_runtime_config(), 0, default_modes())
-        r1 = ShardRuntime(_runtime_config(), 1, default_modes())
+        r0 = ShardRuntime(_runtime_config(), 0)
+        r1 = ShardRuntime(_runtime_config(), 1)
         assert set(r0._pkt_route) == set(r1._in_map)
         assert set(r1._pkt_route) == set(r0._in_map)
         assert not (set(r0._pkt_route) & set(r1._pkt_route))
@@ -191,7 +191,7 @@ class TestProcessTransportCrash:
         )
         cfg.validate()
         with pytest.raises(ShardCrashError) as excinfo:
-            run_sharded(cfg, default_modes(), _crash_at=(0, 60 * PS_PER_US))
+            run_sharded(cfg, _crash_at=(0, 60 * PS_PER_US))
         assert excinfo.value.shard == 0
 
 
@@ -231,32 +231,19 @@ def _pod_sif_config(transport: str, **overrides) -> SimConfig:
     return SimConfig(**{**base, **overrides})
 
 
-class TestSchedulerIndependence:
+class TestTransportIndependence:
     @staticmethod
-    def counters(transport, scheduler):
+    def counters(transport):
         from repro.sim.runner import run_simulation
 
-        report = run_simulation(
-            _pod_sif_config(transport), modes=RunModes(scheduler=scheduler)
-        )
+        report = run_simulation(_pod_sif_config(transport))
         # busy_seconds is host wall-clock time, not a simulation result
         return {k: v for k, v in report.counters.items()
                 if not k.endswith(".busy_seconds")}
 
-    def test_wheel_and_heap_run_the_same_rounds(self):
-        """Each round schedules cross-shard messages after ``run(until=...)``
-        stopped short, then peeks the next event time for the shard's
-        lookahead bound.  The wheel once filed such a message behind the
-        bucket the stopped run had opened, so its peek read too late and
-        ``shard.rounds`` came out lower than under the heap."""
-        wheel = self.counters("inline", "wheel")
-        assert wheel["shard.rounds"] > 0
-        assert wheel == self.counters("inline", "heap")
-
-    def test_wheel_and_heap_run_the_same_rounds_on_processes(self):
-        """The same, with each forked shard worker building its engine
-        from the modes it was handed."""
-        wheel = self.counters("process", "wheel")
-        assert wheel["shard.rounds"] > 0
-        assert wheel == self.counters("process", "heap")
-        assert wheel == self.counters("inline", "wheel")
+    def test_process_and_inline_run_the_same_rounds(self):
+        """Forked shard workers run the same rounds, and count the same,
+        as shards driven inline."""
+        process = self.counters("process")
+        assert process["shard.rounds"] > 0
+        assert process == self.counters("inline")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim import isolation
-from repro.sim.config import RunModes, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.isolation import WorkerCrashError
 from repro.sim.runner import SimReport, run_simulation
 from repro.sim.sweep import (
@@ -114,14 +114,6 @@ class TestRunCache:
         assert config_key(base) == config_key(base.replace())
         assert config_key(base) != config_key(base.replace(seed=2))
         assert config_key(base) != config_key(base.replace(sim_time_us=151.0))
-
-    def test_cache_key_tracks_scheduler_mode(self, base, default_env):
-        """Regression: a REPRO_SCHEDULER=heap oracle sweep must never be
-        served wheel-mode cache entries."""
-        heap_key = config_key(base, RunModes(scheduler="heap"))
-        assert config_key(base, RunModes()) != heap_key
-        default_env(REPRO_SCHEDULER="heap")
-        assert config_key(base) == heap_key
 
     @staticmethod
     def _keys(base):

@@ -156,6 +156,24 @@ class TestCommands:
         warm = capsys.readouterr().out
         assert "cache 8 hit / 0 miss" in warm
 
+    def test_serve_metrics_interrupt_prints_the_clock(self, capsys, monkeypatch):
+        """Ctrl-C during the run ends serve-metrics cleanly, naming the
+        simulated time it stopped at."""
+        from repro.sim.engine import PS_PER_US, Engine
+
+        run = Engine.run
+
+        def interrupted_run(engine, until=None, max_events=None):
+            run(engine, until=10 * PS_PER_US)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Engine, "run", interrupted_run)
+        rc = main(["serve-metrics", "--port", "0", "--linger-s", "0",
+                   "--sim-time-us", "50"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(r"interrupted at t=10\.0 us: events=[1-9]\d*$", out.strip()), out
+
 
 class TestTraceCommand:
     def test_trace_defaults(self):

@@ -2,11 +2,10 @@
 """Check or regenerate the pinned golden result digests.
 
 ``src/repro/sim/golden.json`` holds six short schedule-free scenarios and,
-for each run under the default fast-path modes (``RunModes()``), two
-sha256 digests: ``digest`` of the canonical JSON of
+for each run, two sha256 digests: ``digest`` of the canonical JSON of
 :func:`repro.sim.sweep.report_payload`, and ``trace_digest`` of the run's
 trace events (:func:`repro.sim.sweep.trace_digest`).
-``tests/sim/test_golden.py`` checks the table under every run-mode leg.
+``tests/sim/test_golden.py`` checks the table.
 
 Usage::
 
@@ -28,7 +27,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz.generators import Scenario  # noqa: E402
-from repro.sim.config import RunModes  # noqa: E402
 from repro.sim.runner import run_simulation  # noqa: E402
 from repro.sim.sweep import GOLDEN_TABLE, report_digest, trace_digest  # noqa: E402
 from repro.sim.trace import Tracer  # noqa: E402
@@ -44,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     for case in table["cases"]:
         config = Scenario.from_dict(case["scenario"]).build_config()
         tracer = Tracer()
-        report = run_simulation(config, modes=RunModes(), tracer=tracer)
+        report = run_simulation(config, tracer=tracer)
         pinned = {
             "digest": report_digest(report),
             "trace_digest": trace_digest(tracer.events),
