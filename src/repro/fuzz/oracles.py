@@ -22,6 +22,10 @@ Single-run oracles (:data:`ORACLES`):
 * ``ready_index`` — every switch's maintained ready-head arbitration index
   equals a recount of its input FIFO heads (faults, reroutes and tampers
   included).
+* ``credit_conservation`` — per link and VL, the sender's credits plus the
+  returns still deferred, the link's packets in transit on that VL and the
+  receiver's slots held for that port make up ``vl_buffer_packets``: lazy
+  credit returns (DESIGN.md §3k) neither lose nor mint a credit.
 * ``bloom_dominance`` — on a shadow leg (``bloom_shadow=True``), a
   :class:`BloomPortFilter` fed the *identical* packet and registration
   stream as the live SIF filter may over-filter (false positives, counted
@@ -34,6 +38,7 @@ agree on counter totals, drops, deliveries and the sorted delivery record.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +53,7 @@ from repro.fuzz.generators import (
 )
 from repro.iba.hca import HCA
 from repro.iba.keys import PKey, QKey
+from repro.iba.link import Link
 from repro.iba.packet import DataPacket
 from repro.iba.switch import HCA_PORT
 from repro.iba.topology import Fabric
@@ -465,13 +471,39 @@ def check_ready_index(run: FuzzRun) -> list[Violation]:
     """Each switch's maintained ready-head index equals a fresh recount."""
     out: list[Violation] = []
     for sw in run.fabric.all_switches():
-        maintained = (sw._head_ready, sw._head_ready_total)
+        maintained = sw._head_ready
         recount = sw.count_head_ready()
         if maintained != recount:
             out.append(Violation(
                 "ready_index", run.leg,
                 f"{sw.name}: maintained {maintained} != recount {recount}",
             ))
+    return out
+
+
+def check_credit_conservation(run: FuzzRun) -> list[Violation]:
+    """Per link and VL: credits + deferred returns + packets in transit +
+    receiver slots held == ``vl_buffer_packets``."""
+    fabric = run.fabric
+    capacity = fabric.config.vl_buffer_packets
+    in_transit: Counter[tuple[str, int]] = Counter()
+    for _, fn, args in fabric.engine.queued():
+        link = getattr(fn, "__self__", None)
+        if isinstance(link, Link) and fn.__func__ in (Link._complete, Link._arrive):
+            in_transit[link.name, args[0].vl] += 1
+    out: list[Violation] = []
+    for link in fabric.all_links():
+        credits = link.credits
+        for vl, credit in enumerate(credits):
+            deferred = link.pending_returns(vl)
+            wire = in_transit[link.name, vl]
+            held = link.dst.slots_held(link.dst_port, vl)
+            if credit + deferred + wire + held != capacity:
+                out.append(Violation(
+                    "credit_conservation", run.leg,
+                    f"{link.name} VL{vl}: credits={credit} + deferred={deferred}"
+                    f" + in_transit={wire} + held={held} != {capacity}",
+                ))
     return out
 
 
@@ -516,6 +548,7 @@ ORACLES: dict[str, Callable[[FuzzRun], list[Violation]]] = {
     "sif_legality": check_sif_legality,
     "auth_soundness": check_auth_soundness,
     "ready_index": check_ready_index,
+    "credit_conservation": check_credit_conservation,
 }
 
 

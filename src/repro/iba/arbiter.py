@@ -44,37 +44,22 @@ class VLArbiter:
         #: consecutive high-priority grants per output port.
         self._high_streak: dict[int, int] = {}
 
-    def _scan(
-        self,
-        vl: int,
-        out_port: int,
-        inputs: Sequence[InputBuffer],
-    ) -> tuple[int, ReadyEntry] | None:
-        n = len(inputs)
-        start = self._rr_pointer[vl]
-        for i in range(n):
-            in_port = (start + i) % n
-            head = inputs[in_port].fifos[vl].head()
-            if head is not None and head.out_port == out_port:
-                return in_port, head
-        return None
-
     def pick(
         self,
         out_port: int,
         inputs: Sequence[InputBuffer],
         credits: Sequence[int],
-        head_counts: Sequence[int] | None = None,
+        heads: Sequence[int],
     ) -> tuple[int, ReadyEntry] | None:
         """Choose the next packet to cross to *out_port*.
 
         Only FIFO heads are eligible (per-VL order is preserved;
         head-of-line blocking across output ports is real and intended).
         *credits* is the output link's per-VL downstream credit count.
-        *head_counts*, when given, is the switch's ready-head index for
-        *out_port* (entry per VL); a zero count proves :meth:`_scan` would
-        find nothing, so the scan is skipped — the picked packet is
-        identical either way.
+        *heads* is the switch's arbitration index for *out_port*: per VL, a
+        bitmask of the input ports whose FIFO head wants *out_port*.  The
+        round-robin winner is the first set bit at or after the VL's
+        pointer, wrapping to the lowest set bit.
 
         Returns (input_port, entry) or None; does not mutate buffers.
         """
@@ -84,19 +69,17 @@ class VLArbiter:
             if streak >= self.high_limit:
                 order = tuple(reversed(PRIORITY_VLS))  # low priority's turn
         for vl in order:
-            if head_counts is not None and not head_counts[vl]:
+            mask = heads[vl]
+            if not mask or credits[vl] <= 0:
                 continue
-            if credits[vl] <= 0:
-                continue
-            choice = self._scan(vl, out_port, inputs)
-            if choice is None:
-                continue
-            in_port, head = choice
+            start = self._rr_pointer[vl]
+            ahead = mask >> start << start or mask  # from the pointer on, else all
+            in_port = (ahead & -ahead).bit_length() - 1
             self._rr_pointer[vl] = (in_port + 1) % len(inputs)
             if self.high_limit is not None:
                 if vl == PRIORITY_VLS[0]:
                     self._high_streak[out_port] = self._high_streak.get(out_port, 0) + 1
                 else:
                     self._high_streak[out_port] = 0
-            return in_port, head
+            return in_port, inputs[in_port].fifos[vl].ready[0]
         return None

@@ -179,6 +179,10 @@ class HCA:
         """Packets received but still in rx processing (pre-checkpoint)."""
         return sum(self._rx_occupancy)
 
+    def slots_held(self, port: int, vl: int) -> int:
+        """Receive slots of *vl* that hold a packet (the HCA has one port)."""
+        return self._rx_occupancy[vl]
+
     def queue_depth(self, traffic_class: TrafficClass) -> int:
         """Send-queue length for a class — realtime sources use this to
         throttle themselves ("does not send any packet when the current
@@ -187,24 +191,26 @@ class HCA:
 
     def _try_inject(self) -> None:
         link = self.out_link
-        if link is None:
+        if link is None or link.busy or link.failed:
             return
-        # Hot loop: every link-free and credit-return event lands here, so
-        # bind the queue list and credit vector once per call.
+        # Hot path: every link-free and woken credit-return event lands
+        # here.  One packet at most: sending makes the link busy.
         queues = self.send_queues
         credits = link.credits
-        while not link.busy and not link.failed:
-            packet = None
-            for vl in PRIORITY_VLS:
-                q = queues[vl]
-                if q and credits[vl] > 0:
+        waiting = 0
+        for vl in PRIORITY_VLS:
+            q = queues[vl]
+            if q:
+                if credits[vl] > 0:
                     packet = q.popleft()
-                    break
-            if packet is None:
-                return
-            packet.t_injected = self.engine.now
-            self._trace(self.engine.now, "injected", self._trace_name, packet.packet_id)
-            link.send(packet)
+                    packet.t_injected = self.engine.now
+                    self._trace(self.engine.now, "injected", self._trace_name,
+                                packet.packet_id)
+                    link.send(packet)
+                    return
+                waiting |= 1 << vl
+        if waiting:
+            link.wait_credit(waiting)
 
     # --- receive path -----------------------------------------------------------
 

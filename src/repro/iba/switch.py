@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.iba.arbiter import VLArbiter
+from repro.iba.arbiter import PRIORITY_VLS, VLArbiter
 from repro.iba.buffers import InputBuffer
 from repro.iba.link import Link
 from repro.iba.packet import DataPacket
@@ -38,6 +38,10 @@ from repro.sim.trace import Tracer, null_trace
 
 #: Port index that faces the attached HCA on every switch.
 HCA_PORT = 0
+
+#: The arbitrated VLs (realtime, best-effort) and their bits in a VL mask.
+_HIGH, _LOW = PRIORITY_VLS
+_HIGH_BIT, _LOW_BIT = 1 << _HIGH, 1 << _LOW
 
 #: Route-table byte meaning "no route to this LID".  It is also why a
 #: switch has at most 254 ports: port 255 would read as no route.
@@ -91,13 +95,13 @@ class Switch:
         #: route_table[dest LID] = output port, NO_ROUTE for none.
         self.route_table = bytearray()
         self.arbiter = VLArbiter(num_vls, high_limit=arbiter_high_limit)
-        # Arbitration index: _head_ready[out_port][vl] counts the input
-        # FIFOs whose current *head* is ready for that (port, VL).  Most
-        # pump wakeups on a big switch find nothing to grant; the index
-        # lets _pump skip those O(ports) scans outright.  It must always
-        # equal count_head_ready() (the fuzz ``ready_index`` oracle).
+        # Arbitration index: _head_ready[out_port][vl] is a bitmask of the
+        # input ports whose FIFO *head* is ready for that (port, VL).  Most
+        # pump wakeups on a big switch find nothing to grant and skip on a
+        # zero mask; the arbiter finds its round-robin winner in the mask.
+        # It must always equal count_head_ready() (the fuzz
+        # ``ready_index`` oracle).
         self._head_ready = [[0] * num_vls for _ in range(num_ports)]
-        self._head_ready_total = [0] * num_ports
         #: packets (identity keys, insertion order) still in the routing/
         #: enforcement pipeline stage.  A crashed switch leaks these too —
         #: they are physically in the input buffer even before make_ready.
@@ -165,6 +169,11 @@ class Switch:
         delay = self.routing_delay_ps + round(extra_ns * PS_PER_NS)
         self.engine.schedule_pooled(delay, self._pipeline_done, packet, in_port, accept)
 
+    def slots_held(self, port: int, vl: int) -> int:
+        """Input slots of *port*'s *vl* that hold a packet (in the pipeline
+        or ready): credits its upstream link does not have."""
+        return self.inputs[port].fifos[vl].occupancy
+
     def pipeline_packets(self) -> list[DataPacket]:
         """Packets currently in the routing/enforcement pipeline stage."""
         return list(self._in_pipeline)
@@ -202,8 +211,7 @@ class Switch:
         buf.make_ready(packet, out_port)
         vl = packet.vl
         if len(buf.fifos[vl].ready) == 1:  # became its FIFO's head
-            self._head_ready[out_port][vl] += 1
-            self._head_ready_total[out_port] += 1
+            self._head_ready[out_port][vl] |= 1 << in_port
         self._pump(out_port)
 
     def reroute_buffered(self) -> int:
@@ -236,29 +244,21 @@ class Switch:
                     kept.append(entry)
                 fifo.ready.clear()
                 fifo.ready.extend(kept)
-        self._rebuild_head_ready()
+        self._head_ready = self.count_head_ready()
         for port in range(self.num_ports):
             self._pump(port)
         return dropped
 
-    def count_head_ready(self) -> tuple[list[list[int]], list[int]]:
-        """The ready-head index recounted from the input FIFOs, without
-        touching the maintained one: ``(per-port per-VL counts, per-port
-        totals)``."""
+    def count_head_ready(self) -> list[list[int]]:
+        """The arbitration index recounted from the input FIFOs, without
+        touching the maintained one: per port, per VL, the bitmask of
+        input ports whose head wants that port."""
         head_ready = [[0] * self.num_vls for _ in range(self.num_ports)]
-        head_total = [0] * self.num_ports
-        for buf in self.inputs:
+        for in_port, buf in enumerate(self.inputs):
             for vl, fifo in enumerate(buf.fifos):
                 if fifo.ready:
-                    port = fifo.ready[0].out_port
-                    head_ready[port][vl] += 1
-                    head_total[port] += 1
-        return head_ready, head_total
-
-    def _rebuild_head_ready(self) -> None:
-        """Recount the ready-head index from scratch (after reroute edits
-        the FIFOs in place)."""
-        self._head_ready, self._head_ready_total = self.count_head_ready()
+                    head_ready[fifo.ready[0].out_port][vl] |= 1 << in_port
+        return head_ready
 
     def _release_slot(self, in_port: int, vl: int, processing: bool = True) -> None:
         """Free an input slot and send the credit back upstream."""
@@ -268,57 +268,57 @@ class Switch:
         if upstream is not None:
             upstream.schedule_credit(self.credit_return_delay_ps, vl)
 
-    def _pump(self, out_port: int) -> None:
-        """Crossbar scheduling pass starting at *out_port*.
+    def _pump(self, port: int) -> None:
+        """Crossbar scheduling pass starting at output *port*.
 
-        Forwarding a packet can expose a new FIFO head destined to a
-        *different* output port, so the pass keeps a worklist: whenever a
-        pop uncovers a head bound elsewhere, that port is (re)visited too.
-        This keeps each wakeup O(grants) instead of rescanning every port
-        (the event loop's hottest path, per profiling).
+        A grant makes the port's link busy, so a port grants at most once
+        per pass.  Forwarding a packet can expose a new FIFO head destined
+        to a *different* output port; the pass then moves on to that port,
+        so each wakeup is O(grants) instead of a rescan of every port (the
+        event loop's hottest path, per profiling).  A port that cannot
+        grant for want of credit tells its link which VLs wait
+        (:meth:`Link.wait_credit`), so the next credit back wakes it.
         """
-        work = {out_port}
         head_ready = self._head_ready
-        head_total = self._head_ready_total
-        while work:
-            port = work.pop()
-            if not head_total[port]:
-                continue  # no FIFO head wants this port — nothing to grant
+        inputs = self.inputs
+        while True:
+            heads = head_ready[port]
+            if not (heads[_HIGH] or heads[_LOW]):
+                return  # no FIFO head wants this port — nothing to grant
             link = self.out_links[port]
-            if link is None:
-                continue
-            credits = link.credits
-            counts = head_ready[port]
-            while not link.busy and not link.failed:
-                choice = self.arbiter.pick(port, self.inputs, credits, counts)
-                if choice is None:
-                    break
-                in_port, entry = choice
-                vl = entry.packet.vl
-                fifo = self.inputs[in_port].fifos[vl]
-                self.inputs[in_port].pop_head(vl)
-                head_ready[port][vl] -= 1
-                head_total[port] -= 1
-                uncovered = fifo.head()
-                if uncovered is not None:
-                    up = uncovered.out_port
-                    head_ready[up][vl] += 1
-                    head_total[up] += 1
-                    if up != port:
-                        work.add(up)
-                link.send(entry.packet)
-                self.forwarded.inc()
-                self._trace(
-                    self.engine.now, "forwarded", self.name,
-                    entry.packet.packet_id, self._port_detail[port],
+            if link is None or link.busy or link.failed:
+                return
+            choice = self.arbiter.pick(port, inputs, link.credits, heads)
+            if choice is None:
+                link.wait_credit((_HIGH_BIT if heads[_HIGH] else 0)
+                                 | (_LOW_BIT if heads[_LOW] else 0))
+                return
+            in_port, entry = choice
+            packet = entry.packet
+            vl = packet.vl
+            buf = inputs[in_port]
+            buf.pop_head(vl)
+            ready = buf.fifos[vl].ready
+            bit = 1 << in_port
+            heads[vl] ^= bit
+            next_port = port
+            if ready:
+                next_port = ready[0].out_port
+                head_ready[next_port][vl] |= bit
+            link.send(packet)
+            self.forwarded.inc()
+            self._trace(
+                self.engine.now, "forwarded", self.name,
+                packet.packet_id, self._port_detail[port],
+            )
+            # The input slot stays occupied until the outgoing
+            # transmission completes; only then does the credit travel
+            # back upstream.
+            upstream = self.in_links[in_port]
+            if upstream is not None:
+                upstream.schedule_credit(
+                    link.serialization_ps(packet) + self.credit_return_delay_ps, vl,
                 )
-                # The input slot stays occupied until the outgoing
-                # transmission completes; only then does the credit travel
-                # back upstream.
-                ser = link.serialization_ps(entry.packet)
-                upstream = self.in_links[in_port]
-                if upstream is not None:
-                    upstream.schedule_credit(
-                        ser + self.credit_return_delay_ps,
-                        entry.packet.vl,
-                    )
+            if next_port == port:
+                return  # nothing uncovered, or its port is busy now
+            port = next_port

@@ -101,6 +101,12 @@ class JobService(JsonHttpServer):
         self._rejected_503 = c("service.rejected_503")
         self._completed = c("service.completed")
         self._failed = c("service.failed")
+        # Timings of the jobs workers ran, each a sum and a count:
+        # queued -> taken by a worker, and taken -> finished.
+        self._queue_wait_sum = self.registry.gauge("service.queue_wait_seconds.sum")
+        self._queue_wait_count = c("service.queue_wait_seconds.count")
+        self._run_sum = self.registry.gauge("service.run_seconds.sum")
+        self._run_count = c("service.run_seconds.count")
         self._worker_retries = self.registry.gauge("service.worker_retries")
         self._worker_fallbacks = self.registry.gauge("service.worker_fallbacks")
         self.store = JobStore()
@@ -154,6 +160,11 @@ class JobService(JsonHttpServer):
     def _job_finished(self, job: Job) -> None:
         with self._finish_lock:
             (self._failed if job.state is JobState.FAILED else self._completed).inc()
+            if job.started_s is not None and job.finished_s is not None:
+                self._queue_wait_sum.add(job.started_s - job.created_s)
+                self._queue_wait_count.inc()
+                self._run_sum.add(job.finished_s - job.started_s)
+                self._run_count.inc()
             self._worker_retries.value = self.pool.isolation.retried
             self._worker_fallbacks.value = self.pool.isolation.in_process
 

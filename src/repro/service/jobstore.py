@@ -49,6 +49,8 @@ class Job:
     coalesced: bool = False  #: duplicate of an in-flight job (same record).
     error: str | None = None
     created_s: float = field(default_factory=time.time)
+    #: when a worker took the job off the queue (None until then).
+    started_s: float | None = None
     finished_s: float | None = None
     result: JobResult | None = None
 
@@ -63,6 +65,8 @@ class Job:
             "coalesced": self.coalesced,
             "created_s": self.created_s,
         }
+        if self.started_s is not None:
+            payload["started_s"] = self.started_s
         if self.finished_s is not None:
             payload["finished_s"] = self.finished_s
         if self.error is not None:
@@ -154,6 +158,7 @@ class JobStore:
     def mark_running(self, job: Job) -> None:
         with self._lock:
             job.state = JobState.RUNNING
+            job.started_s = time.time()
 
     def mark_done(self, job: Job, result: JobResult) -> None:
         with self._lock:

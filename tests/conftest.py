@@ -45,6 +45,18 @@ def make_packet(
     )
 
 
+def head_masks(out_port, inputs, num_vls=2):
+    """The arbitration index ``VLArbiter.pick`` takes for *out_port*: per
+    VL, the bitmask of the *inputs* whose FIFO head wants *out_port*."""
+    masks = [0] * num_vls
+    for in_port, buf in enumerate(inputs):
+        for vl in range(num_vls):
+            head = buf.fifos[vl].head()
+            if head is not None and head.out_port == out_port:
+                masks[vl] |= 1 << in_port
+    return masks
+
+
 def make_grh_packet() -> DataPacket:
     """:func:`make_packet` with a GRH (inter-subnet packet)."""
     p = make_packet()

@@ -7,6 +7,7 @@ from repro.fuzz.oracles import (
     check_auth_soundness,
     check_conservation,
     check_counter_trace,
+    check_credit_conservation,
     check_ready_index,
     check_run,
     check_sif_legality,
@@ -33,7 +34,7 @@ class TestCleanRuns:
     def test_oracle_catalogue_is_complete(self):
         assert set(ORACLES) == {
             "conservation", "counter_trace", "sif_legality", "auth_soundness",
-            "ready_index",
+            "ready_index", "credit_conservation",
         }
 
 
@@ -88,6 +89,32 @@ class TestSeededViolations:
         (violation,) = check_ready_index(run)
         assert violation.oracle == "ready_index"
         assert sw.name in violation.message
+
+    @staticmethod
+    def link_with_deferred_return(run):
+        """A link whose credit return was still deferred at the horizon."""
+        assert check_credit_conservation(run) == []
+        for link in run.fabric.all_links():
+            link.credits  # count the returns the clock has passed
+            if link._deferred:
+                return link
+        raise AssertionError("no credit return in flight at the horizon")
+
+    def test_credit_conservation_catches_a_dropped_return(self):
+        run = execute_scenario(small_scenario())
+        link = self.link_with_deferred_return(run)
+        link._deferred.pop()
+        (violation,) = check_credit_conservation(run)
+        assert violation.oracle == "credit_conservation"
+        assert link.name in violation.message
+
+    def test_credit_conservation_catches_a_return_counted_twice(self):
+        run = execute_scenario(small_scenario())
+        link = self.link_with_deferred_return(run)
+        link._deferred.insert(0, link._deferred[0])
+        (violation,) = check_credit_conservation(run)
+        assert violation.oracle == "credit_conservation"
+        assert link.name in violation.message
 
     def test_auth_soundness_catches_tampered_delivery(self):
         run = execute_scenario(small_scenario())

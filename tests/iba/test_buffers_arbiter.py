@@ -1,13 +1,15 @@
 """Input buffers (occupancy accounting) and VL arbitration (realtime
 priority, round-robin fairness)."""
 
+import random
+
 import pytest
 
 from repro.iba.arbiter import PRIORITY_VLS, VLArbiter
 from repro.iba.buffers import IDLE_FIFO, InputBuffer
 from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME
 
-from tests.conftest import make_packet
+from tests.conftest import head_masks, make_packet
 
 
 class TestInputBuffer:
@@ -119,14 +121,14 @@ class TestArbiter:
         be = make_packet(vl=VL_BEST_EFFORT)
         inputs = [_buffer_with([(be, 0)]), _buffer_with([(rt, 0)])]
         arb = VLArbiter(num_vls=2)
-        port, entry = arb.pick(0, inputs, FULL_CREDITS)
+        port, entry = arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs))
         assert entry.packet is rt and port == 1
 
     def test_best_effort_when_no_realtime(self):
         be = make_packet(vl=VL_BEST_EFFORT)
         inputs = [_buffer_with([(be, 0)]), _buffer_with([])]
         arb = VLArbiter(num_vls=2)
-        port, entry = arb.pick(0, inputs, FULL_CREDITS)
+        port, entry = arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs))
         assert entry.packet is be
 
     def test_credit_gate(self):
@@ -137,27 +139,28 @@ class TestArbiter:
         # no realtime credit: best-effort goes instead
         credits = [0, 0]
         credits[VL_BEST_EFFORT] = 1
-        port, entry = arb.pick(0, inputs, credits)
+        port, entry = arb.pick(0, inputs, credits, head_masks(0, inputs))
         assert entry.packet is be
 
     def test_wrong_out_port_ignored(self):
         p = make_packet(vl=0)
         inputs = [_buffer_with([(p, 3)])]
         arb = VLArbiter(num_vls=2)
-        assert arb.pick(0, inputs, FULL_CREDITS) is None
+        assert arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs)) is None
 
     def test_none_when_empty(self):
         arb = VLArbiter(num_vls=2)
-        assert arb.pick(0, [_buffer_with([])], FULL_CREDITS) is None
+        inputs = [_buffer_with([])]
+        assert arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs)) is None
 
     def test_round_robin_across_inputs(self):
         a = make_packet(vl=0)
         b = make_packet(vl=0)
         inputs = [_buffer_with([(a, 0)]), _buffer_with([(b, 0)])]
         arb = VLArbiter(num_vls=2)
-        first_port, first = arb.pick(0, inputs, FULL_CREDITS)
+        first_port, first = arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs))
         inputs[first_port].pop_head(0)
-        second_port, second = arb.pick(0, inputs, FULL_CREDITS)
+        second_port, second = arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs))
         assert {first.packet, second.packet} == {a, b}
         assert first_port != second_port
 
@@ -170,7 +173,63 @@ class TestArbiter:
         ]
         order = []
         for _ in range(6):
-            port, entry = arb.pick(0, inputs, FULL_CREDITS)
+            port, entry = arb.pick(0, inputs, FULL_CREDITS, head_masks(0, inputs))
             inputs[port].pop_head(0)
             order.append(port)
         assert order[:4] in ([0, 1, 0, 1], [1, 0, 1, 0])
+
+
+class ModelArbiter:
+    """Brute-force model of :class:`VLArbiter`: strict VL priority (or the
+    ``high_limit`` streak's turn for low priority), then a scan of every
+    input from the VL's round-robin pointer."""
+
+    def __init__(self, high_limit=None):
+        self.high_limit = high_limit
+        self.pointer = {vl: 0 for vl in PRIORITY_VLS}
+        self.streak = {}
+
+    def pick(self, out_port, inputs, credits):
+        order = list(PRIORITY_VLS)
+        if self.high_limit is not None and self.streak.get(out_port, 0) >= self.high_limit:
+            order.reverse()
+        for vl in order:
+            if credits[vl] <= 0:
+                continue
+            for i in range(len(inputs)):
+                in_port = (self.pointer[vl] + i) % len(inputs)
+                head = inputs[in_port].fifos[vl].head()
+                if head is not None and head.out_port == out_port:
+                    self.pointer[vl] = (in_port + 1) % len(inputs)
+                    if self.high_limit is not None:
+                        high = vl == PRIORITY_VLS[0]
+                        self.streak[out_port] = self.streak.get(out_port, 0) + 1 if high else 0
+                    return in_port, head
+        return None
+
+
+@pytest.mark.parametrize("high_limit", [None, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mask_pick_matches_brute_force_model(seed, high_limit):
+    """On random FIFO states, credits and output ports, the mask pick
+    grants what scanning every input from the pointer grants."""
+    rng = random.Random(seed)
+    num_inputs, num_outputs = 7, 3
+    inputs = [InputBuffer(num_vls=2, capacity_per_vl=64) for _ in range(num_inputs)]
+    arb, model = VLArbiter(num_vls=2, high_limit=high_limit), ModelArbiter(high_limit)
+    grants = 0
+    for _ in range(600):
+        for _ in range(rng.randrange(3)):  # new ready packets
+            vl = rng.choice(PRIORITY_VLS)
+            buf = inputs[rng.randrange(num_inputs)]
+            buf.begin_processing(vl)
+            buf.make_ready(make_packet(vl=vl), rng.randrange(num_outputs))
+        out_port = rng.randrange(num_outputs)
+        credits = [rng.choice((0, 1, 1)), rng.choice((0, 1, 1))]
+        got = arb.pick(out_port, inputs, credits, head_masks(out_port, inputs))
+        assert got == model.pick(out_port, inputs, credits)
+        if got is not None:
+            in_port, entry = got
+            assert inputs[in_port].pop_head(entry.packet.vl) is entry
+            grants += 1
+    assert grants > 200

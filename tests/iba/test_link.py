@@ -145,3 +145,65 @@ class TestCallbacks:
         assert sink.received == []  # still on the wire
         engine.run()
         assert len(sink.received) == 1
+
+
+class TestLazyCreditReturn:
+    """A scheduled credit return queues no event unless the sender waits on
+    its VL; either way it counts from its own queue key on."""
+
+    def test_unwaited_return_counts_once_the_clock_passes_it(self, link_setup):
+        engine, _, link = link_setup
+        link.credits[0] = 0
+        seen = []
+        engine.schedule(500, lambda: seen.append(link.credits[0]))
+        link.schedule_credit(500, 0)
+        assert engine.pending_count == 1  # no event for the return
+        assert link.credits[0] == 0
+        engine.schedule(499, lambda: seen.append(link.credits[0]))
+        engine.schedule(500, lambda: seen.append(link.credits[0]))
+        engine.run()
+        # the return's key sits between the two events stamped 500
+        assert seen == [0, 0, 1]
+        assert link.credits[0] == 1
+
+    def test_drained_run_ends_at_the_last_return(self, link_setup):
+        engine, _, link = link_setup
+        link.schedule_credit(700, 1)
+        link.schedule_credit(300, 1)
+        engine.run()
+        assert engine.now == 700
+        assert link.credits[1] == 6
+        assert link.pending_returns(1) == 0
+
+    def test_waiting_sender_is_woken_at_the_return(self, link_setup):
+        engine, _, link = link_setup
+        link.credits[0] = 0
+        woken = []
+        link.on_credit = lambda vl: woken.append((engine.now, vl, link.credits[vl]))
+        link.wait_credit(1 << 0)
+        link.schedule_credit(900, 0)
+        link.schedule_credit(400, 0)  # later reserved, earlier key: woken too
+        link.schedule_credit(950, 0)  # behind a queued return: not woken
+        assert engine.pending_count == 2
+        engine.run()
+        assert woken == [(400, 0, 1), (900, 0, 2)]
+        assert link.credits[0] == 3
+
+    def test_wait_credit_wakes_the_earliest_return_per_vl(self, link_setup):
+        engine, _, link = link_setup
+        for delay, vl in ((300, 1), (200, 0), (100, 1), (400, 0)):
+            link.schedule_credit(delay, vl)
+        woken = []
+        link.on_credit = lambda vl: woken.append((engine.now, vl))
+        link.wait_credit((1 << 0) | (1 << 1))
+        link.wait_credit((1 << 0) | (1 << 1))  # already queued: no duplicates
+        assert engine.pending_count == 2
+        engine.run()
+        assert woken == [(100, 1), (200, 0)]
+
+    def test_send_clears_the_wait(self, link_setup):
+        engine, _, link = link_setup
+        link.wait_credit(1 << 0)
+        link.send(make_packet(vl=0))
+        link.schedule_credit(100, 0)
+        assert engine.pending_count == 1  # only the transmission

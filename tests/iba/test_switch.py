@@ -220,13 +220,13 @@ class TestPumpProgress:
 
 
 class TestReadyHeadIndex:
-    """The arbitration index: _head_ready[port][vl] must always equal a
+    """The arbitration index: _head_ready[port][vl], the bitmask of input
+    ports whose FIFO head wants that port, must always equal a
     from-scratch recount of the input FIFO heads."""
 
     @staticmethod
     def assert_index_consistent(sw):
-        maintained = (sw._head_ready, sw._head_ready_total)
-        assert maintained == sw.count_head_ready(), sw.name
+        assert sw._head_ready == sw.count_head_ready(), sw.name
 
     def test_index_matches_recount_through_congested_run(self):
         """All-pairs burst through a 3x3 mesh with tiny buffers: pause the
@@ -255,7 +255,7 @@ class TestReadyHeadIndex:
         engine.run()
         for sw in f.all_switches():
             self.assert_index_consistent(sw)
-            assert sw._head_ready_total == [0] * sw.num_ports
+            assert not any(any(masks) for masks in sw._head_ready)
 
     def test_reroute_rebuilds_index(self):
         """reroute_buffered edits ready FIFOs in place; the index must be

@@ -9,7 +9,7 @@ from repro.iba.types import VL_BEST_EFFORT, VL_REALTIME
 from repro.sim.config import SimConfig
 from repro.sim.runner import run_simulation
 
-from tests.conftest import make_packet
+from tests.conftest import head_masks, make_packet
 
 
 def loaded_buffer(rt=6, be=6):
@@ -26,7 +26,7 @@ def loaded_buffer(rt=6, be=6):
 def drain(arb, inputs, count):
     picked = []
     for _ in range(count):
-        choice = arb.pick(0, inputs, [1, 1])
+        choice = arb.pick(0, inputs, [1, 1], head_masks(0, inputs))
         if choice is None:
             break
         in_port, entry = choice

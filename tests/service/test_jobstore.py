@@ -185,6 +185,16 @@ class TestJobStore:
         assert store.inflight_for("key-1") is None
         assert store.counts()["done"] == 1
 
+    def test_status_reports_when_a_worker_took_the_job(self):
+        store = JobStore()
+        s = scenario()
+        job = store.create("c1", s, "key-4")
+        assert "started_s" not in job.status_payload()
+        store.mark_running(job)
+        store.mark_done(job, fake_runner(s.to_dict()))
+        payload = job.status_payload()
+        assert payload["created_s"] <= payload["started_s"] <= payload["finished_s"]
+
     def test_failed_jobs_leave_the_inflight_index(self):
         store = JobStore()
         job = store.create("c1", scenario(), "key-2")

@@ -101,6 +101,11 @@ class TestServiceE2E:
         service.drain(timeout=30)
         status, _, _ = http("POST", f"{base}/jobs", tiny_body(seed=72))
         assert status == 503
+        _, metrics, _ = http("GET", f"{base}/metrics")
+        timings = metrics["counters"]
+        for name in ("service.queue_wait_seconds", "service.run_seconds"):
+            assert timings[f"{name}.count"] == 2  # the two jobs workers ran
+            assert timings[f"{name}.sum"] > 0
 
     def test_scaled_down_soak_passes(self, tmp_path):
         report = run_soak(SoakConfig(

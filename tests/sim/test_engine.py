@@ -388,18 +388,6 @@ class TestRunBudgetClockSemantics:
 
 
 class TestEventPooling:
-    def test_recycles_pooled_events(self):
-        eng = Engine()
-        eng.schedule_pooled(10, lambda: None)
-        eng.run()
-        assert len(eng._pool) == 1
-        recycled = eng._pool[0]
-        assert recycled.pooled and recycled.fn is None and recycled.args == ()
-        eng.schedule_pooled(10, lambda: None)
-        assert not eng._pool, "free list entry must be reused"
-        eng.run()
-        assert eng._pool[0] is recycled
-
     def test_pooled_ordering_matches_schedule(self):
         """schedule_pooled consumes a seq like schedule — interleaving the
         two must preserve FIFO among same-instant events."""
@@ -411,12 +399,6 @@ class TestEventPooling:
         eng.schedule_pooled(100, log.append, 3)
         eng.run()
         assert log == [0, 1, 2, 3]
-
-    def test_step_recycles_pooled_events_too(self):
-        eng = Engine()
-        eng.schedule_pooled(10, lambda: None)
-        assert eng.step() is True
-        assert len(eng._pool) == 1
 
 
 class ModelQueue:
@@ -540,3 +522,53 @@ def test_queue_matches_model_under_chunked_runs(seed):
     log, processed, now = chaos_log(Engine(), seed, chunked=True)
     assert len(log) > 100
     assert (log, processed, now) == chaos_log(ModelQueue(), seed, chunked=True)
+
+
+class TestReservedKeys:
+    """``reserve`` takes the key an event scheduled now would get; ``cut``
+    says whether the clock has passed it."""
+
+    def test_reserve_consumes_a_seq_and_orders_like_an_event(self):
+        eng = Engine()
+        log = []
+        eng.schedule(100, log.append, "before")
+        entry = eng.reserve(100, ("reserved",))
+        eng.schedule(100, log.append, "after")
+        assert eng.pending_count == 2
+        eng.fire_reserved(entry, log.append)
+        eng.run()
+        assert log == ["before", "reserved", "after"]
+
+    def test_cut_is_the_event_now_firing(self):
+        eng = Engine()
+        entry = eng.reserve(100, ())
+        seen = []
+        eng.schedule(100, lambda: seen.append(entry < eng.cut))
+        eng.schedule(99, lambda: seen.append(entry < eng.cut))
+        eng.run()
+        assert seen == [False, True]
+
+    def test_drained_run_ends_at_the_latest_reserved_time(self):
+        eng = Engine()
+        entry = eng.reserve(5000, ())
+        eng.schedule(100, lambda: None)
+        eng.run()
+        assert eng.now == 5000
+        assert entry < eng.cut
+        assert not eng.reserve(0, ()) < eng.cut  # reserved after the run
+
+    def test_run_until_passes_keys_up_to_until_inclusive(self):
+        eng = Engine()
+        at, after = eng.reserve(300, ()), eng.reserve(301, ())
+        eng.run(until=300)
+        assert eng.now == 300
+        assert at < eng.cut and not after < eng.cut
+
+    def test_budget_cut_keeps_cut_at_the_last_fired_event(self):
+        eng = Engine()
+        eng.schedule(10, lambda: None)
+        entry = eng.reserve(15, ())
+        eng.schedule(20, lambda: None)
+        eng.run(until=100, max_events=1)
+        assert eng.now == 10
+        assert not entry < eng.cut
