@@ -85,11 +85,11 @@ class PartitionLevelKeyManager:
     # -- AuthService KeyManager protocol -------------------------------------
 
     def sender_key(self, hca, packet: DataPacket) -> tuple[bytes | None, int]:
-        table = self.node_tables.get(int(hca.lid), {})
-        return table.get(packet.pkey.index), 0
+        table = self.node_tables.get(hca.lid, {})
+        return table.get(packet.bth.pkey.index), 0
 
     def receiver_key(self, hca, packet: DataPacket) -> bytes | None:
-        return self.node_tables.get(int(hca.lid), {}).get(packet.pkey.index)
+        return self.node_tables.get(hca.lid, {}).get(packet.bth.pkey.index)
 
 
 class QPLevelKeyManager:
@@ -155,14 +155,16 @@ class QPLevelKeyManager:
     # -- AuthService KeyManager protocol -------------------------------------
 
     def sender_key(self, hca, packet: DataPacket) -> tuple[bytes | None, int]:
-        src = int(hca.lid)
-        dst = int(packet.dst)
-        dst_qp = int(packet.bth.dest_qp)
-        if packet.src_qp is None:
+        # Header fields read directly: this runs for every sent packet.
+        src = hca.lid
+        dst = packet.lrh.dlid
+        dst_qp = packet.bth.dest_qp
+        deth = packet.deth
+        if deth is None:
             # RC: the key was installed by the CM handshake; no on-demand
             # minting (an unconnected RC send has no key, and that's final).
             return self._rc_sender.get((src, dst, dst_qp)), 0
-        src_qp = int(packet.src_qp)
+        src_qp = deth.src_qp
         key = self._sender.get((src, src_qp, dst, dst_qp))
         if key is not None:
             return key, 0
@@ -170,12 +172,13 @@ class QPLevelKeyManager:
         return key, self.rtt_estimator(src, dst)
 
     def receiver_key(self, hca, packet: DataPacket) -> bytes | None:
-        dst = int(hca.lid)
-        dst_qp = int(packet.bth.dest_qp)
-        src = int(packet.src)
-        if packet.src_qp is None:
+        dst = hca.lid
+        dst_qp = packet.bth.dest_qp
+        src = packet.lrh.slid
+        deth = packet.deth
+        if deth is None:
             return self._rc_receiver.get((dst, dst_qp, src))
-        src_qp = int(packet.src_qp)
+        src_qp = deth.src_qp
         return self._receiver.get((dst, dst_qp, src, src_qp))
 
     def known_pairs(self) -> int:

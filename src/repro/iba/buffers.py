@@ -79,7 +79,7 @@ class InputBuffer:
 
     def make_ready(self, packet: DataPacket, out_port: int) -> None:
         """Routing finished: packet may now compete for its output port."""
-        fifo = self.fifos[packet.vl]
+        fifo = self.fifos[packet.lrh.vl]
         if fifo.processing <= 0:
             raise RuntimeError("make_ready without begin_processing")
         fifo.processing -= 1

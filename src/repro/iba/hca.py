@@ -165,9 +165,10 @@ class HCA:
 
     def _enqueue(self, packet: DataPacket) -> None:
         self.submitted.inc()
-        queue = self.send_queues[packet.vl]
+        vl = packet.lrh.vl
+        queue = self.send_queues[vl]
         if queue is _NO_QUEUE:
-            queue = self.send_queues[packet.vl] = deque()
+            queue = self.send_queues[vl] = deque()
         queue.append(packet)
         self._try_inject()
 
@@ -216,7 +217,7 @@ class HCA:
 
     def receive(self, packet: DataPacket, in_port: int = 0) -> None:
         """Packet fully arrived from the fabric."""
-        vl = packet.vl
+        vl = packet.lrh.vl
         if self._rx_occupancy[vl] >= self.rx_capacity:
             raise RuntimeError(f"HCA {self.lid} VL{vl} rx overflow — credit bug")
         self._rx_occupancy[vl] += 1
@@ -227,14 +228,14 @@ class HCA:
 
     def _rx_done(self, packet: DataPacket) -> None:
         self._check_and_deliver(packet)
-        vl = packet.vl
+        vl = packet.lrh.vl
         self._rx_occupancy[vl] -= 1
         if self.in_link is not None:
             self.in_link.schedule_credit(self.credit_return_delay_ps, vl)
 
     def _check_and_deliver(self, packet: DataPacket) -> None:
         # 1. Partition membership (stock IBA check, plus trap on failure).
-        if not self.keys.has_matching_pkey(packet.pkey):
+        if not self.keys.has_matching_pkey(packet.bth.pkey):
             self.pkey_violations.inc()
             self._maybe_trap(packet)
             self._drop("pkey", packet)
@@ -257,7 +258,7 @@ class HCA:
             if (
                 qp is None
                 or qp.connected_to is None
-                or int(qp.connected_to[0]) != int(packet.src)
+                or int(qp.connected_to[0]) != packet.lrh.slid
             ):
                 self.qkey_violations.inc()
                 self._drop("rc_peer", packet)
@@ -268,8 +269,9 @@ class HCA:
             self._drop("auth", packet)
             return
         # 4. Optional replay (nonce) check — Section 7 extension.
-        if self.replay_protection and qp is not None and packet.src_qp is not None:
-            if not qp.check_replay(packet.src, packet.src_qp, packet.bth.psn):
+        deth = packet.deth
+        if self.replay_protection and qp is not None and deth is not None:
+            if not qp.check_replay(packet.lrh.slid, deth.src_qp, packet.bth.psn):
                 self.replay_drops.inc()
                 self._drop("replay", packet)
                 return
@@ -281,14 +283,15 @@ class HCA:
     def _record_sample(self, packet: DataPacket) -> None:
         if self.metrics is None or packet.t_created < self.warmup_ps:
             return
+        lrh = packet.lrh
         self.metrics.record_delivery(
             LatencySample(
                 created=packet.t_created,
                 injected=packet.t_injected,
                 delivered=self.engine.now,
-                traffic_class=class_for_vl(packet.vl).value,
-                source=int(packet.src),
-                destination=int(packet.dst),
+                traffic_class=class_for_vl(lrh.vl).value,
+                source=lrh.slid,
+                destination=lrh.dlid,
             )
         )
 

@@ -155,4 +155,9 @@ class KeySet:
         self.pkeys.add(pkey)
 
     def has_matching_pkey(self, pkey: PKey) -> bool:
+        """Whether some held P_Key :meth:`~PKey.matches` *pkey*.  Runs on
+        every received packet, so a full-member *pkey* that is held
+        itself (the common case) answers without scanning the set."""
+        if pkey.value & PKey.FULL_MEMBER_BIT and pkey in self.pkeys:
+            return True
         return any(own.matches(pkey) for own in self.pkeys)

@@ -168,11 +168,13 @@ class Link:
             self.on_free()
 
     def serialization_ps(self, packet: DataPacket) -> int:
+        """Time *packet* occupies the wire.  The per-hop code (``send``,
+        the switch pump's credit delay) computes this product inline."""
         return packet.wire_length * self.byte_time_ps
 
     def send(self, packet: DataPacket) -> None:
         """Begin transmitting *packet*.  Caller must have checked can_send."""
-        vl = packet.vl
+        vl = packet.lrh.vl
         if self.failed:
             raise RuntimeError(f"link {self.name} is down")
         if self.busy:
@@ -187,9 +189,9 @@ class Link:
         self._starved = 0
         self._in_transit += 1
         self.packets_sent.inc()
-        self.bytes_sent.inc(packet.wire_length)
-        ser = self.serialization_ps(packet)
-        self.engine.schedule_pooled(ser, self._complete, packet)
+        length = packet.wire_length
+        self.bytes_sent.inc(length)
+        self.engine.schedule_pooled(length * self.byte_time_ps, self._complete, packet)
 
     def _complete(self, packet: DataPacket) -> None:
         self.busy = False

@@ -31,6 +31,15 @@ headers from their fields on every call; nothing caches wire bytes, so a
 field write is seen by the next CRC or MAC with no invalidation step.  The
 only per-packet memo is the MAC tag :mod:`repro.core.auth` leaves on the
 packet (``_auth_tag_memo``), which is keyed on the covered bytes' value.
+
+**One pack per packet.**  Each header turns its fields into wire words in
+one place, its ``_words`` method, which takes the masks of its variant
+fields as arguments: 0 gives the bytes as transmitted, all ones the ICRC
+coverage with VL / ``resv8a`` / GRH traffic class, flow label and hop
+limit masked to ones.  A header's ``pack()`` is one precompiled
+:class:`struct.Struct` over those words, and a packet's covered headers
+are one ``pack`` of the concatenated layout (LRH+BTH, +DETH, +GRH), so
+``invariant_bytes()`` is one struct call plus the payload.
 """
 
 from __future__ import annotations
@@ -51,6 +60,39 @@ LOCAL_UD_OVERHEAD = 8 + 12 + 8 + 4 + 2
 #: And for a connected-service packet (no DETH).
 LOCAL_RC_OVERHEAD = 8 + 12 + 4 + 2
 
+# Wire layouts (big-endian struct codes), one word per ``_words`` value:
+#: LRH: VL|LVer|SL|LNH, DLID, PktLen, SLID.
+_LRH_CODES = "HHHH"
+#: BTH: OpCode, SE|M|PadCnt|TVer, P_Key, resv8a|DestQP, AckReq/reserved|PSN.
+_BTH_CODES = "BBHII"
+#: DETH: Q_Key, reserved|SrcQP.
+_DETH_CODES = "II"
+#: GRH: IPVer|TClass|FlowLabel, PayLen, NxtHdr, HopLmt, SGID, DGID.
+_GRH_CODES = "IHBB16s16s"
+
+_LRH = struct.Struct(">" + _LRH_CODES)
+_BTH = struct.Struct(">" + _BTH_CODES)
+_DETH = struct.Struct(">" + _DETH_CODES)
+_GRH = struct.Struct(">" + _GRH_CODES)
+#: A packet's headers as one layout, by (GRH present, DETH present).
+_LRH_BTH = struct.Struct(">" + _LRH_CODES + _BTH_CODES)
+_LRH_BTH_DETH = struct.Struct(">" + _LRH_CODES + _BTH_CODES + _DETH_CODES)
+_LRH_GRH_BTH = struct.Struct(">" + _LRH_CODES + _GRH_CODES + _BTH_CODES)
+_LRH_GRH_BTH_DETH = struct.Struct(
+    ">" + _LRH_CODES + _GRH_CODES + _BTH_CODES + _DETH_CODES
+)
+
+# Variant-field masks: OR-ed into a field, all ones mask it out of the
+# ICRC coverage (IBA 1.1 §7.8.2); 0 leaves the transmitted value.
+#: LRH VL nibble.
+VL_MASK = 0xF
+#: BTH ``resv8a`` (the auth-function selector).
+RESV8A_MASK = 0xFF
+#: GRH traffic class and flow label (the low 28 bits of word 0).
+GRH_CLASS_FLOW_MASK = 0x0FFFFFFF
+#: GRH hop limit.
+GRH_HOP_MASK = 0xFF
+
 
 @dataclass
 class LocalRouteHeader:
@@ -63,24 +105,23 @@ class LocalRouteHeader:
     packet_length: int  #: wire length in 4-byte words, 11 bits.
     link_next_header: int = 2  #: 2 = BTH follows (IBA "LNH" for local packets).
 
-    def pack(self) -> bytes:
-        word0 = ((self.vl & 0xF) << 4) | 0x0  # LVer = 0
-        word1 = ((self.service_level & 0xF) << 4) | (self.link_next_header & 0x3)
-        pktlen = self.packet_length & 0x7FF
-        return struct.pack(
-            ">BBHHH",
-            word0,
-            word1,
-            int(self.dlid) & 0xFFFF,
-            pktlen,
-            int(self.slid) & 0xFFFF,
+    def _words(self, vl_mask: int) -> tuple:
+        """The :data:`_LRH` words, VL OR-ed with *vl_mask* (LVer = 0)."""
+        return (
+            ((self.vl | vl_mask) & 0xF) << 12
+            | (self.service_level & 0xF) << 4
+            | self.link_next_header & 0x3,
+            self.dlid & 0xFFFF,
+            self.packet_length & 0x7FF,
+            self.slid & 0xFFFF,
         )
+
+    def pack(self) -> bytes:
+        return _LRH.pack(*self._words(0))
 
     def pack_invariant(self) -> bytes:
         """LRH contribution to the ICRC: VL is a variant field, masked to 1s."""
-        data = bytearray(self.pack())
-        data[0] |= 0xF0  # mask the VL nibble
-        return bytes(data)
+        return _LRH.pack(*self._words(VL_MASK))
 
     @classmethod
     def unpack(cls, data: bytes) -> "LocalRouteHeader":
@@ -113,31 +154,26 @@ class BaseTransportHeader:
     migreq: bool = False
     pad_count: int = 0
 
-    def pack(self) -> bytes:
-        flags = (
+    def _words(self, resv8a_mask: int) -> tuple:
+        """The :data:`_BTH` words, ``resv8a`` OR-ed with *resv8a_mask*
+        (AckReq and the reserved bits are 0)."""
+        return (
+            self.opcode & 0xFF,
             (0x80 if self.solicited else 0)
             | (0x40 if self.migreq else 0)
-            | ((self.pad_count & 0x3) << 4)
-        )
-        return struct.pack(
-            ">BBHBBBBBBH",
-            self.opcode & 0xFF,
-            flags,
+            | (self.pad_count & 0x3) << 4,
             self.pkey.value,
-            self.reserved_auth & 0xFF,
-            (int(self.dest_qp) >> 16) & 0xFF,
-            (int(self.dest_qp) >> 8) & 0xFF,
-            int(self.dest_qp) & 0xFF,
-            0,  # AckReq/reserved
-            (self.psn >> 16) & 0xFF,
-            self.psn & 0xFFFF,
+            ((self.reserved_auth | resv8a_mask) & 0xFF) << 24
+            | self.dest_qp & 0xFFFFFF,
+            self.psn & 0xFFFFFF,
         )
+
+    def pack(self) -> bytes:
+        return _BTH.pack(*self._words(0))
 
     def pack_invariant(self) -> bytes:
         """BTH contribution to the ICRC: resv8a masked to 1s (variant field)."""
-        data = bytearray(self.pack())
-        data[4] = 0xFF
-        return bytes(data)
+        return _BTH.pack(*self._words(RESV8A_MASK))
 
     @classmethod
     def unpack(cls, data: bytes) -> "BaseTransportHeader":
@@ -166,15 +202,12 @@ class DatagramExtendedHeader:
     qkey: QKey
     src_qp: QPN
 
+    def _words(self) -> tuple:
+        """The :data:`_DETH` words (every DETH field is invariant)."""
+        return self.qkey.value, self.src_qp & 0xFFFFFF
+
     def pack(self) -> bytes:
-        return struct.pack(
-            ">IBBBB",
-            self.qkey.value,
-            0,  # reserved
-            (int(self.src_qp) >> 16) & 0xFF,
-            (int(self.src_qp) >> 8) & 0xFF,
-            int(self.src_qp) & 0xFF,
-        )
+        return _DETH.pack(*self._words())
 
     pack_invariant = pack  # every DETH field is invariant
 
@@ -208,30 +241,27 @@ class GlobalRouteHeader:
         if len(self.src_gid) != 16 or len(self.dst_gid) != 16:
             raise ValueError("GIDs are 16 bytes")
 
-    def pack(self) -> bytes:
-        word0 = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
+    def _words(self, class_flow_mask: int, hop_mask: int) -> tuple:
+        """The :data:`_GRH` words, traffic class + flow label OR-ed with
+        *class_flow_mask* and the hop limit with *hop_mask*."""
         return (
-            struct.pack(
-                ">IHBB",
-                word0,
-                self.payload_length & 0xFFFF,
-                self.next_header & 0xFF,
-                self.hop_limit & 0xFF,
-            )
-            + self.src_gid
-            + self.dst_gid
+            6 << 28
+            | (self.traffic_class & 0xFF) << 20
+            | self.flow_label & 0xFFFFF
+            | class_flow_mask,
+            self.payload_length & 0xFFFF,
+            self.next_header & 0xFF,
+            (self.hop_limit | hop_mask) & 0xFF,
+            self.src_gid,
+            self.dst_gid,
         )
+
+    def pack(self) -> bytes:
+        return _GRH.pack(*self._words(0, 0))
 
     def pack_invariant(self) -> bytes:
         """GRH bytes with the router-mutable fields masked to ones."""
-        data = bytearray(self.pack())
-        # mask traffic class + flow label (low 28 bits of word 0)
-        data[0] |= 0x0F
-        data[1] = 0xFF
-        data[2] = 0xFF
-        data[3] = 0xFF
-        data[7] = 0xFF  # hop limit
-        return bytes(data)
+        return _GRH.pack(*self._words(GRH_CLASS_FLOW_MASK, GRH_HOP_MASK))
 
     @classmethod
     def unpack(cls, data: bytes) -> "GlobalRouteHeader":
@@ -342,32 +372,41 @@ class DataPacket:
         "ICRC does not change from end to end" means — and why the AT that
         replaces it is an end-to-end transport-level tag.
         """
-        parts = [self.lrh.pack_invariant()]
-        if self.grh is not None:
-            parts.append(self.grh.pack_invariant())
-        parts.append(self.bth.pack_invariant())
-        if self.deth is not None:
-            parts.append(self.deth.pack_invariant())
-        parts.append(self.payload)
-        return b"".join(parts)
+        return self._pack_headers(
+            VL_MASK, RESV8A_MASK, GRH_CLASS_FLOW_MASK, GRH_HOP_MASK
+        ) + self.payload
 
     def variant_bytes(self) -> bytes:
         """Everything the VCRC covers: LRH through ICRC, as transmitted."""
-        parts = [self.lrh.pack()]
-        if self.grh is not None:
-            parts.append(self.grh.pack())
-        parts.append(self.bth.pack())
-        if self.deth is not None:
-            parts.append(self.deth.pack())
-        parts.append(self.payload)
-        parts.append(self.icrc.to_bytes(4, "big"))
-        return b"".join(parts)
+        return (
+            self._pack_headers(0, 0, 0, 0)
+            + self.payload
+            + self.icrc.to_bytes(4, "big")
+        )
+
+    def _pack_headers(
+        self, vl_mask: int, resv8a_mask: int, class_flow_mask: int, hop_mask: int
+    ) -> bytes:
+        """LRH through DETH in one ``pack``, variant fields OR-ed with the
+        masks (see the module docstring)."""
+        lrh = self.lrh._words(vl_mask)
+        bth = self.bth._words(resv8a_mask)
+        deth = self.deth
+        if self.grh is None:
+            if deth is None:
+                return _LRH_BTH.pack(*lrh, *bth)
+            return _LRH_BTH_DETH.pack(*lrh, *bth, *deth._words())
+        grh = self.grh._words(class_flow_mask, hop_mask)
+        if deth is None:
+            return _LRH_GRH_BTH.pack(*lrh, *grh, *bth)
+        return _LRH_GRH_BTH_DETH.pack(*lrh, *grh, *bth, *deth._words())
 
     @property
     def nonce(self) -> int:
         """MAC nonce: (source LID, source QP, PSN) — unique per live packet."""
-        qp = int(self.src_qp) if self.src_qp is not None else 0
-        return (int(self.src) << 40) | (qp << 24) | (self.bth.psn & 0xFFFFFF)
+        deth = self.deth
+        qp = deth.src_qp if deth is not None else 0
+        return (self.lrh.slid << 40) | (qp << 24) | (self.bth.psn & 0xFFFFFF)
 
 
 @dataclass

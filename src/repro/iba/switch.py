@@ -154,7 +154,7 @@ class Switch:
 
     def receive(self, packet: DataPacket, in_port: int) -> None:
         """Packet fully arrived at *in_port* (store-and-forward)."""
-        self.inputs[in_port].begin_processing(packet.vl)
+        self.inputs[in_port].begin_processing(packet.lrh.vl)
         self._in_pipeline[packet] = None
         self._trace(
             self.engine.now, "switch_rx", self.name, packet.packet_id,
@@ -190,26 +190,27 @@ class Switch:
 
     def _pipeline_done(self, packet: DataPacket, in_port: int, accept: bool) -> None:
         self._in_pipeline.pop(packet, None)
+        lrh = packet.lrh
+        vl = lrh.vl
         if not accept:
             self.filtered_drops.inc()
             self._trace(
                 self.engine.now, "filtered", self.name, packet.packet_id,
                 self._port_detail[in_port],
             )
-            self._release_slot(in_port, packet.vl)
+            self._release_slot(in_port, vl)
             return
-        out_port = self.route(packet.dst)
+        out_port = self.route(lrh.dlid)
         if out_port is None or self.out_links[out_port] is None:
             self.unroutable_drops.inc()
             self._trace(
                 self.engine.now, "unroutable", self.name, packet.packet_id,
                 self._port_detail[in_port],
             )
-            self._release_slot(in_port, packet.vl)
+            self._release_slot(in_port, vl)
             return
         buf = self.inputs[in_port]
         buf.make_ready(packet, out_port)
-        vl = packet.vl
         if len(buf.fifos[vl].ready) == 1:  # became its FIFO's head
             self._head_ready[out_port][vl] |= 1 << in_port
         self._pump(out_port)
@@ -232,7 +233,7 @@ class Switch:
                     continue  # nothing to re-resolve; IDLE_FIFO must stay unwritten
                 kept = []
                 for entry in fifo.ready:
-                    new_port = self.route(entry.packet.dst)
+                    new_port = self.route(entry.packet.lrh.dlid)
                     link = self.out_links[new_port] if new_port is not None else None
                     if link is None or link.failed:
                         self.unroutable_drops.inc()
@@ -295,7 +296,7 @@ class Switch:
                 return
             in_port, entry = choice
             packet = entry.packet
-            vl = packet.vl
+            vl = packet.lrh.vl
             buf = inputs[in_port]
             buf.pop_head(vl)
             ready = buf.fifos[vl].ready
@@ -317,7 +318,9 @@ class Switch:
             upstream = self.in_links[in_port]
             if upstream is not None:
                 upstream.schedule_credit(
-                    link.serialization_ps(packet) + self.credit_return_delay_ps, vl,
+                    packet.wire_length * link.byte_time_ps
+                    + self.credit_return_delay_ps,
+                    vl,
                 )
             if next_port == port:
                 return  # nothing uncovered, or its port is busy now

@@ -186,8 +186,15 @@ class MetricsCollector:
         if self.keep_samples:
             self.samples.append(sample)
         cls = sample.traffic_class
-        self._queuing.setdefault(cls, StatAccumulator()).add(sample.queuing_ps)
-        self._network.setdefault(cls, StatAccumulator()).add(sample.network_ps)
+        queuing = self._queuing.get(cls)
+        if queuing is None:
+            queuing = self._queuing[cls] = StatAccumulator()
+        network = self._network.get(cls)
+        if network is None:
+            network = self._network[cls] = StatAccumulator()
+        injected = sample.injected
+        queuing.add(injected - sample.created)
+        network.add(sample.delivered - injected)
 
     def record_drop(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1

@@ -2,6 +2,7 @@
 controlled bit, memory keys, and KeySet behaviour."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.iba.keys import BKey, KeySet, MKey, MemoryKey, PKey, QKey
 
@@ -113,3 +114,21 @@ class TestKeySet:
         ks = KeySet()
         ks.secret_keys[("pkey", 3)] = b"secret"
         assert ks.secret_keys[("pkey", 3)] == b"secret"
+
+
+#: P_Keys over a few indices, full and limited, so drawn sets and packet
+#: keys often share an index.
+few_pkeys = st.builds(
+    lambda index, full: PKey(index | (PKey.FULL_MEMBER_BIT if full else 0)),
+    st.sampled_from([0x0001, 0x0002, 0x7FFF]),
+    st.booleans(),
+)
+
+
+class TestHasMatchingPKeyProperty:
+    @given(held=st.sets(few_pkeys, max_size=6), pkey=few_pkeys)
+    def test_agrees_with_the_matching_rule(self, held, pkey):
+        """The fast path never changes the answer: a packet key matches
+        iff some held key matches it under the IBA rule."""
+        expected = any(own.matches(pkey) for own in held)
+        assert KeySet(pkeys=set(held)).has_matching_pkey(pkey) == expected

@@ -1,9 +1,11 @@
 """Packet formats: header serialization, invariant-field masking (the ICRC
 coverage rule the whole AT design rests on), and nonce construction."""
 
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.iba import crc as ibacrc
 from repro.iba.keys import PKey, QKey
@@ -221,6 +223,139 @@ class TestMutation:
         assert BaseTransportHeader.unpack(p.bth.pack()) == p.bth
         assert DatagramExtendedHeader.unpack(p.deth.pack()) == p.deth
         assert GlobalRouteHeader.unpack(p.grh.pack()) == p.grh
+
+
+def _oracle_headers(p: DataPacket, masked: bool) -> bytes:
+    """The per-header pack-and-mask join, written out field by field the
+    way the headers were once packed: each header on its own, variant
+    fields masked to ones afterwards in a byte array."""
+    lrh, bth, deth, grh = p.lrh, p.bth, p.deth, p.grh
+    out = bytearray(struct.pack(
+        ">BBHHH",
+        (lrh.vl & 0xF) << 4,
+        ((lrh.service_level & 0xF) << 4) | (lrh.link_next_header & 0x3),
+        lrh.dlid & 0xFFFF, lrh.packet_length & 0x7FF, lrh.slid & 0xFFFF,
+    ))
+    if masked:
+        out[0] |= 0xF0
+    if grh is not None:
+        g = bytearray(struct.pack(
+            ">IHBB",
+            (6 << 28) | ((grh.traffic_class & 0xFF) << 20)
+            | (grh.flow_label & 0xFFFFF),
+            grh.payload_length & 0xFFFF, grh.next_header & 0xFF,
+            grh.hop_limit & 0xFF,
+        ) + grh.src_gid + grh.dst_gid)
+        if masked:
+            g[0] |= 0x0F
+            g[1] = g[2] = g[3] = g[7] = 0xFF
+        out += g
+    flags = (
+        (0x80 if bth.solicited else 0) | (0x40 if bth.migreq else 0)
+        | ((bth.pad_count & 0x3) << 4)
+    )
+    b = bytearray(struct.pack(
+        ">BBHBBBBBBH",
+        bth.opcode & 0xFF, flags, bth.pkey.value, bth.reserved_auth & 0xFF,
+        (bth.dest_qp >> 16) & 0xFF, (bth.dest_qp >> 8) & 0xFF,
+        bth.dest_qp & 0xFF, 0, (bth.psn >> 16) & 0xFF, bth.psn & 0xFFFF,
+    ))
+    if masked:
+        b[4] = 0xFF
+    out += b
+    if deth is not None:
+        out += struct.pack(
+            ">IBBBB", deth.qkey.value, 0, (deth.src_qp >> 16) & 0xFF,
+            (deth.src_qp >> 8) & 0xFF, deth.src_qp & 0xFF,
+        )
+    return bytes(out)
+
+
+def _bits(n: int):
+    """Values of an *n*-bit field plus up to two bits above it, which
+    serialization must mask off."""
+    return st.integers(0, (1 << (n + 2)) - 1)
+
+
+@st.composite
+def packets(draw, with_grh: bool, with_deth: bool) -> DataPacket:
+    """A packet of the given layout with every header field random."""
+    lrh = LocalRouteHeader(
+        vl=draw(_bits(4)), service_level=draw(_bits(4)),
+        dlid=LID(draw(_bits(16))), slid=LID(draw(_bits(16))),
+        packet_length=draw(_bits(11)), link_next_header=draw(_bits(2)),
+    )
+    bth = BaseTransportHeader(
+        opcode=draw(_bits(8)), pkey=PKey(draw(st.integers(0, 0xFFFF))),
+        dest_qp=QPN(draw(_bits(24))), psn=draw(_bits(24)),
+        reserved_auth=draw(_bits(8)), solicited=draw(st.booleans()),
+        migreq=draw(st.booleans()), pad_count=draw(_bits(2)),
+    )
+    deth = None
+    if with_deth:
+        deth = DatagramExtendedHeader(
+            qkey=QKey(draw(st.integers(0, 0xFFFFFFFF))),
+            src_qp=QPN(draw(_bits(24))),
+        )
+    grh = None
+    if with_grh:
+        grh = GlobalRouteHeader(
+            src_gid=draw(st.binary(min_size=16, max_size=16)),
+            dst_gid=draw(st.binary(min_size=16, max_size=16)),
+            traffic_class=draw(_bits(8)), flow_label=draw(_bits(20)),
+            payload_length=draw(_bits(16)), next_header=draw(_bits(8)),
+            hop_limit=draw(_bits(8)),
+        )
+    return DataPacket(
+        lrh=lrh, bth=bth, deth=deth, grh=grh,
+        payload=draw(st.binary(max_size=64)), wire_length=1058,
+        icrc=draw(st.integers(0, 0xFFFFFFFF)),
+    )
+
+
+#: (GRH present, DETH present): local UD, local RC, global UD, global RC.
+LAYOUTS = [(False, True), (False, False), (True, True), (True, False)]
+LAYOUT_IDS = ["ud", "rc", "ud_grh", "rc_grh"]
+
+
+class TestSerializerAgainstOracle:
+    """``invariant_bytes``/``variant_bytes`` pack each layout in one struct
+    call; they must equal the per-header join on every field value."""
+
+    @pytest.mark.parametrize("with_grh,with_deth", LAYOUTS, ids=LAYOUT_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_covered_bytes_equal_the_join(self, with_grh, with_deth, data):
+        p = data.draw(packets(with_grh, with_deth))
+        assert p.invariant_bytes() == _oracle_headers(p, masked=True) + p.payload
+        assert p.variant_bytes() == (
+            _oracle_headers(p, masked=False) + p.payload + p.icrc.to_bytes(4, "big")
+        )
+
+    @pytest.mark.parametrize("with_grh,with_deth", LAYOUTS, ids=LAYOUT_IDS)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_headers_pack_like_the_join(self, with_grh, with_deth, data):
+        p = data.draw(packets(with_grh, with_deth))
+        headers = [p.lrh] + ([p.grh] if with_grh else []) + [p.bth]
+        headers += [p.deth] if with_deth else []
+        assert b"".join(h.pack() for h in headers) == _oracle_headers(p, False)
+        assert (
+            b"".join(h.pack_invariant() for h in headers)
+            == _oracle_headers(p, True)
+        )
+
+    @pytest.mark.parametrize("with_deth", [True, False], ids=["ud", "rc"])
+    @given(
+        slid=st.integers(0, 0xFFFF), src_qp=st.integers(0, 0xFFFFFF),
+        psn=_bits(24),
+    )
+    def test_nonce_is_its_definition(self, with_deth, slid, src_qp, psn):
+        p = make_packet(src=slid, src_qp=src_qp, psn=psn)
+        if not with_deth:
+            p.deth = None
+            src_qp = 0
+        assert p.nonce == (slid << 40) | (src_qp << 24) | (psn & 0xFFFFFF)
 
 
 class TestConstants:

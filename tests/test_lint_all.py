@@ -15,3 +15,4 @@ def test_lint_all_passes_on_the_repo():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "check_bare_counters: ok" in proc.stdout
     assert "check_observability: ok" in proc.stdout
+    assert "check_hot_reads: ok" in proc.stdout

@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """One-shot runner for every repo AST lint.
 
-Runs both custom linters over their default scopes:
+Runs every custom linter over its default scope:
 
 * ``check_bare_counters`` — no bare ``self.x += 1`` statistics in iba/core;
   every counter must live in the CounterRegistry.
 * ``check_observability`` — hot-path code must go through the bound
   ``self._trace`` no-op swap and construction-time counter binding, never
   ``self.tracer.record(...)`` or per-event registry lookups.
+* ``check_hot_reads`` — hop-path modules read packet header fields
+  directly, never the ``DataPacket`` convenience properties or
+  ``serialization_ps(...)``.
 
 Usage::
 
@@ -26,11 +29,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_bare_counters  # noqa: E402
+import check_hot_reads  # noqa: E402
 import check_observability  # noqa: E402
 
 LINTS = (
     ("check_bare_counters", check_bare_counters.main),
     ("check_observability", check_observability.main),
+    ("check_hot_reads", check_hot_reads.main),
 )
 
 
