@@ -131,16 +131,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _seed_tuple(args: argparse.Namespace, first: int = 11) -> tuple[int, ...] | None:
-    """The --seeds/--mc replication set, or None for the figure's default."""
-    n = args.seeds if args.seeds is not None else (5 if args.mc else None)
-    if n is None:
-        return None
-    if n < 1:
-        raise SystemExit("--seeds must be >= 1")
-    return tuple(range(first, first + n))
-
-
 def _add_serve_metrics(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "serve-metrics",
@@ -424,49 +414,62 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_kwargs(args: argparse.Namespace, events: list) -> dict:
+def _sweep_kwargs(args: argparse.Namespace, events: list, first_seed: int = 11) -> dict:
+    """A figure's sweep keywords from the shared sweep flags; progress
+    records land in *events*, and --seeds/--mc replicate from *first_seed*."""
     def on_point(event) -> None:
         events.append(event)
         if args.progress:
             print(event, flush=True)
 
-    return {
+    kwargs = {
         "workers": args.workers,
         "cache": None if args.no_cache else args.cache_dir,
         "progress": on_point,
     }
+    n = args.seeds if args.seeds is not None else (5 if args.mc else None)
+    if n is not None:
+        if n < 1:
+            raise SystemExit("--seeds must be >= 1")
+        kwargs["seeds"] = tuple(range(first_seed, first_seed + n))
+    return kwargs
 
 
-def _print_sweep_profile(args: argparse.Namespace, events: list) -> None:
+def _print_sweep_profile(
+    args: argparse.Namespace, events: list, title: str = "sweep execution profile"
+) -> None:
     if args.progress and events:
         from repro.analysis.charts import sweep_progress_chart
 
         print()
-        print(sweep_progress_chart(events, title="sweep execution profile"))
+        print(sweep_progress_chart(events, title=title))
+
+
+def _print_ci_band(rows: list, label) -> None:
+    """The total-delay 95 % CI band of a multi-seed figure; *rows* carry
+    ``total_us``, ``total_ci_half_us`` and ``n_seeds``."""
+    if not any(r.n_seeds > 1 for r in rows):
+        return
+    from repro.analysis.charts import error_band_chart
+
+    print()
+    print(error_band_chart(
+        [
+            (label(r), r.total_us,
+             r.total_us - r.total_ci_half_us, r.total_us + r.total_ci_half_us)
+            for r in rows
+        ],
+        title=f"total delay with 95% CI ({rows[0].n_seeds} seeds)",
+    ))
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
     from repro.experiments.fig5_enforcement import format_fig5, run_fig5
 
     events: list = []
-    kwargs = _sweep_kwargs(args, events)
-    seeds = _seed_tuple(args)
-    if seeds is not None:
-        kwargs["seeds"] = seeds
-    bars = run_fig5(sim_time_us=args.sim_time_us, **kwargs)
+    bars = run_fig5(sim_time_us=args.sim_time_us, **_sweep_kwargs(args, events))
     print(format_fig5(bars))
-    if any(b.n_seeds > 1 for b in bars):
-        from repro.analysis.charts import error_band_chart
-
-        print()
-        print(error_band_chart(
-            [
-                (f"{b.input_load:.0%} {b.mode}", b.total_us,
-                 b.total_us - b.total_ci_half_us, b.total_us + b.total_ci_half_us)
-                for b in bars
-            ],
-            title=f"total delay with 95% CI ({bars[0].n_seeds} seeds)",
-        ))
+    _print_ci_band(bars, lambda b: f"{b.input_load:.0%} {b.mode}")
     _print_sweep_profile(args, events)
     return 0
 
@@ -475,26 +478,13 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
     from repro.experiments.fig6_auth import format_fig6, run_fig6
 
     events: list = []
-    kwargs = _sweep_kwargs(args, events)
-    seeds = _seed_tuple(args, first=17)
-    if seeds is not None:
-        kwargs["seeds"] = seeds
-    points = run_fig6(sim_time_us=args.sim_time_us, **kwargs)
+    points = run_fig6(
+        sim_time_us=args.sim_time_us, **_sweep_kwargs(args, events, first_seed=17)
+    )
     print(format_fig6(points))
-    if any(p.n_seeds > 1 for p in points):
-        from repro.analysis.charts import error_band_chart
-
-        print()
-        print(error_band_chart(
-            [
-                (f"{p.input_load:.0%} {'keyed' if p.with_key else 'nokey'}",
-                 p.queuing_us + p.network_us,
-                 p.queuing_us + p.network_us - p.total_ci_half_us,
-                 p.queuing_us + p.network_us + p.total_ci_half_us)
-                for p in points
-            ],
-            title=f"total delay with 95% CI ({points[0].n_seeds} seeds)",
-        ))
+    _print_ci_band(
+        points, lambda p: f"{p.input_load:.0%} {'keyed' if p.with_key else 'nokey'}"
+    )
     _print_sweep_profile(args, events)
     return 0
 
@@ -508,42 +498,28 @@ def _cmd_bakeoff4(args: argparse.Namespace) -> int:
     )
 
     events: list = []
-    seed_kw = {}
-    seeds = _seed_tuple(args)
-    if seeds is not None:
-        seed_kw["seeds"] = seeds
     rows = run_bakeoff4(
         sim_time_us=args.sim_time_us,
         bloom_bits=args.bloom_bits,
         bloom_hashes=args.bloom_hashes,
         attack_window_us=args.attack_window_us,
-        **seed_kw,
         **_sweep_kwargs(args, events),
     )
     print(format_bakeoff4(rows))
-    if any(r.n_seeds > 1 for r in rows):
-        from repro.analysis.charts import error_band_chart
-
-        print()
-        print(error_band_chart(
-            [
-                (f"{r.input_load:.0%} {r.mode}", r.total_us,
-                 r.total_us - r.total_ci_half_us, r.total_us + r.total_ci_half_us)
-                for r in rows
-            ],
-            title=f"total delay with 95% CI ({rows[0].n_seeds} seeds)",
-        ))
+    _print_ci_band(rows, lambda r: f"{r.input_load:.0%} {r.mode}")
+    _print_sweep_profile(args, events)
     if args.fp_sweep:
+        # its own event list: both sweeps index their points from 0
+        fp_events: list = []
         fp_rows = run_bloom_fp_sweep(
             sim_time_us=args.sim_time_us,
             bloom_hashes=args.bloom_hashes,
             attack_window_us=args.attack_window_us,
-            **seed_kw,
-            **_sweep_kwargs(args, events),
+            **_sweep_kwargs(args, fp_events),
         )
         print()
         print(format_bloom_fp_sweep(fp_rows))
-    _print_sweep_profile(args, events)
+        _print_sweep_profile(args, fp_events, title="fp-rate sweep execution profile")
     return 0
 
 

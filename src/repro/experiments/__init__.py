@@ -11,6 +11,7 @@ from repro.experiments.table2_overhead import run_table2, format_table2
 from repro.experiments.table4_macs import run_table4, format_table4
 from repro.experiments.fig5_enforcement import Fig5Bar, run_fig5, format_fig5
 from repro.experiments.fig6_auth import Fig6Point, run_fig6, format_fig6
+from repro.experiments.pooling import PooledDelay, attack_p99_us, pooled_delay
 from repro.experiments.bakeoff4 import (
     Bakeoff4Row,
     BloomFpRow,
@@ -40,4 +41,7 @@ __all__ = [
     "Fig6Point",
     "run_fig6",
     "format_fig6",
+    "PooledDelay",
+    "pooled_delay",
+    "attack_p99_us",
 ]

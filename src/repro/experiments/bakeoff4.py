@@ -33,15 +33,9 @@ from dataclasses import dataclass
 
 from repro.analysis.sram import sram_access_time_ns
 from repro.core.overhead import bloom_table_bytes, pkey_table_bytes
-from repro.experiments.fig5_enforcement import (
-    LOAD_SCALE,
-    _attack_period_values_us,
-    _combined_accs,
-    _total_mean_us,
-    fig5_config,
-)
+from repro.experiments.fig5_enforcement import LOAD_SCALE, fig5_config
+from repro.experiments.pooling import attack_p99_us, pooled_delay
 from repro.sim.config import EnforcementMode, SimConfig
-from repro.sim.engine import PS_PER_US
 from repro.sim.runner import SimReport
 from repro.sim.sweep import RunCache, Sweep, SweepProgress, bloom_fp_axis
 
@@ -166,36 +160,24 @@ def run_bakeoff4(
     points = sweep.run(progress, workers=workers, cache=cache)
     rows = []
     for (load, mode), point in zip(itertools.product(input_loads, modes), points):
-        # pooled (concatenated-sample) stats, not averaged per-seed stddevs
-        q = point.pooled(lambda r: _combined_accs(r)[0])
-        n = point.pooled(lambda r: _combined_accs(r)[1])
-        ci = point.ci(_total_mean_us)
-        attack_values: list[float] = []
-        for report in point.reports:
-            attack_values.extend(_attack_period_values_us(report))
-        if attack_values:
-            from repro.sim.stats import percentile
-
-            p99 = percentile(attack_values, 99)
-        else:
-            p99 = 0.0
+        d = pooled_delay(point)
         memory = memory_bytes_per_port(mode, sweep.base)
         rows.append(
             Bakeoff4Row(
                 mode=mode.value,
                 input_load=load,
-                queuing_us=q.mean / PS_PER_US,
-                network_us=n.mean / PS_PER_US,
-                queuing_std_us=q.stddev / PS_PER_US,
-                network_std_us=n.stddev / PS_PER_US,
+                queuing_us=d.queuing_us,
+                network_us=d.network_us,
+                queuing_std_us=d.queuing_std_us,
+                network_std_us=d.network_std_us,
                 filtered_at_switches=sum(r.switch_filtered for r in point.reports),
                 activations=sum(r.sif_activations for r in point.reports),
                 false_positive_drops=sum(_fp_drops(r) for r in point.reports),
                 memory_bytes=memory,
                 sram_access_ns=sram_access_time_ns(memory / 1024.0),
-                total_ci_half_us=ci.half,
-                p99_attack_us=p99,
-                n_seeds=len(point.reports),
+                total_ci_half_us=d.total_ci_half_us,
+                p99_attack_us=attack_p99_us(point),
+                n_seeds=d.n_seeds,
             )
         )
     return rows
@@ -252,16 +234,15 @@ def run_bloom_fp_sweep(
     }
     rows = []
     for point in points:
-        q = point.pooled(lambda r: _combined_accs(r)[0])
-        n = point.pooled(lambda r: _combined_accs(r)[1])
+        d = pooled_delay(point)
         bits = int(point.overrides["bloom_bits"])
         rows.append(
             BloomFpRow(
                 target_fp_rate=target_of.get(bits, min(fp_rates)),
                 bloom_bits=bits,
                 memory_bytes=bloom_table_bytes(bits),
-                queuing_us=q.mean / PS_PER_US,
-                network_us=n.mean / PS_PER_US,
+                queuing_us=d.queuing_us,
+                network_us=d.network_us,
                 filtered_at_switches=sum(r.switch_filtered for r in point.reports),
                 false_positive_drops=sum(_fp_drops(r) for r in point.reports),
             )

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.engine import PS_PER_US
-from repro.sim.runner import SimReport, run_simulation
-from repro.sim.sweep import RunCache, Sweep, SweepProgress
+from repro.sim.runner import run_simulation
+from repro.sim.sweep import RunCache, Sweep, SweepPoint, SweepProgress
 
 #: input-load → absolute best-effort injection (fraction of link bandwidth).
 #: "Input load" follows interconnect convention (fraction of effective
@@ -106,52 +106,6 @@ def fig5_config(
     )
 
 
-def _combined_accs(report: SimReport):
-    """(queuing, network) accumulators merged across both classes (ps)."""
-    from repro.sim.metrics import StatAccumulator
-
-    q, n = StatAccumulator(), StatAccumulator()
-    assert report.metrics is not None
-    for name in ("realtime", "best_effort"):
-        wq, wn = report.metrics.windowed(name, exclude=[])
-        q.merge(wq)
-        n.merge(wn)
-    return q, n
-
-
-def _combined(report: SimReport) -> tuple[float, float, float, float]:
-    """Sample-weighted queuing/network mean and std across both classes."""
-    q, n = _combined_accs(report)
-    return (
-        q.mean / PS_PER_US,
-        n.mean / PS_PER_US,
-        q.stddev / PS_PER_US,
-        n.stddev / PS_PER_US,
-    )
-
-
-def _total_mean_us(report: SimReport) -> float:
-    """One seed's combined queuing+network mean in µs (the CI observable)."""
-    q, n = _combined_accs(report)
-    return (q.mean + n.mean) / PS_PER_US
-
-
-def _attack_period_values_us(report: SimReport) -> list[float]:
-    """Best-effort total delays (µs) of deliveries injected *inside* attack
-    windows — the tail the "P99 under attack" readout quantifies."""
-    if not report.attack_windows or report.metrics is None:
-        return []
-    # values_us() excludes; keep the windows by excluding their complement.
-    exclude: list[tuple[int, int]] = []
-    t = 0
-    for start, end in sorted(report.attack_windows):
-        if start > t:
-            exclude.append((t, start))
-        t = max(t, end)
-    exclude.append((t, report.config.sim_time_ps + 1))
-    return report.metrics.values_us("best_effort", kind="total", exclude=exclude)
-
-
 def fig5_sweep(
     input_loads: tuple[float, ...] = INPUT_LOADS,
     modes: tuple[EnforcementMode, ...] = MODES,
@@ -188,39 +142,26 @@ def run_fig5(
     ``workers``/``cache``/``progress`` pass straight through to
     :meth:`Sweep.run`; results are identical at any worker count.
     """
+    from repro.experiments.pooling import attack_p99_us, pooled_delay
+
     sweep = fig5_sweep(input_loads, modes, sim_time_us, seeds)
     points = sweep.run(progress, workers=workers, cache=cache)
     bars = []
     for (load, mode), point in zip(itertools.product(input_loads, modes), points):
-        # Pool across seeds: the bar's stddev is the stddev of the
-        # concatenated per-delivery samples.  (Averaging per-seed stddevs —
-        # the old code — drops the between-seed mean spread and understates
-        # exactly the 60-70 % variance blow-up the paper highlights.)
-        q = point.pooled(lambda r: _combined_accs(r)[0])
-        n = point.pooled(lambda r: _combined_accs(r)[1])
-        ci = point.ci(_total_mean_us)
-        attack_values: list[float] = []
-        for report in point.reports:
-            attack_values.extend(_attack_period_values_us(report))
-        if attack_values:
-            from repro.sim.stats import percentile
-
-            p99 = percentile(attack_values, 99)
-        else:
-            p99 = 0.0
+        d = pooled_delay(point)
         bars.append(
             Fig5Bar(
                 mode=mode.value,
                 input_load=load,
-                queuing_us=q.mean / PS_PER_US,
-                network_us=n.mean / PS_PER_US,
-                queuing_std_us=q.stddev / PS_PER_US,
-                network_std_us=n.stddev / PS_PER_US,
+                queuing_us=d.queuing_us,
+                network_us=d.network_us,
+                queuing_std_us=d.queuing_std_us,
+                network_std_us=d.network_std_us,
                 filtered_at_switches=sum(r.switch_filtered for r in point.reports),
                 sif_activations=sum(r.sif_activations for r in point.reports),
-                total_ci_half_us=ci.half,
-                p99_attack_us=p99,
-                n_seeds=len(point.reports),
+                total_ci_half_us=d.total_ci_half_us,
+                p99_attack_us=attack_p99_us(point),
+                n_seeds=d.n_seeds,
             )
         )
     return bars
@@ -235,21 +176,16 @@ def run_fig5_excluding_attack(
 ) -> tuple[float, float]:
     """The paper's aside: overall delay *excluding the attacking period*
     (IF 14.19 µs vs SIF 13.65 µs).  Returns (queuing_us, network_us)."""
+    from repro.experiments.pooling import pooled_delay
+
     report = run_simulation(
         fig5_config(mode, input_load, sim_time_us, seed, attack_window_us)
     )
     # widen each window by the drain time so lingering flood effects are out
     pad = round(100 * PS_PER_US)
     windows = [(s, e + pad) for s, e in report.attack_windows]
-    assert report.metrics is not None
-    from repro.sim.metrics import StatAccumulator
-
-    q, n = StatAccumulator(), StatAccumulator()
-    for name in ("realtime", "best_effort"):
-        wq, wn = report.metrics.windowed(name, exclude=windows)
-        q.merge(wq)
-        n.merge(wn)
-    return q.mean / PS_PER_US, n.mean / PS_PER_US
+    d = pooled_delay(SweepPoint({}, (seed,), (report,)), exclude=windows)
+    return d.queuing_us, d.network_us
 
 
 def format_fig5(bars: list[Fig5Bar]) -> str:

@@ -27,15 +27,9 @@ import os
 from dataclasses import dataclass
 
 from repro.sim.config import AuthMode, KeyMgmtMode, SimConfig
-from repro.sim.engine import PS_PER_US
 from repro.sim.sweep import RunCache, Sweep, SweepProgress
 
-from repro.experiments.fig5_enforcement import (
-    LOAD_SCALE,
-    INPUT_LOADS,
-    _combined_accs,
-    _total_mean_us,
-)
+from repro.experiments.fig5_enforcement import LOAD_SCALE, INPUT_LOADS
 
 
 @dataclass(frozen=True)
@@ -56,6 +50,10 @@ class Fig6Point:
     key_exchanges: int
     total_ci_half_us: float = 0.0
     n_seeds: int = 1
+
+    @property
+    def total_us(self) -> float:
+        return self.queuing_us + self.network_us
 
 
 def fig6_config(
@@ -122,24 +120,24 @@ def run_fig6(
     progress: SweepProgress | None = None,
     seeds: tuple[int, ...] | None = None,
 ) -> list[Fig6Point]:
+    from repro.experiments.pooling import pooled_delay
+
     sweep, labels = fig6_sweep(input_loads, sim_time_us, seed, keymgmt, seeds)
     results = sweep.run(progress, workers=workers, cache=cache)
     points = []
     for (load, with_key), point in zip(labels, results):
-        q = point.pooled(lambda r: _combined_accs(r)[0])
-        n = point.pooled(lambda r: _combined_accs(r)[1])
-        ci = point.ci(_total_mean_us)
+        d = pooled_delay(point)
         points.append(
             Fig6Point(
                 input_load=load,
                 with_key=with_key,
-                queuing_us=q.mean / PS_PER_US,
-                network_us=n.mean / PS_PER_US,
-                queuing_std_us=q.stddev / PS_PER_US,
-                network_std_us=n.stddev / PS_PER_US,
+                queuing_us=d.queuing_us,
+                network_us=d.network_us,
+                queuing_std_us=d.queuing_std_us,
+                network_std_us=d.network_std_us,
                 key_exchanges=max(r.key_exchanges for r in point.reports),
-                total_ci_half_us=ci.half,
-                n_seeds=len(point.reports),
+                total_ci_half_us=d.total_ci_half_us,
+                n_seeds=d.n_seeds,
             )
         )
     return points

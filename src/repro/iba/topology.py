@@ -7,9 +7,8 @@ dimension-ordered (X then Y), deadlock-free on a mesh.
 
 :func:`build_mesh` wires switches, HCAs, links (both directions), routing
 tables and returns a :class:`Fabric` handle used by the runner, the security
-layer, and tests.  :func:`build_line` gives a degenerate 1×N fabric for
-focused unit tests, and :func:`build_fat_tree` the k-ary fat tree of the
-scale workloads.
+layer, and tests; ``mesh_height=1`` makes it a degenerate 1×N line.
+:func:`build_fat_tree` builds the k-ary fat tree of the scale workloads.
 
 A switch's routing table is one byte per LID (``Switch.route_table``, see
 :mod:`repro.iba.switch`).  The mesh builder and the SM's fault resweep
@@ -238,18 +237,6 @@ def build_mesh(
                     port = HCA_PORT
                 sw.set_route(dest, port)
     return fabric
-
-
-def build_line(
-    engine: Engine,
-    config: SimConfig,
-    metrics: MetricsCollector,
-    registry: CounterRegistry | None = None,
-    tracer: Tracer | None = None,
-) -> Fabric:
-    """1×N line fabric (config.mesh_height forced to 1) for unit tests."""
-    cfg = config.replace(mesh_height=1)
-    return build_mesh(engine, cfg, metrics, registry=registry, tracer=tracer)
 
 
 #: fat-tree switch layers (first element of a switch's coordinate tuple).

@@ -14,7 +14,6 @@ from repro.iba.topology import (
     PORT_WEST,
     build_fabric,
     build_fat_tree,
-    build_line,
     build_mesh,
     fat_tree_lid,
     node_lid,
@@ -83,7 +82,7 @@ class TestConstruction:
         engine = Engine()
         cfg = SimConfig(mesh_width=4, mesh_height=3, num_partitions=1,
                         enable_realtime=False, enable_best_effort=False)
-        f = build_line(engine, cfg, MetricsCollector())
+        f = build_mesh(engine, cfg.replace(mesh_height=1), MetricsCollector())
         assert len(f.switches) == 4
 
 

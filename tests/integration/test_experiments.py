@@ -8,14 +8,12 @@ orderings, Figure 6's marginal auth overhead, Tables 2/4 exactness.
 import pytest
 
 from repro.experiments.fig1_dos import fig1_config, run_fig1
-from repro.experiments.fig5_enforcement import (
-    fig5_config,
-    run_fig5_excluding_attack,
-    _combined,
-)
+from repro.experiments.fig5_enforcement import fig5_config, run_fig5_excluding_attack
 from repro.experiments.fig6_auth import fig6_config, run_fig6
+from repro.experiments.pooling import pooled_delay
 from repro.sim.config import EnforcementMode
 from repro.sim.runner import run_simulation
+from repro.sim.sweep import SweepPoint
 
 
 class TestFig1Shape:
@@ -63,7 +61,7 @@ class TestFig5Shape:
         for mode in EnforcementMode:
             cfg = fig5_config(mode, 0.5, sim_time_us=2500.0, seed=11, attack_window_us=20.0)
             report = run_simulation(cfg)
-            out[mode] = (report, _combined(report))
+            out[mode] = (report, pooled_delay(SweepPoint({}, (11,), (report,))))
         return out
 
     def test_filtering_blocks_attack(self, bars):
@@ -74,8 +72,8 @@ class TestFig5Shape:
 
     def test_dpt_latency_above_if(self, bars):
         """Per-hop lookups cost more than one ingress lookup."""
-        dpt_n = bars[EnforcementMode.DPT][1][1]
-        if_n = bars[EnforcementMode.IF][1][1]
+        dpt_n = bars[EnforcementMode.DPT][1].network_us
+        if_n = bars[EnforcementMode.IF][1].network_us
         assert dpt_n > if_n
 
     def test_sif_activated_by_traps(self, bars):

@@ -14,12 +14,9 @@ from repro.sim.config import EnforcementMode, SimConfig
 from repro.sim.engine import PS_PER_US
 from repro.sim.metrics import LatencySample, MetricsSummary, StatAccumulator
 from repro.sim.runner import SimReport, run_simulation
-from repro.sim.stats import pooled
-from repro.experiments.fig5_enforcement import (
-    _combined_accs,
-    fig5_sweep,
-    run_fig5,
-)
+from repro.sim.sweep import SweepPoint
+from repro.experiments.fig5_enforcement import fig5_sweep, run_fig5
+from repro.experiments.pooling import pooled_delay
 
 
 def synthetic_report(values_us, cls="best_effort"):
@@ -61,18 +58,20 @@ class TestFig5PoolingRegression:
         oracle = StatAccumulator()
         for v in self.SEED_A + self.SEED_B:
             oracle.add(round(v * PS_PER_US))
-        merged = pooled(_combined_accs(r)[1] for r in reports)
-        assert merged.count == oracle.count == 6
-        assert merged.mean == pytest.approx(oracle.mean)
-        assert merged.variance == pytest.approx(oracle.variance)
+        merged = pooled_delay(SweepPoint({}, (1, 2), tuple(reports)))
+        assert merged.n_seeds == 2
+        assert merged.network_us == pytest.approx(oracle.mean / PS_PER_US)
+        assert merged.network_std_us == pytest.approx(oracle.stddev / PS_PER_US)
 
     def test_averaged_per_seed_stddev_understates(self, reports):
-        per_seed = [_combined_accs(r)[1].stddev for r in reports]
+        per_seed = [
+            pooled_delay(SweepPoint({}, (1,), (r,))).network_std_us for r in reports
+        ]
         averaged = sum(per_seed) / len(per_seed)
-        merged = pooled(_combined_accs(r)[1] for r in reports)
+        merged = pooled_delay(SweepPoint({}, (1, 2), tuple(reports)))
         # between-seed spread is ~45us; within-seed ~1us — pooling must
         # dominate the (buggy) average by an order of magnitude.
-        assert merged.stddev > 10 * averaged
+        assert merged.network_std_us > 10 * averaged
 
 
 class TestFig5MultiSeedEndToEnd:

@@ -7,6 +7,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def profile_rows(out: str, title: str) -> list[str]:
+    """The bar rows of the sweep profile chart titled *title* in *out*."""
+    lines = out.splitlines()
+    start = lines.index(title) + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("total:"))
+    return lines[start:end]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -42,6 +50,17 @@ class TestParser:
         for cmd in ("run", "trace", "serve-metrics"):
             args = build_parser().parse_args([cmd, "--enforcement", "bloom"])
             assert args.enforcement == "bloom"
+
+    def test_seeds_and_mc_set_the_replications(self):
+        from repro.cli import _sweep_kwargs
+
+        parse = build_parser().parse_args
+        assert _sweep_kwargs(parse(["fig5", "--seeds", "2"]), [])["seeds"] == (11, 12)
+        mc = _sweep_kwargs(parse(["fig6", "--mc"]), [], first_seed=17)
+        assert mc["seeds"] == (17, 18, 19, 20, 21)
+        assert "seeds" not in _sweep_kwargs(parse(["fig5"]), [])
+        with pytest.raises(SystemExit):
+            _sweep_kwargs(parse(["fig5", "--seeds", "0"]), [])
 
     def test_bakeoff4_defaults(self):
         args = build_parser().parse_args(["bakeoff4"])
@@ -155,6 +174,31 @@ class TestCommands:
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "cache 8 hit / 0 miss" in warm
+
+    def test_bakeoff4_fp_sweep_prints_one_profile_per_sweep(self, capsys):
+        rc = main([
+            "bakeoff4", "--sim-time-us", "100", "--no-cache", "--fp-sweep",
+            "--progress",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        bakeoff = profile_rows(out, "sweep execution profile")
+        fp = profile_rows(out, "fp-rate sweep execution profile")
+        assert len(bakeoff) == 8
+        assert all("enforcement=" in row for row in bakeoff)
+        assert fp and all(row.startswith("bloom_bits=") for row in fp)
+
+    @pytest.mark.parametrize("command, last_label", [
+        ("fig6", "70% keyed |"),
+        ("bakeoff4", "70% bloom |"),
+    ])
+    def test_seeds_flag_prints_the_ci_band(self, capsys, command, last_label):
+        argv = [command, "--sim-time-us", "200", "--no-cache", "--seeds", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "pooled over 2 seeds" in out
+        band = out[out.index("total delay with 95% CI (2 seeds)"):]
+        assert last_label in band
 
     def test_serve_metrics_interrupt_prints_the_clock(self, capsys, monkeypatch):
         """Ctrl-C during the run ends serve-metrics cleanly, naming the
