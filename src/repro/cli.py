@@ -21,7 +21,15 @@ Usage (installed as ``repro-sim`` or via ``python -m repro.cli``)::
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
+
+from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
+
+
+def _choices(mode: type[enum.Enum]) -> list[str]:
+    """The flag spellings of *mode*: its members' values, in enum order."""
+    return [m.value for m in mode]
 
 
 def _add_run(sub: argparse._SubParsersAction) -> None:
@@ -32,13 +40,12 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--load", type=float, default=0.4, help="best-effort injection (fraction of link bw)")
     p.add_argument("--realtime-load", type=float, default=0.1)
     p.add_argument(
-        "--enforcement", choices=["none", "dpt", "if", "sif", "bloom"], default="none"
+        "--enforcement", choices=_choices(EnforcementMode), default="none"
     )
     p.add_argument(
-        "--auth", choices=["icrc", "umac", "hmac_md5", "hmac_sha1", "pmac", "stream"],
-        default="icrc",
+        "--auth", choices=_choices(AuthMode), default="icrc",
     )
-    p.add_argument("--keymgmt", choices=["none", "partition", "qp"], default="none")
+    p.add_argument("--keymgmt", choices=_choices(KeyMgmtMode), default="none")
     p.add_argument("--replay-protection", action="store_true")
     p.add_argument(
         "--topology", choices=["mesh", "fat_tree"], default="mesh",
@@ -76,7 +83,7 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--attackers", type=int, default=1)
     p.add_argument("--load", type=float, default=0.3, help="best-effort injection (fraction of link bw)")
     p.add_argument(
-        "--enforcement", choices=["none", "dpt", "if", "sif", "bloom"], default="sif"
+        "--enforcement", choices=_choices(EnforcementMode), default="sif"
     )
     p.add_argument(
         "--duty-cycle", type=float, default=0.12,
@@ -149,7 +156,7 @@ def _add_serve_metrics(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--attackers", type=int, default=1)
     p.add_argument("--load", type=float, default=0.4, help="best-effort injection (fraction of link bw)")
     p.add_argument(
-        "--enforcement", choices=["none", "dpt", "if", "sif", "bloom"], default="sif"
+        "--enforcement", choices=_choices(EnforcementMode), default="sif"
     )
     p.add_argument(
         "--linger-s", type=float, default=0.0,
@@ -301,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
     from repro.sim.runner import run_simulation
 
     keymgmt = KeyMgmtMode(args.keymgmt)
@@ -352,7 +358,6 @@ def _peak_rss_field() -> str:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.charts import packet_timeline, sif_timeline
-    from repro.sim.config import EnforcementMode, SimConfig
     from repro.sim.runner import run_simulation
     from repro.sim.trace import Tracer
 
@@ -571,7 +576,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     import signal
     import time as _time
 
-    from repro.sim.config import EnforcementMode, SimConfig
     from repro.sim.metrics_server import MetricsServer
     from repro.sim.runner import build_experiment
     from repro.sim.trace import Tracer

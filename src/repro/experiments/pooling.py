@@ -38,6 +38,8 @@ def pooled_delay(
 
     *exclude* windows (ps, on injection time) drop samples from every
     report as :meth:`~repro.sim.metrics.MetricsSummary.windowed` does.
+    Raises :class:`ValueError` for a point with no reports (``seeds=()``)
+    or a report run with ``keep_samples=False``.
     """
     from repro.sim.stats import mean_ci, pooled
 
@@ -59,7 +61,11 @@ def _class_merged(
     report: SimReport, exclude: list[tuple[int, int]] | None
 ) -> tuple[StatAccumulator, StatAccumulator]:
     """One report's (queuing, network) accumulators over both classes (ps)."""
-    assert report.metrics is not None
+    if report.metrics is None:
+        raise ValueError(
+            f"pooled_delay needs per-delivery samples; the seed-"
+            f"{report.config.seed} report ran with keep_samples=False"
+        )
     q, n = StatAccumulator(), StatAccumulator()
     for name in ("realtime", "best_effort"):
         wq, wn = report.metrics.windowed(name, exclude=exclude)

@@ -244,6 +244,11 @@ class SimConfig:
         """Raise ValueError on inconsistent settings."""
         if self.link_bandwidth_gbps <= 0:
             raise ValueError("link bandwidth must be positive")
+        if self.sim_time_us <= self.warmup_us:
+            raise ValueError(
+                f"sim_time_us={self.sim_time_us:g} must exceed warmup_us="
+                f"{self.warmup_us:g}: no delivery would be recorded"
+            )
         if self.topology not in ("mesh", "fat_tree"):
             raise ValueError("topology must be 'mesh' or 'fat_tree'")
         if self.topology == "fat_tree":

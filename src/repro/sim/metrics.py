@@ -110,9 +110,6 @@ class MetricsSummary:
 
     samples: list[LatencySample] = field(default_factory=list)
 
-    def classes(self) -> list[str]:
-        return sorted({s.traffic_class for s in self.samples})
-
     def windowed(
         self,
         traffic_class: str,
@@ -167,11 +164,13 @@ class MetricsSummary:
 
 @dataclass
 class MetricsCollector:
-    """Collects delivered-packet samples and summarizes per traffic class.
+    """Collects delivered-packet samples into per-class accumulators.
 
-    ``keep_samples=True`` retains every :class:`LatencySample` so analyses
-    can slice by time window (e.g. drop the attack-active periods, as the
-    paper does when quoting 14.19 µs vs 13.65 µs for IF vs SIF).
+    :func:`repro.sim.runner.class_stats` turns the accumulators into a
+    report's ``stats``.  ``keep_samples=True`` retains every
+    :class:`LatencySample` so :meth:`summary` can slice by time window
+    (e.g. drop the attack-active periods, as the paper does when quoting
+    14.19 µs vs 13.65 µs for IF vs SIF).
     """
 
     keep_samples: bool = True
@@ -198,55 +197,6 @@ class MetricsCollector:
 
     def record_drop(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
-
-    # -- summaries ---------------------------------------------------------
-
-    def classes(self) -> list[str]:
-        return sorted(set(self._queuing) | set(self._network))
-
-    def count(self, traffic_class: str) -> int:
-        """Delivered-packet count for *traffic_class* (0 when unseen on
-        both accumulators)."""
-        q = self._queuing.get(traffic_class)
-        n = self._network.get(traffic_class)
-        return max(q.count if q else 0, n.count if n else 0)
-
-    def queuing_us(self, traffic_class: str) -> float:
-        """Mean queuing time in microseconds for *traffic_class*."""
-        acc = self._queuing.get(traffic_class)
-        return acc.mean / PS_PER_US if acc else 0.0
-
-    def network_us(self, traffic_class: str) -> float:
-        """Mean network latency in microseconds for *traffic_class*."""
-        acc = self._network.get(traffic_class)
-        return acc.mean / PS_PER_US if acc else 0.0
-
-    def queuing_std_us(self, traffic_class: str) -> float:
-        acc = self._queuing.get(traffic_class)
-        return acc.stddev / PS_PER_US if acc else 0.0
-
-    def network_std_us(self, traffic_class: str) -> float:
-        acc = self._network.get(traffic_class)
-        return acc.stddev / PS_PER_US if acc else 0.0
-
-    def total_delay_us(self, traffic_class: str) -> float:
-        """Queuing + network mean delay in µs — the Figure 5 bar height."""
-        return self.queuing_us(traffic_class) + self.network_us(traffic_class)
-
-    def windowed(
-        self,
-        traffic_class: str,
-        exclude: list[tuple[int, int]] | None = None,
-    ) -> tuple[StatAccumulator, StatAccumulator]:
-        """(queuing, network) accumulators over samples whose *injection*
-        time falls outside every ``exclude`` window (ps intervals).
-
-        Requires ``keep_samples=True``.  This reproduces the paper's
-        "if we exclude the attacking period" comparison.
-        """
-        if not self.keep_samples:
-            raise RuntimeError("windowed() needs keep_samples=True")
-        return self.summary().windowed(traffic_class, exclude)
 
     def summary(self) -> MetricsSummary:
         """Detach a picklable :class:`MetricsSummary` from this live

@@ -157,14 +157,6 @@ class SimReport:
         }.get(traffic_class, 0.0)
         return load * self.config.link_bandwidth_gbps * self.senders.get(traffic_class, 0)
 
-    def excluding_attack_windows(self, traffic_class: str) -> tuple[float, float]:
-        """(queuing_us, network_us) over deliveries injected outside attack
-        windows — the paper's IF-vs-SIF 14.19 µs / 13.65 µs comparison."""
-        if self.metrics is None:
-            raise RuntimeError("run with keep_samples=True for windowed stats")
-        q, n = self.metrics.windowed(traffic_class, exclude=self.attack_windows)
-        return q.mean / PS_PER_US, n.mean / PS_PER_US
-
     def summary(self) -> str:
         lines = [
             f"enforcement={self.config.enforcement.value} auth={self.config.auth.value} "

@@ -1,10 +1,11 @@
 """Parameter-sweep driver — the machinery behind multi-bar experiments.
 
 A :class:`Sweep` takes a base :class:`~repro.sim.config.SimConfig`, a grid
-of overrides, and runs one simulation per grid point (optionally across
-several seeds, averaging).  The figure modules (Fig 5's enforcement × load
-grid, Fig 6's key-mode × load grid) and downstream ablation studies all run
-through it.
+of overrides, and runs one simulation per grid point and seed, returning
+one :class:`SweepPoint` (a report per seed) per grid point.  The figure
+modules (Fig 5's enforcement × load grid, Fig 6's key-mode × load grid) and
+downstream ablation studies all run through it; they reduce each point with
+:func:`repro.experiments.pooling.pooled_delay` over :mod:`repro.sim.stats`.
 
 Execution model
 ---------------
@@ -322,66 +323,14 @@ class SweepStats(IsolationStats):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point's outcome.
-
-    ``mean`` treats each seed's metric as one observation; the Monte Carlo
-    accessors (``pooled``/``ci``/``percentile``) see through to the
-    underlying per-delivery samples, so cross-seed variance is aggregated
-    correctly (see :mod:`repro.sim.stats`).
-    """
+    """One grid point's outcome: its overrides, its seeds and one report
+    per seed, in seed order.  Reduce it with
+    :func:`repro.experiments.pooling.pooled_delay` or the
+    :mod:`repro.sim.stats` kernels."""
 
     overrides: dict[str, Any]
     seeds: tuple[int, ...]
     reports: tuple[SimReport, ...]
-
-    def _require_reports(self) -> None:
-        if not self.reports:
-            raise ValueError(
-                f"SweepPoint {self.overrides} has no reports (seeds=())"
-            )
-
-    def mean(self, metric: Callable[[SimReport], float]) -> float:
-        self._require_reports()
-        return sum(metric(r) for r in self.reports) / len(self.reports)
-
-    def pooled(self, accumulator_of: Callable[[SimReport], Any]) -> Any:
-        """Merge per-seed :class:`~repro.sim.metrics.StatAccumulator`\\ s.
-
-        *accumulator_of* extracts one accumulator per report (e.g. the
-        queuing-time accumulator of one traffic class); the result's
-        variance equals Welford over the concatenated samples — the
-        pooled stddev a multi-seed bar must quote.
-        """
-        from repro.sim.stats import pooled as _pooled
-
-        self._require_reports()
-        return _pooled(accumulator_of(r) for r in self.reports)
-
-    def ci(
-        self, metric: Callable[[SimReport], float], confidence: float = 0.95
-    ):
-        """Student-t confidence interval on the per-seed means of *metric*
-        (a :class:`~repro.sim.stats.ConfidenceInterval`)."""
-        from repro.sim.stats import mean_ci
-
-        self._require_reports()
-        return mean_ci([metric(r) for r in self.reports], confidence)
-
-    def percentile(
-        self, samples_of: Callable[[SimReport], list[float]], q: float
-    ) -> float:
-        """The *q*-th percentile over every seed's samples, concatenated.
-
-        *samples_of* extracts the raw per-delivery values of one report
-        (e.g. via :meth:`~repro.sim.metrics.MetricsSummary.values_us`).
-        """
-        from repro.sim.stats import percentile as _percentile
-
-        self._require_reports()
-        values: list[float] = []
-        for r in self.reports:
-            values.extend(samples_of(r))
-        return _percentile(values, q)
 
 
 @dataclass
@@ -552,20 +501,6 @@ class Sweep:
             raise RuntimeError("call run() first")
         return self._results
 
-    def table(
-        self,
-        metrics: dict[str, Callable[[SimReport], float]],
-    ) -> list[dict[str, Any]]:
-        """Flatten results to rows: one per grid point, overrides + the
-        requested aggregated metrics."""
-        rows = []
-        for point in self.results:
-            row: dict[str, Any] = dict(point.overrides)
-            for name, fn in metrics.items():
-                row[name] = point.mean(fn)
-            rows.append(row)
-        return rows
-
 
 def bloom_fp_axis(
     fp_rates: list[float],
@@ -588,18 +523,3 @@ def bloom_fp_axis(
         if m not in bits:
             bits.append(m)
     return {"bloom_bits": bits}
-
-
-def queuing_us(traffic_class: str) -> Callable[[SimReport], float]:
-    """Metric factory: mean queuing time of *traffic_class* in µs."""
-    return lambda r: r.cls(traffic_class).queuing_us
-
-
-def network_us(traffic_class: str) -> Callable[[SimReport], float]:
-    """Metric factory: mean network latency of *traffic_class* in µs."""
-    return lambda r: r.cls(traffic_class).network_us
-
-
-def total_us(traffic_class: str) -> Callable[[SimReport], float]:
-    """Metric factory: queuing + network in µs (the Figure 5 bar)."""
-    return lambda r: r.cls(traffic_class).total_us

@@ -128,7 +128,8 @@ class TestDataPacket:
     def test_run_numbers_its_packets_from_one(self):
         assert make_packet().packet_id == 0  # built outside any fabric
         cfg = SimConfig(
-            mesh_width=2, mesh_height=2, num_partitions=1, sim_time_us=100.0
+            mesh_width=2, mesh_height=2, num_partitions=1, sim_time_us=100.0,
+            warmup_us=0.0,
         )
         for _ in range(2):  # every run, whatever ran before in the process
             tracer = Tracer()

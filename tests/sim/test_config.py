@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()
 
+    def test_horizon_must_outlast_warmup(self):
+        """A run that ends inside its warmup records no delivery, so it
+        would print a table of zeros."""
+        for sim_time_us in (50.0, 100.0):
+            with pytest.raises(ValueError, match="must exceed warmup_us=100"):
+                SimConfig(sim_time_us=sim_time_us).validate()
+        SimConfig(sim_time_us=100.5).validate()
+        SimConfig(sim_time_us=50.0, warmup_us=0.0).validate()
+
     def test_fat_tree_k_must_fit_the_route_table_byte(self):
         """Ports are route-table bytes and 0xFF means no route, so a k-port
         fat-tree switch needs k <= 254."""

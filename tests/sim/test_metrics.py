@@ -14,6 +14,7 @@ from repro.sim.metrics import (
     MetricsSummary,
     StatAccumulator,
 )
+from repro.sim.runner import class_stats
 
 
 def sample(created, injected, delivered, cls="best_effort", src=1, dst=2):
@@ -142,24 +143,31 @@ class TestLatencySample:
         assert s.network_ps == 650
 
 
+def stats_of(m):
+    """The report ``stats`` a run with collector *m* would carry."""
+    return class_stats(m._queuing, m._network)
+
+
 class TestMetricsCollector:
     def test_per_class_separation(self):
         m = MetricsCollector()
         m.record_delivery(sample(0, 10, 100, cls="realtime"))
         m.record_delivery(sample(0, 30, 100, cls="best_effort"))
-        assert m.classes() == ["best_effort", "realtime"]
-        assert m.queuing_us("realtime") == pytest.approx(10 / PS_PER_US)
-        assert m.queuing_us("best_effort") == pytest.approx(30 / PS_PER_US)
+        stats = stats_of(m)
+        assert list(stats) == ["best_effort", "realtime"]
+        assert stats["realtime"].queuing_us == pytest.approx(10 / PS_PER_US)
+        assert stats["best_effort"].queuing_us == pytest.approx(30 / PS_PER_US)
 
     def test_unknown_class_zero(self):
         m = MetricsCollector()
-        assert m.queuing_us("nope") == 0.0
-        assert m.network_us("nope") == 0.0
+        assert stats_of(m) == {}
+        q, n = m.summary().windowed("nope")
+        assert (q.count, q.mean, n.count, n.mean) == (0, 0.0, 0, 0.0)
 
     def test_total_delay(self):
         m = MetricsCollector()
         m.record_delivery(sample(0, 2 * PS_PER_US, 5 * PS_PER_US))
-        assert m.total_delay_us("best_effort") == pytest.approx(5.0)
+        assert stats_of(m)["best_effort"].total_us == pytest.approx(5.0)
 
     def test_drop_accounting(self):
         m = MetricsCollector()
@@ -173,7 +181,9 @@ class TestMetricsCollector:
         # injected at 10us and 60us; exclude [50us, 100us)
         m.record_delivery(sample(0, 10 * PS_PER_US, 20 * PS_PER_US))
         m.record_delivery(sample(0, 60 * PS_PER_US, 200 * PS_PER_US))
-        q, n = m.windowed("best_effort", exclude=[(50 * PS_PER_US, 100 * PS_PER_US)])
+        q, n = m.summary().windowed(
+            "best_effort", exclude=[(50 * PS_PER_US, 100 * PS_PER_US)]
+        )
         assert q.count == 1
         assert q.mean == pytest.approx(10 * PS_PER_US)
 
@@ -181,23 +191,24 @@ class TestMetricsCollector:
         m = MetricsCollector(keep_samples=False)
         m.record_delivery(sample(0, 1, 2))
         with pytest.raises(RuntimeError):
-            m.windowed("best_effort")
+            m.summary()
 
     def test_keep_samples_false_still_aggregates(self):
         m = MetricsCollector(keep_samples=False)
         m.record_delivery(sample(0, 10, 100))
         assert m.delivered == 1
         assert m.samples == []
-        assert m.queuing_us("best_effort") > 0
+        assert stats_of(m)["best_effort"].queuing_us > 0
 
     def test_count_accessor(self):
         m = MetricsCollector()
         m.record_delivery(sample(0, 10, 100))
         m.record_delivery(sample(0, 20, 100))
         m.record_delivery(sample(0, 20, 100, cls="realtime"))
-        assert m.count("best_effort") == 2
-        assert m.count("realtime") == 1
-        assert m.count("nope") == 0
+        stats = stats_of(m)
+        assert stats["best_effort"].count == 2
+        assert stats["realtime"].count == 1
+        assert "nope" not in stats
 
     def test_count_survives_network_only_class(self):
         """A class observed on only one accumulator (e.g. merged in from an
@@ -206,8 +217,9 @@ class TestMetricsCollector:
         acc = StatAccumulator()
         acc.add(42.0)
         m._network["netonly"] = acc
-        assert m.count("netonly") == 1
-        assert "netonly" in m.classes()
+        stats = stats_of(m)
+        assert stats["netonly"].count == 1
+        assert stats["netonly"].queuing_us == 0.0
 
 
 class TestMetricsSummary:
@@ -220,14 +232,19 @@ class TestMetricsSummary:
         assert q.count == 1
 
     def test_windowed_matches_collector(self):
+        """Unwindowed, the summary pools exactly what the live accumulators
+        behind the report's ``stats`` saw."""
         m = MetricsCollector()
         m.record_delivery(sample(0, 10 * PS_PER_US, 20 * PS_PER_US))
         m.record_delivery(sample(0, 60 * PS_PER_US, 200 * PS_PER_US))
-        exclude = [(50 * PS_PER_US, 100 * PS_PER_US)]
-        qc, nc = m.windowed("best_effort", exclude=exclude)
-        qs, ns = m.summary().windowed("best_effort", exclude=exclude)
-        assert (qs.count, qs.mean) == (qc.count, qc.mean)
-        assert (ns.count, ns.mean) == (nc.count, nc.mean)
+        m.record_delivery(sample(5, 70 * PS_PER_US, 90 * PS_PER_US))
+        qs, ns = m.summary().windowed("best_effort")
+        stats = stats_of(m)["best_effort"]
+        assert qs.count == ns.count == stats.count == 3
+        assert qs.mean / PS_PER_US == pytest.approx(stats.queuing_us)
+        assert ns.mean / PS_PER_US == pytest.approx(stats.network_us)
+        assert qs.stddev / PS_PER_US == pytest.approx(stats.queuing_std_us)
+        assert ns.stddev / PS_PER_US == pytest.approx(stats.network_std_us)
 
     def test_requires_kept_samples(self):
         with pytest.raises(RuntimeError):
@@ -237,4 +254,6 @@ class TestMetricsSummary:
         summary = MetricsSummary(
             samples=[sample(0, 1, 2), sample(0, 1, 2, cls="realtime")]
         )
-        assert summary.classes() == ["best_effort", "realtime"]
+        assert summary.windowed("best_effort")[0].count == 1
+        assert summary.windowed("realtime")[0].count == 1
+        assert summary.values_us("realtime") == [2 / PS_PER_US]

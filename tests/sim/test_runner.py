@@ -3,8 +3,10 @@ attacker selection, report fields."""
 
 import pytest
 
+from repro.experiments.pooling import pooled_delay
 from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode, SimConfig
 from repro.sim.runner import build_experiment, estimate_rtt_ps, run_simulation
+from repro.sim.sweep import SweepPoint
 
 
 def build(**overrides):
@@ -183,8 +185,8 @@ class TestReport:
             SimConfig(sim_time_us=150.0, seed=4, keep_samples=False)
         )
         assert report.metrics is None
-        with pytest.raises(RuntimeError):
-            report.excluding_attack_windows("best_effort")
+        with pytest.raises(ValueError, match="keep_samples=False"):
+            pooled_delay(SweepPoint({}, (4,), (report,)))
 
     def test_wall_and_events_populated(self):
         report = run_simulation(SimConfig(sim_time_us=150.0, seed=4))
@@ -216,9 +218,11 @@ class TestReport:
         q1, n1 = clone.metrics.windowed("best_effort")
         assert (q1.count, q1.mean) == (q0.count, q0.mean)
         assert (n1.count, n1.mean) == (n0.count, n0.mean)
-        assert clone.excluding_attack_windows(
-            "best_effort"
-        ) == report.excluding_attack_windows("best_effort")
+        assert pooled_delay(
+            SweepPoint({}, (4,), (clone,)), exclude=clone.attack_windows
+        ) == pooled_delay(
+            SweepPoint({}, (4,), (report,)), exclude=report.attack_windows
+        )
 
 
 class TestOfferedLoad:

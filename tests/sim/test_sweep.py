@@ -1,20 +1,21 @@
-"""Sweep driver: grid expansion, execution, metric aggregation."""
+"""Sweep driver: grid expansion, execution, and reducing its points with
+``pooled_delay`` and the ``sim/stats.py`` kernels."""
 
 import threading
 
 import pytest
 
+from repro.experiments.pooling import pooled_delay
 from repro.sim.config import SimConfig
+from repro.sim.engine import PS_PER_US
 from repro.sim.runner import SimReport
+from repro.sim.stats import mean_ci, percentile, pooled
 from repro.sim.sweep import (
     JobResult,
     RunCache,
     Sweep,
     bloom_fp_axis,
     config_key,
-    network_us,
-    queuing_us,
-    total_us,
 )
 
 
@@ -54,11 +55,9 @@ class TestExecution:
     def test_seed_averaging(self, base):
         sweep = Sweep(base, {"best_effort_load": [0.2]}, seeds=(1, 2, 3))
         (point,) = sweep.run()
-        assert len(point.reports) == 3
-        individual = [queuing_us("best_effort")(r) for r in point.reports]
-        assert point.mean(queuing_us("best_effort")) == pytest.approx(
-            sum(individual) / 3
-        )
+        assert [r.config.seed for r in point.reports] == [1, 2, 3]
+        individual = [r.cls("best_effort").queuing_us for r in point.reports]
+        assert mean_ci(individual).mean == pytest.approx(sum(individual) / 3)
 
     def test_invalid_override_raises(self, base):
         sweep = Sweep(base, {"num_partitions": [0]})
@@ -107,6 +106,9 @@ class TestProgressStreamOrder:
 
 
 class TestMonteCarloAccessors:
+    """A multi-seed point reduces through ``pooled_delay`` and the
+    ``sim/stats.py`` kernels, read straight off its reports."""
+
     @pytest.fixture
     def point(self, base):
         sweep = Sweep(
@@ -127,28 +129,34 @@ class TestMonteCarloAccessors:
             for s in r.metrics.samples:
                 if s.traffic_class == "best_effort":
                     oracle.add(s.queuing_ps)
-        merged = point.pooled(self.be_queuing_acc)
+        merged = pooled(self.be_queuing_acc(r) for r in point.reports)
         assert merged.count == oracle.count > 0
         assert merged.mean == pytest.approx(oracle.mean)
         assert merged.variance == pytest.approx(oracle.variance)
+        # best_effort is the only class, so the bar pools the same samples
+        delay = pooled_delay(point)
+        assert delay.queuing_us == pytest.approx(oracle.mean / PS_PER_US)
+        assert delay.queuing_std_us == pytest.approx(oracle.stddev / PS_PER_US)
 
     def test_pooled_differs_from_averaged_stddev(self, point):
         # the bug the MC layer fixes: these two aggregations are not equal
-        per_seed = [self.be_queuing_acc(r).stddev for r in point.reports]
+        per_seed = [r.cls("best_effort").queuing_std_us for r in point.reports]
         averaged = sum(per_seed) / len(per_seed)
-        assert point.pooled(self.be_queuing_acc).stddev >= averaged
+        assert pooled_delay(point).queuing_std_us >= averaged
 
     def test_ci_brackets_the_mean_of_seed_means(self, point):
-        metric = queuing_us("best_effort")
-        ci = point.ci(metric)
+        totals = [r.cls("best_effort").total_us for r in point.reports]
+        ci = mean_ci(totals)
         assert ci.n == 3
-        assert ci.lo <= point.mean(metric) <= ci.hi
-        assert ci.mean == pytest.approx(point.mean(metric))
+        assert ci.lo <= sum(totals) / 3 <= ci.hi
+        assert pooled_delay(point).total_ci_half_us == pytest.approx(ci.half)
 
     def test_percentile_orders_correctly(self, point):
-        values_of = lambda r: r.metrics.values_us("best_effort")
-        p50 = point.percentile(values_of, 50)
-        p99 = point.percentile(values_of, 99)
+        values = [
+            v for r in point.reports for v in r.metrics.values_us("best_effort")
+        ]
+        p50 = percentile(values, 50)
+        p99 = percentile(values, 99)
         assert 0 < p50 <= p99
 
     def test_no_reports_raise(self, base):
@@ -156,9 +164,9 @@ class TestMonteCarloAccessors:
         (point,) = sweep.run()
         assert point.reports == ()
         with pytest.raises(ValueError):
-            point.pooled(self.be_queuing_acc)
+            mean_ci([r.cls("best_effort").total_us for r in point.reports])
         with pytest.raises(ValueError):
-            point.ci(queuing_us("best_effort"))
+            percentile([], 50)
 
 
 class TestBloomFpAxis:
@@ -189,22 +197,25 @@ class TestBloomFpAxis:
 class TestTable:
     def test_rows_carry_overrides_and_metrics(self, base):
         sweep = Sweep(base, {"best_effort_load": [0.2, 0.3]})
-        sweep.run()
-        rows = sweep.table({
-            "q": queuing_us("best_effort"),
-            "n": network_us("best_effort"),
-            "total": total_us("best_effort"),
-        })
-        assert len(rows) == 2
-        for row in rows:
-            assert row["total"] == pytest.approx(row["q"] + row["n"])
-            assert row["best_effort_load"] in (0.2, 0.3)
+        points = sweep.run()
+        assert [p.overrides for p in points] == [
+            {"best_effort_load": 0.2}, {"best_effort_load": 0.3},
+        ]
+        for point in points:
+            (report,) = point.reports
+            assert report.config.best_effort_load == point.overrides[
+                "best_effort_load"
+            ]
+            stats = report.cls("best_effort")
+            assert stats.count > 0
+            assert stats.total_us == pytest.approx(
+                stats.queuing_us + stats.network_us
+            )
 
     def test_load_affects_queuing(self, base):
         sweep = Sweep(base, {"best_effort_load": [0.1, 0.5]})
-        sweep.run()
-        rows = sweep.table({"q": queuing_us("best_effort")})
-        assert rows[1]["q"] >= rows[0]["q"]
+        low, high = (p.reports[0].cls("best_effort") for p in sweep.run())
+        assert high.queuing_us >= low.queuing_us
 
 
 class TestCacheConcurrency:

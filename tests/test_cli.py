@@ -51,6 +51,19 @@ class TestParser:
             args = build_parser().parse_args([cmd, "--enforcement", "bloom"])
             assert args.enforcement == "bloom"
 
+    def test_every_mode_is_a_choice(self):
+        from repro.sim.config import AuthMode, EnforcementMode, KeyMgmtMode
+
+        parse = build_parser().parse_args
+        for mode in EnforcementMode:
+            for command in ("run", "trace", "serve-metrics"):
+                args = parse([command, "--enforcement", mode.value])
+                assert args.enforcement == mode.value
+        for mode in AuthMode:
+            assert parse(["run", "--auth", mode.value]).auth == mode.value
+        for mode in KeyMgmtMode:
+            assert parse(["run", "--keymgmt", mode.value]).keymgmt == mode.value
+
     def test_seeds_and_mc_set_the_replications(self):
         from repro.cli import _sweep_kwargs
 
@@ -79,7 +92,7 @@ class TestCommands:
         assert "delivered=" in out
 
     def test_run_prints_peak_rss_beside_phase_times(self, capsys):
-        rc = main(["run", "--sim-time-us", "50", "--seed", "2"])
+        rc = main(["run", "--sim-time-us", "150", "--seed", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         match = re.search(
@@ -93,7 +106,7 @@ class TestCommands:
         import sys
 
         monkeypatch.setitem(sys.modules, "resource", None)  # import fails
-        rc = main(["run", "--sim-time-us", "50", "--seed", "2"])
+        rc = main(["run", "--sim-time-us", "150", "--seed", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "peak_rss" not in out
@@ -114,6 +127,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "switch_filtered=" in out
+
+    def test_run_rejects_a_horizon_inside_the_warmup(self):
+        """A 50 us run under the 100 us warmup would record nothing."""
+        with pytest.raises(ValueError, match="must exceed warmup_us=100"):
+            main(["run", "--sim-time-us", "50"])
+
+    def test_run_aes_cmac(self, capsys):
+        rc = main(["run", "--sim-time-us", "150", "--auth", "aes_cmac"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "auth=aes_cmac keymgmt=partition" in out
+        assert re.search(r"delivered=[1-9]\d*", out), out
 
     def test_run_auth_defaults_keymgmt(self, capsys):
         rc = main(["run", "--sim-time-us", "150", "--auth", "umac"])
@@ -177,7 +202,7 @@ class TestCommands:
 
     def test_bakeoff4_fp_sweep_prints_one_profile_per_sweep(self, capsys):
         rc = main([
-            "bakeoff4", "--sim-time-us", "100", "--no-cache", "--fp-sweep",
+            "bakeoff4", "--sim-time-us", "150", "--no-cache", "--fp-sweep",
             "--progress",
         ])
         out = capsys.readouterr().out
@@ -213,7 +238,7 @@ class TestCommands:
 
         monkeypatch.setattr(Engine, "run", interrupted_run)
         rc = main(["serve-metrics", "--port", "0", "--linger-s", "0",
-                   "--sim-time-us", "50"])
+                   "--sim-time-us", "150"])
         out = capsys.readouterr().out
         assert rc == 0
         assert re.search(r"interrupted at t=10\.0 us: events=[1-9]\d*$", out.strip()), out
